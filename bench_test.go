@@ -343,35 +343,4 @@ func BenchmarkBoundedScan(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelGuardCompaction is the ablation for the paper's §7
-// future-work feature implemented here: guard-granular compaction
-// parallelism.
-func BenchmarkParallelGuardCompaction(b *testing.B) {
-	for _, parallel := range []bool{false, true} {
-		name := "serial"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				o := pebblesdb.PresetPebblesDB.Options()
-				harness.Scale(o, 128)
-				o.ParallelGuardCompaction = parallel
-				o.WithFS(vfs.NewMem())
-				db, err := pebblesdb.Open("bench", o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := harness.FillRandom(db, 200_000, 200_000, 128, 1); err != nil {
-					b.Fatal(err)
-				}
-				if err := db.CompactAll(); err != nil {
-					b.Fatal(err)
-				}
-				db.Close()
-			}
-		})
-	}
-}
-
 var _ = fmt.Sprintf

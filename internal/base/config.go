@@ -88,9 +88,6 @@ type Config struct {
 	// ParallelSeeks enables concurrent sstable positioning in last-level
 	// guards during seeks (§4.2).
 	ParallelSeeks bool
-	// ParallelGuardCompaction partitions and writes guard outputs with a
-	// worker pool (paper §7 future work, implemented here as an extension).
-	ParallelGuardCompaction bool
 
 	// SeekCompactionThreshold is the number of consecutive seeks that mark
 	// a guard (FLSM) or file (leveled) for compaction (§4.2, default 10).

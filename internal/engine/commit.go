@@ -555,8 +555,8 @@ func (e *Engine) publishLocked() {
 }
 
 // ingestQueue is the guard-ingestion sidecar: appliers drop copied guard
-// candidates here (already filtered by Tree.WantGuard, so almost all keys
-// skip it) and a single background goroutine feeds them to Tree.Ingest,
+// candidates here (already filtered by Core.WantGuard, so almost all keys
+// skip it) and a single background goroutine feeds them to Core.Ingest,
 // keeping the tree's mutex off the commit critical path.
 type ingestQueue struct {
 	mu     sync.Mutex

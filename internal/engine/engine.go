@@ -1,10 +1,10 @@
 // Package engine implements the store machinery shared by PebblesDB and
 // the LSM baselines: write-ahead logging, memtable rotation, write stalls
 // (level0-slowdown / level0-stop, §5.1), background flush and compaction
-// scheduling, snapshots, and crash recovery. The on-storage structure is
-// delegated to a Tree (internal/flsm or internal/leveled), mirroring how
-// PebblesDB replaced HyperLevelDB's version/compaction layer while reusing
-// the rest (§4.4).
+// scheduling, snapshots, and crash recovery. The on-storage structure is a
+// treebase.Core wired with the layout of internal/flsm or internal/leveled,
+// mirroring how PebblesDB replaced how HyperLevelDB organises a level while
+// reusing the rest (§4.4).
 package engine
 
 import (
@@ -20,13 +20,10 @@ import (
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/batch"
 	"pebblesdb/internal/flsm"
-	"pebblesdb/internal/iterator"
 	"pebblesdb/internal/leveled"
 	"pebblesdb/internal/memtable"
 	"pebblesdb/internal/obs"
-	"pebblesdb/internal/rangedel"
 	"pebblesdb/internal/sstable"
-	"pebblesdb/internal/tablecache"
 	"pebblesdb/internal/treebase"
 	"pebblesdb/internal/vfs"
 	"pebblesdb/internal/wal"
@@ -69,64 +66,12 @@ const (
 	KindLeveled
 )
 
-// Tree is the on-storage structure contract shared by internal/flsm and
-// internal/leveled.
-type Tree interface {
-	NewFileNum() base.FileNum
-	RecoveryLogNum() base.FileNum
-	PersistedLastSeq() base.SeqNum
-	// WantGuard is the cheap, lock-free pre-filter for Ingest: it reports
-	// whether ukey is a guard candidate, so the commit pipeline only pays
-	// the Ingest cost (copy + tree mutex) for the rare keys that qualify.
-	WantGuard(ukey []byte) bool
-	Ingest(ukey []byte)
-	// Flush writes one frozen memtable: its point entries (it) plus its
-	// range tombstones, which land in the output table's range-del block.
-	Flush(it iterator.Iterator, rangeDels []rangedel.Tombstone, logNum base.FileNum, lastSeq base.SeqNum) error
-	// Get returns the newest visible version of ukey at seq. latest, when
-	// non-nil, is the engine's committed-sequence counter: the tree must
-	// pin its current version first and only then load the read sequence
-	// from it, so a concurrent compaction can never collapse every version
-	// <= seq out of the probed view (versions are only dropped when a
-	// newer, also-committed version shadows them — which the later seq
-	// load then makes visible). Snapshot reads pass latest=nil: registered
-	// snapshots are protected from collapse by SmallestSnapshot. s, when
-	// non-nil, supplies the reusable point-read working set; the returned
-	// value aliases immutable storage (block payloads, cache entries) and
-	// must be copied by the caller if it outlives the read.
-	Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstable.GetScratch) (value []byte, found bool, err error)
-	// NewIters appends the point iterators for the pinned version to dst
-	// and returns them plus every range tombstone its in-bounds tables
-	// hold; the engine merges those with the memtables' tombstones into
-	// the iterator's visibility mask. The request carries the bounds, an
-	// optional prefix hint (tables whose prefix bloom filter excludes it
-	// may be skipped), and a stats sink.
-	NewIters(req treebase.IterRequest, dst []iterator.Iterator) ([]iterator.Iterator, []rangedel.Tombstone, error)
-	NeedsCompaction() bool
-	// ClaimableUnits estimates how many compaction units workers could
-	// claim right now (disjoint guard groups or file sets); the engine
-	// sizes its worker pool to it instead of blindly spawning up to the
-	// concurrency cap.
-	ClaimableUnits() int
-	CompactOnce() (bool, error)
-	CompactAll() error
-	L0Count() int
-	ProtectedFiles() map[base.FileNum]bool
-	EvictTable(fn base.FileNum)
-	ManifestFileNum() base.FileNum
-	LogNum() base.FileNum
-	Metrics() treebase.Metrics
-	CacheMetrics() tablecache.Metrics
-	Dump(w io.Writer)
-	Close() error
-}
-
 // Engine is a single-node key-value store instance.
 type Engine struct {
 	cfg  *base.Config
 	fs   vfs.FS
 	dir  string
-	tree Tree
+	tree *treebase.Core
 
 	// commitMu serializes commit leaders: room checks, sequence
 	// allocation and WAL appends. Memtable application and fsyncs happen
@@ -312,7 +257,7 @@ func Open(cfg *base.Config, fs vfs.FS, dir string, kind Kind) (*Engine, error) {
 	e.rec = obs.NewRecorder(0)
 	cfg.EventListener = obs.Tee(e.rec, cfg.EventListener)
 
-	var tree Tree
+	var tree *treebase.Core
 	var err error
 	switch kind {
 	case KindFLSM:
@@ -371,7 +316,7 @@ func (e *Engine) replayWALs() (base.SeqNum, error) {
 	var logs []base.FileNum
 	for _, name := range names {
 		ft, fn, ok := base.ParseFilename(name)
-		if ok && ft == base.FileTypeLog && fn >= e.tree.RecoveryLogNum() {
+		if ok && ft == base.FileTypeLog && fn >= e.tree.LogNum() {
 			logs = append(logs, fn)
 		}
 	}
@@ -825,9 +770,6 @@ func (e *Engine) WaitIdle() error {
 
 // Dump writes the tree layout (cmd/flsmdump, Fig 3.1).
 func (e *Engine) Dump(w io.Writer) { e.tree.Dump(w) }
-
-// Tree exposes the underlying tree for white-box tests and tools.
-func (e *Engine) Tree() Tree { return e.tree }
 
 // Close flushes nothing (the WAL preserves the memtable), waits for
 // background work and in-flight reads, and releases resources. Gets and

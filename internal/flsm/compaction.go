@@ -4,23 +4,18 @@ import (
 	"bytes"
 	"math"
 	"sort"
-	"sync"
-	"time"
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/guard"
-	"pebblesdb/internal/iterator"
 	"pebblesdb/internal/manifest"
-	"pebblesdb/internal/obs"
-	"pebblesdb/internal/rangedel"
 	"pebblesdb/internal/treebase"
 )
 
 // sourceGuard is one guard's worth of compaction input. key==nil means the
-// sentinel. dst/inPlace/partition describe the source's output: the level
-// its merged contents land in, whether it is an in-place rewrite, and the
-// shared partition keys the output is cut at (fixed at claim time, see
-// writerPartitionLocked).
+// sentinel (or, in the L0 unit, the whole of L0). dst/inPlace/partition
+// describe the source's output: the level its merged contents land in,
+// whether it is an in-place rewrite, and the shared partition keys the
+// output is cut at (fixed at claim time, see writerPartitionLocked).
 type sourceGuard struct {
 	key       []byte
 	files     []*base.FileMetadata
@@ -37,35 +32,52 @@ func (s *sourceGuard) bytes() uint64 {
 	return t
 }
 
-// guardCommit lists the uncommitted guards a unit commits at one level.
-type guardCommit struct {
-	level int
-	keys  [][]byte
-}
-
 // compaction is one claimed unit of FLSM compaction work: a set of source
-// guard groups of one level (or the whole of L0), each with its own
-// destination. Guards partition a level's key space into disjoint units
-// (§3.1), so units claiming disjoint guard sets of the same level can run
-// concurrently — the paper's "trivially parallelizable" compaction, here
-// across scheduler workers rather than only inside one unit.
+// guard groups of one level (or the whole of L0 as a single source), each
+// with its own destination. Guards partition a level's key space into
+// disjoint units (§3.1), so units claiming disjoint guard sets of the same
+// level can run concurrently — the paper's "trivially parallelizable"
+// compaction (§3.4), realized across scheduler workers.
 type compaction struct {
-	level       int // source level; 0 = L0 compaction
-	l0Files     []*base.FileMetadata
-	l0Partition [][]byte
-	sources     []sourceGuard
-	seek        bool
-	// commits are the uncommitted guards this unit commits, one entry per
-	// destination level it writes (from the level's shared commit set).
-	commits []guardCommit
+	level   int // source level; 0 = L0 compaction
+	sources []sourceGuard
+	seek    bool
+	// commits are the uncommitted guards this unit commits, taken from the
+	// shared commit set of every destination level it writes.
+	commits []manifest.GuardEntry
 	// writerLevels are the levels this unit holds a writer claim on.
 	writerLevels []int
-	// v pins the version the compaction was planned against.
-	v *version
+}
+
+// unit describes c to the core: one merge per source, cut at the
+// destination's shared partition.
+func (c *compaction) unit(last int) *treebase.Unit {
+	u := &treebase.Unit{
+		Level:  c.level,
+		Lo:     string(c.sources[0].key),
+		Hi:     string(c.sources[len(c.sources)-1].key),
+		Seek:   c.seek,
+		Guards: c.commits,
+		Claim:  c,
+	}
+	for i := range c.sources {
+		s := &c.sources[i]
+		u.Merges = append(u.Merges, treebase.Merge{
+			Files:   s.files,
+			Dst:     s.dst,
+			InPlace: s.inPlace,
+			// Only an in-place merge of a whole last-level guard covers
+			// every file that could hold older versions of its keys. Out of
+			// L0 in particular, older versions may live below.
+			Elide: s.inPlace && s.dst == last,
+			Cut:   treebase.CutPolicy{Keys: s.partition},
+		})
+	}
+	return u
 }
 
 // inflight is the scheduler's claim state: the compaction work owned by
-// running units. Claims are taken under Tree.mu at pick time and released
+// running units. Claims are taken under core.Mu at pick time and released
 // after the unit's edit installs.
 type inflight struct {
 	// l0 marks an exclusive L0->L1 unit: L0 files overlap arbitrarily, so
@@ -84,9 +96,6 @@ type inflight struct {
 	writers    []int
 	partition  [][][]byte
 	commitKeys [][][]byte
-	// units / levelUnits count running units (total / per source level).
-	units      int
-	levelUnits []int
 }
 
 func (inf *inflight) init(numLevels int) {
@@ -97,59 +106,38 @@ func (inf *inflight) init(numLevels int) {
 	inf.writers = make([]int, numLevels)
 	inf.partition = make([][][]byte, numLevels)
 	inf.commitKeys = make([][][]byte, numLevels)
-	inf.levelUnits = make([]int, numLevels)
-}
-
-// NeedsCompaction reports whether claimable compaction work is pending.
-// This is the allocation-free scheduling predicate: triggers are evaluated
-// against the live version without building candidate file sets.
-func (t *Tree) NeedsCompaction() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.claimableLocked(1, false) > 0
-}
-
-// ClaimableUnits estimates how many compaction units workers could claim
-// right now; the engine sizes its worker pool to it. Allocation-free, and
-// capped well above any realistic pool size.
-func (t *Tree) ClaimableUnits() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.claimableLocked(64, false)
 }
 
 // claimedSrcLocked reports whether a guard group is claimed as input.
-func (t *Tree) claimedSrcLocked(level int, key []byte) bool {
-	return t.inflight.srcGuards[level][string(key)]
+func (l *layout) claimedSrcLocked(level int, key []byte) bool {
+	return l.inflight.srcGuards[level][string(key)]
 }
 
 // unclaimedGroupsLocked counts populated guard groups of a level not
 // claimed by a running unit.
-func (t *Tree) unclaimedGroupsLocked(v *version, l int, ignoreClaims bool) int {
-	gl := &v.levels[l]
+func (l *layout) unclaimedGroupsLocked(v *version, lv int, ignoreClaims bool) int {
+	gl := &v.levels[lv]
 	n := 0
-	if len(gl.sentinel) > 0 && (ignoreClaims || !t.claimedSrcLocked(l, nil)) {
+	if len(gl.sentinel) > 0 && (ignoreClaims || !l.claimedSrcLocked(lv, nil)) {
 		n++
 	}
 	for i := range gl.guards {
-		if len(gl.guards[i].Files) > 0 && (ignoreClaims || !t.claimedSrcLocked(l, gl.guards[i].Key)) {
+		if len(gl.guards[i].Files) > 0 && (ignoreClaims || !l.claimedSrcLocked(lv, gl.guards[i].Key)) {
 			n++
 		}
 	}
 	return n
 }
 
-// claimableLocked counts the compaction units a worker could claim right
-// now, stopping once limit is reached. With ignoreClaims it counts pending
-// work as if nothing were claimed — the probe distinguishing "no work"
-// from "work exists but peers hold it all" for claim-stall accounting.
-func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
-	v := t.cur
-	last := t.cfg.NumLevels - 1
+// Claimable counts the compaction units a worker could claim right now,
+// stopping once limit is reached.
+func (l *layout) Claimable(limit int, ignoreClaims bool) int {
+	v := l.cur
+	last := l.cfg.NumLevels - 1
 	n := 0
 
 	// 1. L0 file count (exclusive unit).
-	if len(v.l0) >= t.cfg.L0CompactionTrigger && (ignoreClaims || !t.inflight.l0) {
+	if len(v.l0) >= l.cfg.L0CompactionTrigger && (ignoreClaims || !l.inflight.l0) {
 		if n++; n >= limit {
 			return n
 		}
@@ -157,18 +145,18 @@ func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
 
 	// 2+3. Level size and size-ratio rule: an over-threshold level
 	// contributes one unit per CompactionUnitGuards unclaimed groups.
-	for l := 1; l < last; l++ {
-		size := v.levels[l].totalBytes()
-		over := size >= t.cfg.MaxBytesForLevel(l)
-		if !over && t.cfg.SizeRatioPct > 0 {
-			next := v.levels[l+1].totalBytes()
-			over = next > 0 && size*100 >= next*int64(t.cfg.SizeRatioPct)
+	for lv := 1; lv < last; lv++ {
+		size := v.levels[lv].totalBytes()
+		over := size >= l.cfg.MaxBytesForLevel(lv)
+		if !over && l.cfg.SizeRatioPct > 0 {
+			next := v.levels[lv+1].totalBytes()
+			over = next > 0 && size*100 >= next*int64(l.cfg.SizeRatioPct)
 		}
 		if !over {
 			continue
 		}
-		groups := t.unclaimedGroupsLocked(v, l, ignoreClaims)
-		per := t.unitGroupsLocked(v, l)
+		groups := l.unclaimedGroupsLocked(v, lv, ignoreClaims)
+		per := l.unitGroupsLocked(v, lv)
 		n += (groups + per - 1) / per
 		if n >= limit {
 			return n
@@ -176,16 +164,16 @@ func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
 	}
 
 	// 4. Guard sstable cap.
-	for l := 1; l <= last; l++ {
-		gl := &v.levels[l]
+	for lv := 1; lv <= last; lv++ {
+		gl := &v.levels[lv]
 		capped := func(key []byte, files []*base.FileMetadata) bool {
-			if len(files) < t.cfg.MaxSSTablesPerGuard {
+			if len(files) < l.cfg.MaxSSTablesPerGuard {
 				return false
 			}
-			if l == last && len(files) < 2 {
+			if lv == last && len(files) < 2 {
 				return false
 			}
-			return ignoreClaims || !t.claimedSrcLocked(l, key)
+			return ignoreClaims || !l.claimedSrcLocked(lv, key)
 		}
 		if capped(nil, gl.sentinel) {
 			if n++; n >= limit {
@@ -204,13 +192,13 @@ func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
 	// 5. Seek-triggered guard compaction. Stale entries (guard gone or
 	// down to one file) are pruned here so they cannot keep reporting
 	// phantom work.
-	for id := range t.seekPending {
-		src := t.findGroup(v, id.Level, id.Key)
+	for id := range l.seekPending {
+		src := l.findGroup(v, id.Level, id.Key)
 		if src == nil || len(src) <= 1 {
-			delete(t.seekPending, id)
+			delete(l.seekPending, id)
 			continue
 		}
-		if !ignoreClaims && t.inflight.srcGuards[id.Level][id.Key] {
+		if !ignoreClaims && l.inflight.srcGuards[id.Level][id.Key] {
 			continue
 		}
 		if n++; n >= limit {
@@ -227,13 +215,28 @@ func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
 // level splits into just enough units to feed every worker, instead of
 // shattering into many tiny compactions whose fixed costs (iterator
 // setup, table builds, manifest edits) would dominate.
-func (t *Tree) unitGroupsLocked(v *version, l int) int {
-	groups := t.unclaimedGroupsLocked(v, l, true)
-	per := (groups + t.cfg.MaxCompactionConcurrency - 1) / t.cfg.MaxCompactionConcurrency
-	if per < t.cfg.CompactionUnitGuards {
-		per = t.cfg.CompactionUnitGuards
+func (l *layout) unitGroupsLocked(v *version, lv int) int {
+	groups := l.unclaimedGroupsLocked(v, lv, true)
+	per := (groups + l.cfg.MaxCompactionConcurrency - 1) / l.cfg.MaxCompactionConcurrency
+	if per < l.cfg.CompactionUnitGuards {
+		per = l.cfg.CompactionUnitGuards
 	}
 	return per
+}
+
+// Pick claims the next unit (see pickLocked), or with force the unit
+// pushing the topmost populated level's unclaimed data one level down.
+func (l *layout) Pick(force bool) *treebase.Unit {
+	var c *compaction
+	if force {
+		c = l.forcePushLocked()
+	} else {
+		c = l.pickLocked()
+	}
+	if c == nil {
+		return nil
+	}
+	return c.unit(l.cfg.NumLevels - 1)
 }
 
 // pickLocked claims and returns the next compaction unit following the
@@ -242,15 +245,15 @@ func (t *Tree) unitGroupsLocked(v *version, l int) int {
 // budgets (§4.2). Work already claimed by a running unit is skipped, so N
 // workers end up holding disjoint units — including disjoint guard groups
 // of the same level.
-func (t *Tree) pickLocked() *compaction {
-	v := t.cur
-	last := t.cfg.NumLevels - 1
+func (l *layout) pickLocked() *compaction {
+	v := l.cur
+	last := l.cfg.NumLevels - 1
 
 	// 1. L0 file count. L0 files overlap arbitrarily, so the unit is
 	// exclusive; it also gets absolute priority, because draining L0 is
 	// what clears write stalls.
-	if len(v.l0) >= t.cfg.L0CompactionTrigger && !t.inflight.l0 {
-		return t.claimL0Locked(v)
+	if len(v.l0) >= l.cfg.L0CompactionTrigger && !l.inflight.l0 {
+		return l.claimL0Locked(v)
 	}
 
 	// 2. Level size: claim up to CompactionUnitGuards unclaimed populated
@@ -259,27 +262,27 @@ func (t *Tree) pickLocked() *compaction {
 	// pass; each byte still moves down at most once per level.
 	bestScore := 0.0
 	bestLevel := -1
-	for l := 1; l < last; l++ {
-		score := float64(v.levels[l].totalBytes()) / float64(t.cfg.MaxBytesForLevel(l))
-		if score >= 1.0 && score > bestScore && t.unclaimedGroupsLocked(v, l, false) > 0 {
-			bestScore, bestLevel = score, l
+	for lv := 1; lv < last; lv++ {
+		score := float64(v.levels[lv].totalBytes()) / float64(l.cfg.MaxBytesForLevel(lv))
+		if score >= 1.0 && score > bestScore && l.unclaimedGroupsLocked(v, lv, false) > 0 {
+			bestScore, bestLevel = score, lv
 		}
 	}
 	if bestLevel > 0 {
-		if c := t.claimLevelUnitLocked(v, bestLevel, t.unitGroupsLocked(v, bestLevel)); c != nil {
+		if c := l.claimLevelUnitLocked(v, bestLevel, l.unitGroupsLocked(v, bestLevel)); c != nil {
 			return c
 		}
 	}
 
 	// 3. Size-ratio rule: level i within SizeRatioPct of level i+1.
-	if t.cfg.SizeRatioPct > 0 {
-		for l := 1; l < last; l++ {
-			next := v.levels[l+1].totalBytes()
+	if l.cfg.SizeRatioPct > 0 {
+		for lv := 1; lv < last; lv++ {
+			next := v.levels[lv+1].totalBytes()
 			if next <= 0 {
 				continue
 			}
-			if v.levels[l].totalBytes()*100 >= next*int64(t.cfg.SizeRatioPct) {
-				if c := t.claimLevelUnitLocked(v, l, t.unitGroupsLocked(v, l)); c != nil {
+			if v.levels[lv].totalBytes()*100 >= next*int64(l.cfg.SizeRatioPct) {
+				if c := l.claimLevelUnitLocked(v, lv, l.unitGroupsLocked(v, lv)); c != nil {
 					return c
 				}
 			}
@@ -287,121 +290,120 @@ func (t *Tree) pickLocked() *compaction {
 	}
 
 	// 4. Guard sstable cap.
-	for l := 1; l <= last; l++ {
-		gl := &v.levels[l]
-		if c := t.claimCapGroupLocked(v, l, nil, gl.sentinel); c != nil {
+	for lv := 1; lv <= last; lv++ {
+		gl := &v.levels[lv]
+		if c := l.claimCapGroupLocked(v, lv, nil, gl.sentinel); c != nil {
 			return c
 		}
 		for i := range gl.guards {
-			if c := t.claimCapGroupLocked(v, l, gl.guards[i].Key, gl.guards[i].Files); c != nil {
+			if c := l.claimCapGroupLocked(v, lv, gl.guards[i].Key, gl.guards[i].Files); c != nil {
 				return c
 			}
 		}
 	}
 
 	// 5. Seek-triggered guard compaction.
-	for id := range t.seekPending {
-		l := id.Level
-		src := t.findGroup(v, l, id.Key)
+	for id := range l.seekPending {
+		lv := id.Level
+		src := l.findGroup(v, lv, id.Key)
 		if src == nil || len(src) <= 1 {
-			delete(t.seekPending, id)
+			delete(l.seekPending, id)
 			continue
 		}
 		var key []byte
 		if id.Key != "" {
 			key = []byte(id.Key)
 		}
-		if t.claimedSrcLocked(l, key) {
+		if l.claimedSrcLocked(lv, key) {
 			continue
 		}
-		delete(t.seekPending, id)
-		return t.claimGroupLocked(v, l, key, src, l == last, true)
+		delete(l.seekPending, id)
+		return l.claimGroupLocked(v, lv, key, src, lv == last, true)
 	}
 	return nil
 }
 
 // claimCapGroupLocked claims a single over-cap guard group, or nil.
-func (t *Tree) claimCapGroupLocked(v *version, l int, key []byte, files []*base.FileMetadata) *compaction {
-	last := t.cfg.NumLevels - 1
-	if len(files) < t.cfg.MaxSSTablesPerGuard {
+func (l *layout) claimCapGroupLocked(v *version, lv int, key []byte, files []*base.FileMetadata) *compaction {
+	last := l.cfg.NumLevels - 1
+	if len(files) < l.cfg.MaxSSTablesPerGuard {
 		return nil
 	}
-	if l == last && len(files) < 2 {
+	if lv == last && len(files) < 2 {
 		// In-place merges need at least two files; rewriting a single
 		// file is pure churn (matters when max_sstables_per_guard is 1,
 		// the PebblesDB-1 mode).
 		return nil
 	}
-	if t.claimedSrcLocked(l, key) {
+	if l.claimedSrcLocked(lv, key) {
 		return nil
 	}
-	return t.claimGroupLocked(v, l, key, files, l == last, false)
+	return l.claimGroupLocked(v, lv, key, files, lv == last, false)
 }
 
 // claimGroupLocked builds and claims a single-group unit.
-func (t *Tree) claimGroupLocked(v *version, l int, key []byte, files []*base.FileMetadata, inPlace, seek bool) *compaction {
-	c := &compaction{level: l, seek: seek, v: v}
-	s := sourceGuard{key: key, files: append([]*base.FileMetadata(nil), files...), dst: l + 1}
+func (l *layout) claimGroupLocked(v *version, lv int, key []byte, files []*base.FileMetadata, inPlace, seek bool) *compaction {
+	c := &compaction{level: lv, seek: seek}
+	s := sourceGuard{key: key, files: append([]*base.FileMetadata(nil), files...), dst: lv + 1}
 	if inPlace {
-		s.dst, s.inPlace = l, true
+		s.dst, s.inPlace = lv, true
 	}
 	c.sources = append(c.sources, s)
-	t.finalizeUnitLocked(c)
+	l.finalizeUnitLocked(c, v)
 	return c
 }
 
 // claimLevelUnitLocked claims up to maxGroups unclaimed populated groups
 // of a level as one unit, or nil when every group is claimed or empty.
-func (t *Tree) claimLevelUnitLocked(v *version, l, maxGroups int) *compaction {
-	gl := &v.levels[l]
-	c := &compaction{level: l, v: v}
-	if len(gl.sentinel) > 0 && !t.claimedSrcLocked(l, nil) {
+func (l *layout) claimLevelUnitLocked(v *version, lv, maxGroups int) *compaction {
+	gl := &v.levels[lv]
+	c := &compaction{level: lv}
+	if len(gl.sentinel) > 0 && !l.claimedSrcLocked(lv, nil) {
 		c.sources = append(c.sources, sourceGuard{
 			key:   nil,
 			files: append([]*base.FileMetadata(nil), gl.sentinel...),
-			dst:   l + 1,
+			dst:   lv + 1,
 		})
 	}
 	for i := range gl.guards {
 		if len(c.sources) >= maxGroups {
 			break
 		}
-		if len(gl.guards[i].Files) == 0 || t.claimedSrcLocked(l, gl.guards[i].Key) {
+		if len(gl.guards[i].Files) == 0 || l.claimedSrcLocked(lv, gl.guards[i].Key) {
 			continue
 		}
 		c.sources = append(c.sources, sourceGuard{
 			key:   gl.guards[i].Key,
 			files: append([]*base.FileMetadata(nil), gl.guards[i].Files...),
-			dst:   l + 1,
+			dst:   lv + 1,
 		})
 	}
 	if len(c.sources) == 0 {
 		return nil
 	}
-	t.finalizeUnitLocked(c)
+	l.finalizeUnitLocked(c, v)
 	return c
 }
 
 // claimL0Locked claims the exclusive L0->L1 unit.
-func (t *Tree) claimL0Locked(v *version) *compaction {
-	c := &compaction{
-		level:   0,
-		l0Files: append([]*base.FileMetadata(nil), v.l0...),
-		v:       v,
-	}
-	t.inflight.l0 = true
-	c.l0Partition = t.writerPartitionLocked(c, 1)
-	t.noteUnitClaimedLocked(c)
+func (l *layout) claimL0Locked(v *version) *compaction {
+	c := &compaction{level: 0}
+	l.inflight.l0 = true
+	c.sources = []sourceGuard{{
+		files:     append([]*base.FileMetadata(nil), v.l0...),
+		dst:       1,
+		partition: l.writerPartitionLocked(c, 1),
+	}}
 	return c
 }
 
 // finalizeUnitLocked turns gathered sources into a claimed, runnable unit:
-// it applies the §3.4 second-to-last-level rewrite heuristic, registers
-// the unit as a writer on every destination level (fixing each level's
-// shared output partition), claims the source guards, and updates the
-// concurrency metrics.
-func (t *Tree) finalizeUnitLocked(c *compaction) {
-	last := t.cfg.NumLevels - 1
+// it applies the §3.4 second-to-last-level rewrite heuristic against the
+// version v the unit was planned on, registers the unit as a writer on
+// every destination level (fixing each level's shared output partition),
+// and claims the source guards.
+func (l *layout) finalizeUnitLocked(c *compaction, v *version) {
+	last := l.cfg.NumLevels - 1
 	for i := range c.sources {
 		s := &c.sources[i]
 		// Second-to-last level heuristic (§3.4): when the target guard in
@@ -410,8 +412,8 @@ func (t *Tree) finalizeUnitLocked(c *compaction) {
 		// level instead. A single-file guard is exempt: rewriting one
 		// file in place is pure churn (and would repeat forever).
 		if !s.inPlace && c.level == last-1 && len(s.files) >= 2 {
-			if full, existing := t.lastLevelPressure(c.v, *s); full &&
-				existing > uint64(t.cfg.LastLevelRewriteFactor)*s.bytes() {
+			if full, existing := l.lastLevelPressure(v, *s); full &&
+				existing > uint64(l.cfg.LastLevelRewriteFactor)*s.bytes() {
 				s.dst = c.level
 				s.inPlace = true
 			}
@@ -419,10 +421,9 @@ func (t *Tree) finalizeUnitLocked(c *compaction) {
 	}
 	for i := range c.sources {
 		s := &c.sources[i]
-		s.partition = t.writerPartitionLocked(c, s.dst)
-		t.inflight.srcGuards[c.level][string(s.key)] = true
+		s.partition = l.writerPartitionLocked(c, s.dst)
+		l.inflight.srcGuards[c.level][string(s.key)] = true
 	}
-	t.noteUnitClaimedLocked(c)
 }
 
 // writerPartitionLocked registers c as a writer on level dst (once per
@@ -434,18 +435,18 @@ func (t *Tree) finalizeUnitLocked(c *compaction) {
 // An in-place rewrite partitions at the same shared keys: cuts only occur
 // at keys inside the data it writes, so the output stays within its guard
 // while still honoring every commit candidate.
-func (t *Tree) writerPartitionLocked(c *compaction, dst int) [][]byte {
-	inf := &t.inflight
+func (l *layout) writerPartitionLocked(c *compaction, dst int) [][]byte {
+	inf := &l.inflight
 	for _, wl := range c.writerLevels {
 		if wl == dst {
 			return inf.partition[dst]
 		}
 	}
 	if inf.writers[dst] == 0 {
-		gl := &t.cur.levels[dst]
+		gl := &l.cur.levels[dst]
 		committed := gl.guardKeys()
 		var eligible [][]byte
-		for _, k := range t.uncommitted[dst] {
+		for _, k := range l.uncommitted[dst] {
 			if !gl.straddles(k) {
 				eligible = append(eligible, append([]byte(nil), k...))
 			}
@@ -459,39 +460,36 @@ func (t *Tree) writerPartitionLocked(c *compaction, dst int) [][]byte {
 	}
 	inf.writers[dst]++
 	c.writerLevels = append(c.writerLevels, dst)
-	if keys := inf.commitKeys[dst]; len(keys) > 0 {
-		// Every writer carries the level's commit set; guard commits are
-		// idempotent (insertGuards dedups), and this way the commits land
-		// even if a peer unit fails.
-		c.commits = append(c.commits, guardCommit{level: dst, keys: keys})
+	// Every writer carries the level's commit set; guard commits are
+	// idempotent (insertGuards dedups), and this way the commits land
+	// even if a peer unit fails.
+	for _, k := range inf.commitKeys[dst] {
+		c.commits = append(c.commits, manifest.GuardEntry{Level: dst, Key: k})
 	}
 	return inf.partition[dst]
 }
 
-// noteUnitClaimedLocked updates the unit counters and high-water marks.
-func (t *Tree) noteUnitClaimedLocked(c *compaction) {
-	inf := &t.inflight
-	inf.units++
-	inf.levelUnits[c.level]++
-	t.metrics.CompactionUnits++
-	if int64(inf.units) > t.metrics.PeakUnitsInflight {
-		t.metrics.PeakUnitsInflight = int64(inf.units)
-	}
-	if inf.levelUnits[c.level] > t.metrics.PeakLevelUnits[c.level] {
-		t.metrics.PeakLevelUnits[c.level] = inf.levelUnits[c.level]
-	}
+// Release returns a unit's claims: source guards unlock, writer refcounts
+// drop, and a level's shared partition dissolves with its last writer (the
+// next claim recomputes it against the then-current version). A unit that
+// completed also resets its source guards' seek budgets.
+func (l *layout) Release(u *treebase.Unit, done bool) {
+	l.releaseLocked(u.Claim.(*compaction), done)
 }
 
-// releaseLocked returns a unit's claims: source guards unlock, writer
-// refcounts drop, and a level's shared partition dissolves with its last
-// writer (the next claim recomputes it against the then-current version).
-func (t *Tree) releaseLocked(c *compaction) {
-	inf := &t.inflight
+func (l *layout) releaseLocked(c *compaction, done bool) {
+	inf := &l.inflight
 	if c.level == 0 {
 		inf.l0 = false
 	} else {
 		for i := range c.sources {
-			delete(inf.srcGuards[c.level], string(c.sources[i].key))
+			key := string(c.sources[i].key)
+			delete(inf.srcGuards[c.level], key)
+			if done {
+				id := guardID{Level: c.level, Key: key}
+				delete(l.seekCounts, id)
+				delete(l.seekPending, id)
+			}
 		}
 	}
 	for _, wl := range c.writerLevels {
@@ -501,15 +499,13 @@ func (t *Tree) releaseLocked(c *compaction) {
 			inf.commitKeys[wl] = nil
 		}
 	}
-	inf.units--
-	inf.levelUnits[c.level]--
 }
 
 // findGroup returns the files of the guard identified by key ("" sentinel).
 // Guards are sorted by key, so the interval lookup is guard.FindGuard's
 // binary search; an exact-key check distinguishes "this guard" from "a key
 // inside some other guard's interval".
-func (t *Tree) findGroup(v *version, level int, key string) []*base.FileMetadata {
+func (l *layout) findGroup(v *version, level int, key string) []*base.FileMetadata {
 	gl := &v.levels[level]
 	if key == "" {
 		return gl.sentinel
@@ -521,241 +517,10 @@ func (t *Tree) findGroup(v *version, level int, key string) []*base.FileMetadata
 	return nil
 }
 
-// CompactOnce claims and performs at most one compaction unit. A worker
-// that finds work pending but fully claimed by its peers starts the
-// claim-stall clock; the next successful claim (by any worker) folds the
-// elapsed wait into ClaimStallNanos.
-func (t *Tree) CompactOnce() (bool, error) {
-	t.mu.Lock()
-	c := t.pickLocked()
-	if c == nil {
-		if t.claimableLocked(1, true) > 0 {
-			t.metrics.ClaimConflicts++
-			if t.claimStallStart.IsZero() {
-				t.claimStallStart = time.Now()
-			}
-		}
-		t.mu.Unlock()
-		return false, nil
-	}
-	if !t.claimStallStart.IsZero() {
-		t.metrics.ClaimStallNanos += int64(time.Since(t.claimStallStart))
-		t.claimStallStart = time.Time{}
-	}
-	t.mu.Unlock()
-	err := t.runCompaction(c)
-	t.mu.Lock()
-	t.releaseLocked(c)
-	t.mu.Unlock()
-	return true, err
-}
-
-// guardOutput is the result of compacting one source guard.
-type guardOutput struct {
-	dstLevel int
-	metas    []*base.FileMetadata
-	builder  *treebase.OutputBuilder
-	inPlace  bool
-}
-
-// runCompaction brackets one unit with compaction begin/end events —
-// source level, guard range, unit id, input/output volume, duration —
-// and delegates the work to compactUnit.
-func (t *Tree) runCompaction(c *compaction) error {
-	var inTables int
-	var inBytes int64
-	for _, f := range c.l0Files {
-		inTables++
-		inBytes += int64(f.Size)
-	}
-	var lo, hi string
-	for i := range c.sources {
-		s := &c.sources[i]
-		for _, f := range s.files {
-			inTables++
-			inBytes += int64(f.Size)
-		}
-		if i == 0 {
-			lo = string(s.key)
-		}
-		hi = string(s.key)
-	}
-	id := t.unitID.Add(1)
-	t.cfg.Emit(obs.Event{
-		Kind: obs.EventCompactionBegin, Nanos: obs.Monotonic(),
-		Level: c.level, Unit: id, GuardLo: lo, GuardHi: hi,
-		InputTables: inTables, InputBytes: inBytes,
-	})
-	start := time.Now()
-	outBytes, outTables, err := t.compactUnit(c)
-	t.cfg.Emit(obs.Event{
-		Kind: obs.EventCompactionEnd, Nanos: obs.Monotonic(),
-		Level: c.level, Unit: id, GuardLo: lo, GuardHi: hi,
-		InputTables: inTables, InputBytes: inBytes,
-		OutputTables: outTables, OutputBytes: outBytes,
-		Dur: time.Since(start), Err: err,
-	})
-	return err
-}
-
-// compactUnit performs one claimed unit: merge each source guard group,
-// partition the outputs, and install the edit. Returns the installed
-// output volume for the end event.
-func (t *Tree) compactUnit(c *compaction) (int64, int, error) {
-	smallest := base.MaxSeqNum
-	if t.snap != nil {
-		smallest = t.snap.SmallestSnapshot()
-	}
-	last := t.cfg.NumLevels - 1
-
-	edit := &manifest.VersionEdit{}
-	for _, gc := range c.commits {
-		for _, k := range gc.keys {
-			edit.NewGuards = append(edit.NewGuards, manifest.GuardEntry{Level: gc.level, Key: k})
-		}
-	}
-
-	var bytesIn, bytesOut int64
-	var outputs []guardOutput
-	var failed error
-
-	if c.level == 0 {
-		for _, f := range c.l0Files {
-			bytesIn += int64(f.Size)
-			edit.DeletedFiles = append(edit.DeletedFiles, manifest.DeletedFileEntry{Level: 0, FileNum: f.FileNum})
-		}
-		// Tombstones are never elided here: older versions may live below.
-		out, err := t.mergeAndPartition(c.l0Files, c.l0Partition, smallest, false)
-		if err != nil {
-			out.builder.Abandon()
-			return 0, 0, err
-		}
-		out.dstLevel = 1
-		outputs = append(outputs, out)
-	} else {
-		for _, s := range c.sources {
-			for _, f := range s.files {
-				bytesIn += int64(f.Size)
-				edit.DeletedFiles = append(edit.DeletedFiles, manifest.DeletedFileEntry{Level: c.level, FileNum: f.FileNum})
-			}
-		}
-		run := func(s sourceGuard) (guardOutput, error) {
-			// Elide tombstones only when the merge covers every file that
-			// could hold older versions of its keys: an in-place merge of
-			// a whole last-level guard.
-			elide := s.inPlace && s.dst == last
-			out, err := t.mergeAndPartition(s.files, s.partition, smallest, elide)
-			out.dstLevel = s.dst
-			out.inPlace = s.inPlace
-			return out, err
-		}
-
-		if t.cfg.ParallelGuardCompaction && len(c.sources) > 1 {
-			// Guard-granular parallel compaction: source guards map to
-			// disjoint target intervals, so their merges are independent
-			// (§3.4: "FLSM compaction is trivially parallelizable").
-			var wg sync.WaitGroup
-			var omu sync.Mutex
-			for _, s := range c.sources {
-				wg.Add(1)
-				go func(s sourceGuard) {
-					defer wg.Done()
-					out, err := run(s)
-					omu.Lock()
-					defer omu.Unlock()
-					if err != nil {
-						out.builder.Abandon()
-						if failed == nil {
-							failed = err
-						}
-						return
-					}
-					outputs = append(outputs, out)
-				}(s)
-			}
-			wg.Wait()
-		} else {
-			for _, s := range c.sources {
-				out, err := run(s)
-				if err != nil {
-					out.builder.Abandon()
-					failed = err
-					break
-				}
-				outputs = append(outputs, out)
-			}
-		}
-	}
-	if failed != nil {
-		for _, o := range outputs {
-			o.builder.Abandon()
-		}
-		return 0, 0, failed
-	}
-
-	inPlaceCount := 0
-	outTables := 0
-	for _, o := range outputs {
-		if o.inPlace {
-			inPlaceCount++
-		}
-		for _, m := range o.metas {
-			edit.NewFiles = append(edit.NewFiles, manifest.NewFileEntry{Level: o.dstLevel, Meta: *m})
-			bytesOut += int64(m.Size)
-			outTables++
-		}
-	}
-
-	installed, err := t.logAndInstall(edit)
-	if err != nil {
-		for _, o := range outputs {
-			if installed {
-				// Outputs are live in the installed version: keep them (a
-				// later manifest rotation persists them). Inputs likewise
-				// must stay on disk — the durable manifest still references
-				// them — so obsolete-table notification is skipped too.
-				o.builder.ReleasePending()
-			} else {
-				o.builder.Abandon()
-			}
-		}
-		return 0, 0, err
-	}
-	for _, o := range outputs {
-		o.builder.ReleasePending()
-	}
-	if t.snap != nil {
-		dead := make([]base.FileNum, 0, len(edit.DeletedFiles))
-		for _, d := range edit.DeletedFiles {
-			dead = append(dead, d.FileNum)
-		}
-		t.snap.NoteObsoleteTables(dead)
-	}
-
-	t.mu.Lock()
-	t.metrics.Compactions++
-	t.metrics.InPlaceMerges += int64(inPlaceCount)
-	if c.seek {
-		t.metrics.SeekCompactions++
-	}
-	t.metrics.BytesCompactedIn += bytesIn
-	t.metrics.BytesCompactedOut += bytesOut
-	for _, o := range outputs {
-		t.metrics.Compression.Merge(o.builder.CompressionStats())
-	}
-	for _, s := range c.sources {
-		id := guardID{Level: c.level, Key: string(s.key)}
-		delete(t.seekCounts, id)
-		delete(t.seekPending, id)
-	}
-	t.mu.Unlock()
-	return bytesOut, outTables, nil
-}
-
 // lastLevelPressure reports whether the last-level guard receiving source
 // guard s is at its sstable cap, and how many bytes it already holds.
-func (t *Tree) lastLevelPressure(v *version, s sourceGuard) (full bool, existing uint64) {
-	last := t.cfg.NumLevels - 1
+func (l *layout) lastLevelPressure(v *version, s sourceGuard) (full bool, existing uint64) {
+	last := l.cfg.NumLevels - 1
 	gl := &v.levels[last]
 	var lo []byte
 	for i, f := range s.files {
@@ -773,160 +538,27 @@ func (t *Tree) lastLevelPressure(v *version, s sourceGuard) (full bool, existing
 	for _, f := range files {
 		existing += f.Size
 	}
-	return len(files) >= t.cfg.MaxSSTablesPerGuard, existing
-}
-
-// mergeAndPartition merge-sorts files and fragments the stream at the
-// partition keys (§3.4: "the sstables of a given guard are merge-sorted
-// and then partitioned, so that each child guard receives a new sstable
-// that fits its key range"). Range tombstones from the inputs follow the
-// same partitioning: each output table receives the fragments clipped to
-// its partition interval — never wider, so a later guard split cannot
-// resurrect data the tombstone covered or delete keys it never did — and a
-// partition interval that receives no surviving points but is spanned by a
-// tombstone still emits a tombstone-only table, because the tombstone must
-// keep masking older versions below. When elideTombstones is set (an
-// in-place merge of a whole last-level guard: nothing below can hold
-// covered keys), tombstones every snapshot can see are dropped along with
-// the points they cover.
-func (t *Tree) mergeAndPartition(files []*base.FileMetadata, partitionKeys [][]byte, smallestSnapshot base.SeqNum, elideTombstones bool) (guardOutput, error) {
-	ob := treebase.NewOutputBuilder(t.fs, t.dir, t.writerOptions(), t.vs, t)
-	out := guardOutput{builder: ob}
-
-	dropLE := base.SeqNum(0)
-	if elideTombstones {
-		dropLE = smallestSnapshot
-	}
-
-	// Open each input once, collecting its range tombstones alongside its
-	// merge iterator.
-	var rd *rangedel.List
-	var iters []iterator.Iterator
-	for _, f := range files {
-		r, err := t.tc.Find(f.FileNum, f.Size)
-		if err != nil {
-			for _, it := range iters {
-				it.Close()
-			}
-			return out, err
-		}
-		if f.NumRangeDels > 0 {
-			if rd == nil {
-				rd = &rangedel.List{}
-			}
-			for _, ts := range r.RangeDels().Raw() {
-				rd.Add(ts)
-			}
-		}
-		iters = append(iters, treebase.NewSequentialTableIter(r))
-	}
-	merged := iterator.NewMerging(base.InternalCompare, iters...)
-	ci := treebase.NewCompactionIter(merged, smallestSnapshot, elideTombstones, rd)
-
-	// cutInterval finishes the table for partition interval i, attaching
-	// the surviving tombstone fragments clipped to [keys[i-1], keys[i]).
-	// An interval with neither points nor tombstones emits nothing.
-	cutInterval := func(i int) error {
-		var lo, hi []byte
-		if i > 0 {
-			lo = partitionKeys[i-1]
-		}
-		if i < len(partitionKeys) {
-			hi = partitionKeys[i]
-		}
-		if !rd.Empty() {
-			if err := ob.AddRangeDels(rd.Clipped(lo, hi, dropLE)); err != nil {
-				return err
-			}
-		}
-		if ob.HasOpen() {
-			return ob.Cut()
-		}
-		return nil
-	}
-
-	tIdx := 0
-	for ci.First(); ci.Valid(); ci.Next() {
-		ukey := base.UserKey(ci.Key())
-		for tIdx < len(partitionKeys) && bytes.Compare(partitionKeys[tIdx], ukey) <= 0 {
-			if err := cutInterval(tIdx); err != nil {
-				ci.Close()
-				return out, err
-			}
-			tIdx++
-		}
-		if err := ob.Add(ci.Key(), ci.Value()); err != nil {
-			ci.Close()
-			return out, err
-		}
-	}
-	if err := ci.Error(); err != nil {
-		ci.Close()
-		return out, err
-	}
-	ci.Close()
-	// Flush the open table's interval plus any remaining intervals spanned
-	// only by tombstones.
-	for ; tIdx <= len(partitionKeys); tIdx++ {
-		if err := cutInterval(tIdx); err != nil {
-			return out, err
-		}
-	}
-	metas, err := ob.Finish()
-	if err != nil {
-		return out, err
-	}
-	out.metas = metas
-	return out, nil
+	return len(files) >= l.cfg.MaxSSTablesPerGuard, existing
 }
 
 // forcePushLocked claims a compaction moving the topmost populated
 // level's unclaimed data one level down regardless of size triggers, or
 // nil when everything already sits in the last level (or running units
 // hold the remaining work).
-func (t *Tree) forcePushLocked() *compaction {
-	v := t.cur
-	last := t.cfg.NumLevels - 1
+func (l *layout) forcePushLocked() *compaction {
+	v := l.cur
+	last := l.cfg.NumLevels - 1
 	if len(v.l0) > 0 {
-		if t.inflight.l0 {
+		if l.inflight.l0 {
 			return nil
 		}
-		return t.claimL0Locked(v)
+		return l.claimL0Locked(v)
 	}
-	for l := 1; l < last; l++ {
-		if v.levels[l].fileCount() == 0 {
+	for lv := 1; lv < last; lv++ {
+		if v.levels[lv].fileCount() == 0 {
 			continue
 		}
-		return t.claimLevelUnitLocked(v, l, math.MaxInt)
+		return l.claimLevelUnitLocked(v, lv, math.MaxInt)
 	}
 	return nil
-}
-
-// CompactAll drives compaction until quiescent. Like LevelDB's manual
-// CompactRange it then keeps pushing data down until everything sits in
-// the last level: a fully compacted store serves every seek from one guard
-// group instead of one per populated level plus leftover L0 flushes.
-func (t *Tree) CompactAll() error {
-	for {
-		did, err := t.CompactOnce()
-		if err != nil {
-			return err
-		}
-		if did {
-			continue
-		}
-		t.mu.Lock()
-		c := t.forcePushLocked()
-		t.mu.Unlock()
-		if c == nil {
-			return nil
-		}
-		err = t.runCompaction(c)
-		t.mu.Lock()
-		t.releaseLocked(c)
-		t.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
 }

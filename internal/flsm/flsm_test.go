@@ -12,6 +12,7 @@ import (
 	"pebblesdb/internal/manifest"
 	"pebblesdb/internal/memtable"
 	"pebblesdb/internal/treebase"
+	"pebblesdb/internal/treebase/coretest"
 	"pebblesdb/internal/vfs"
 )
 
@@ -40,19 +41,35 @@ func testConfig() *base.Config {
 	return cfg
 }
 
-func openTestTree(t *testing.T) (*Tree, *fakeHost) {
+// testTree pairs a tree with its FLSM layout for white-box tests.
+type testTree struct {
+	*treebase.Core
+	l *layout
+}
+
+func openTree(tb testing.TB, cfg *base.Config, host treebase.Host) *testTree {
+	tb.Helper()
+	tree := &testTree{}
+	var err error
+	tree.Core, err = treebase.Open(kind, cfg, vfs.NewMem(), "db", host, func(c *treebase.Core) treebase.Layout {
+		tree.l = newLayout(c, cfg)
+		return tree.l
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tree
+}
+
+func openTestTree(t *testing.T) (*testTree, *fakeHost) {
 	t.Helper()
 	host := &fakeHost{smallest: base.MaxSeqNum}
-	tree, err := Open(testConfig(), vfs.NewMem(), "db", host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree, host
+	return openTree(t, testConfig(), host), host
 }
 
 // flushBatch writes keys (with sequence numbers starting at seq) through a
 // memtable into L0.
-func flushBatch(t *testing.T, tree *Tree, kvs map[string]string, seq *base.SeqNum) {
+func flushBatch(t *testing.T, tree *testTree, kvs map[string]string, seq *base.SeqNum) {
 	t.Helper()
 	mem := memtable.New()
 	for k, v := range kvs {
@@ -68,12 +85,12 @@ func flushBatch(t *testing.T, tree *Tree, kvs map[string]string, seq *base.SeqNu
 // checkInvariants verifies the FLSM structural invariants on the current
 // version: guards sorted and unique per level, every file within its guard
 // interval, sentinel files below the first guard.
-func checkInvariants(t *testing.T, tree *Tree) {
+func checkInvariants(t *testing.T, tree *testTree) {
 	t.Helper()
-	tree.mu.Lock()
-	v := tree.cur
-	tree.mu.Unlock()
-	for l := 1; l < tree.cfg.NumLevels; l++ {
+	tree.Mu.Lock()
+	v := tree.l.cur
+	tree.Mu.Unlock()
+	for l := 1; l < tree.l.cfg.NumLevels; l++ {
 		gl := &v.levels[l]
 		for i := 1; i < len(gl.guards); i++ {
 			if bytes.Compare(gl.guards[i-1].Key, gl.guards[i].Key) >= 0 {
@@ -147,7 +164,7 @@ func TestCompactionPartitionsByGuards(t *testing.T) {
 
 	// Data must have left L0 and guards must exist somewhere.
 	m := tree.Metrics()
-	if m.LevelFiles[0] >= tree.cfg.L0CompactionTrigger {
+	if m.LevelFiles[0] >= tree.l.cfg.L0CompactionTrigger {
 		t.Fatalf("L0 still has %d files after CompactAll", m.LevelFiles[0])
 	}
 	totalGuards := 0
@@ -213,7 +230,7 @@ func TestUncommittedGuardsCommitOnCompaction(t *testing.T) {
 	var guardKey string
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("key%07d", i)
-		if lvl, ok := tree.picker.GuardLevel([]byte(k)); ok && lvl == 1 {
+		if lvl, ok := tree.l.picker.GuardLevel([]byte(k)); ok && lvl == 1 {
 			guardKey = k
 			break
 		}
@@ -224,26 +241,26 @@ func TestUncommittedGuardsCommitOnCompaction(t *testing.T) {
 	}
 	flushBatch(t, tree, kvs, &seq)
 
-	tree.mu.Lock()
-	uncommitted := len(tree.uncommitted[1])
-	tree.mu.Unlock()
+	tree.Mu.Lock()
+	uncommitted := len(tree.l.uncommitted[1])
+	tree.Mu.Unlock()
 	if uncommitted == 0 {
 		t.Fatal("expected uncommitted guards after ingest")
 	}
 
 	// Force compaction of L0 into L1: trigger by flushing enough batches.
-	for b := 0; b < tree.cfg.L0CompactionTrigger; b++ {
+	for b := 0; b < tree.l.cfg.L0CompactionTrigger; b++ {
 		flushBatch(t, tree, map[string]string{fmt.Sprintf("filler%d", b): "x"}, &seq)
 	}
 	if err := tree.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	if !tree.cur.levels[1].hasGuard([]byte(guardKey)) {
+	if !tree.l.cur.levels[1].hasGuard([]byte(guardKey)) {
 		// The guard may have been committed and the data pushed deeper;
 		// check all levels.
 		found := false
-		for l := 1; l < tree.cfg.NumLevels; l++ {
-			if tree.cur.levels[l].hasGuard([]byte(guardKey)) {
+		for l := 1; l < tree.l.cfg.NumLevels; l++ {
+			if tree.l.cur.levels[l].hasGuard([]byte(guardKey)) {
 				found = true
 			}
 		}
@@ -281,10 +298,7 @@ func TestDeletesAreHonoredAcrossCompaction(t *testing.T) {
 
 func TestSnapshotVisibleThroughCompaction(t *testing.T) {
 	host := &fakeHost{smallest: base.MaxSeqNum}
-	tree, err := Open(testConfig(), vfs.NewMem(), "db", host)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := openTree(t, testConfig(), host)
 	defer tree.Close()
 	seq := base.SeqNum(0)
 	flushBatch(t, tree, map[string]string{"k": "old"}, &seq)
@@ -399,11 +413,7 @@ func TestPebbles1ModeTerminates(t *testing.T) {
 	// max_sstables_per_guard=1 (PebblesDB-1, §3.5) must not churn forever.
 	cfg := testConfig()
 	cfg.MaxSSTablesPerGuard = 1
-	host := &fakeHost{smallest: base.MaxSeqNum}
-	tree, err := Open(cfg, vfs.NewMem(), "db", host)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := openTree(t, cfg, &fakeHost{smallest: base.MaxSeqNum})
 	defer tree.Close()
 	seq := base.SeqNum(0)
 	rng := rand.New(rand.NewSource(15))
@@ -426,7 +436,7 @@ func TestPebbles1ModeTerminates(t *testing.T) {
 func TestGuardKeysAccessor(t *testing.T) {
 	tree, _ := openTestTree(t)
 	defer tree.Close()
-	if tree.GuardKeys(0) != nil || tree.GuardKeys(99) != nil {
+	if tree.l.guardKeys(0) != nil || tree.l.guardKeys(99) != nil {
 		t.Fatal("out-of-range levels should return nil")
 	}
 	_ = guard.Picker{}
@@ -453,8 +463,8 @@ func TestGuardDeletionEdit(t *testing.T) {
 	// Find a level with at least one guard and delete its first guard.
 	var level int
 	var key []byte
-	for l := 1; l < tree.cfg.NumLevels; l++ {
-		if ks := tree.GuardKeys(l); len(ks) > 0 {
+	for l := 1; l < tree.l.cfg.NumLevels; l++ {
+		if ks := tree.l.guardKeys(l); len(ks) > 0 {
 			level, key = l, ks[0]
 			break
 		}
@@ -465,10 +475,13 @@ func TestGuardDeletionEdit(t *testing.T) {
 	edit := &manifest.VersionEdit{
 		DeletedGuards: []manifest.GuardEntry{{Level: level, Key: key}},
 	}
-	if _, err := tree.logAndInstall(edit); err != nil {
+	tree.Mu.Lock()
+	err := tree.l.Apply(edit)
+	tree.Mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range tree.GuardKeys(level) {
+	for _, k := range tree.l.guardKeys(level) {
 		if string(k) == string(key) {
 			t.Fatal("guard still present after deletion")
 		}
@@ -479,3 +492,7 @@ func TestGuardDeletionEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCoreSuite runs the shared treebase.Core behaviour suite over the
+// FLSM layout.
+func TestCoreSuite(t *testing.T) { coretest.Run(t, Open) }

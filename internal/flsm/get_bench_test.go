@@ -7,7 +7,6 @@ import (
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/memtable"
-	"pebblesdb/internal/vfs"
 )
 
 // BenchmarkTreeGet measures the FLSM point-lookup path (bloom checks,
@@ -19,11 +18,7 @@ import (
 // buffers, values alias block payloads) brought it to 0 allocs/op on a
 // warm cache, ~700 ns/op in this configuration.
 func BenchmarkTreeGet(b *testing.B) {
-	host := &fakeHost{smallest: base.MaxSeqNum}
-	tree, err := Open(testConfig(), vfs.NewMem(), "bench", host)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tree := openTree(b, testConfig(), &fakeHost{smallest: base.MaxSeqNum})
 	defer tree.Close()
 
 	const numKeys = 20000

@@ -24,7 +24,7 @@ import (
 // the request carries a prefix, tables whose prefix bloom filter rules the
 // prefix out are skipped before any block is read.
 type guardLevelIter struct {
-	tree     *Tree
+	l        *layout
 	level    int
 	groups   []guard.Guard // sentinel (Key=nil) followed by the guards
 	idx      int
@@ -42,7 +42,7 @@ type guardLevelIter struct {
 // (except the sentinel slot, which anchors group indexing); FindGuard on
 // the thinned guard list still lands scans on the correct remaining group
 // because every file lies within its own guard interval.
-func newGuardLevelIter(t *Tree, level int, gl *guardedLevel, parallel bool, req treebase.IterRequest) *guardLevelIter {
+func newGuardLevelIter(l *layout, level int, gl *guardedLevel, parallel bool, req treebase.IterRequest) *guardLevelIter {
 	bounds := req.Bounds
 	groups := make([]guard.Guard, 0, len(gl.guards)+1)
 	groups = append(groups, guard.Guard{Files: bounds.FilterFiles(gl.sentinel)})
@@ -53,7 +53,7 @@ func newGuardLevelIter(t *Tree, level int, gl *guardedLevel, parallel bool, req 
 		}
 		groups = append(groups, guard.Guard{Key: gl.guards[i].Key, Files: files})
 	}
-	return &guardLevelIter{tree: t, level: level, groups: groups, idx: -1, parallel: parallel, req: req}
+	return &guardLevelIter{l: l, level: level, groups: groups, idx: -1, parallel: parallel, req: req}
 }
 
 // closeCur releases the open group: every pooled table iterator goes back
@@ -82,19 +82,15 @@ func (g *guardLevelIter) openGroup(i int) bool {
 	}
 	g.idx = i
 	for _, f := range g.groups[i].Files {
-		r, err := g.tree.tc.Find(f.FileNum, f.Size)
+		it, err := g.l.core.OpenIter(&g.req, f)
 		if err != nil {
 			g.err = err
 			g.closeCur()
 			return false
 		}
-		if g.req.Prefix != nil && !r.MayContainPrefix(g.req.Prefix) {
-			r.Unref()
-			g.req.CountPrefixSkip()
-			continue
+		if it != nil {
+			g.kids = append(g.kids, it)
 		}
-		g.req.CountOpen()
-		g.kids = append(g.kids, treebase.GetTableIter(r))
 	}
 	if len(g.kids) == 0 {
 		g.empty = iterator.Empty{}
@@ -157,10 +153,10 @@ func (g *guardLevelIter) findGroup(ukey []byte) int {
 	// groups[0] is the sentinel; guards start at index 1.
 	gi := guard.FindGuard(g.groups[1:], ukey) + 1
 	if gi >= 1 {
-		g.tree.recordSeek(g.level, g.groups[gi].Key, len(g.groups[gi].Files))
+		g.l.recordSeek(g.level, g.groups[gi].Key, len(g.groups[gi].Files))
 	} else {
 		gi = 0
-		g.tree.recordSeek(g.level, nil, len(g.groups[0].Files))
+		g.l.recordSeek(g.level, nil, len(g.groups[0].Files))
 	}
 	return gi
 }

@@ -5,7 +5,6 @@ import (
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/manifest"
-	"pebblesdb/internal/vfs"
 )
 
 // fabMeta fabricates file metadata for pick/claim tests: the scheduler
@@ -22,15 +21,11 @@ func fabMeta(fn base.FileNum, size uint64, lo, hi string) base.FileMetadata {
 // openSchedTree builds a tree whose level 1 is over its size threshold
 // with four committed guard groups (sentinel + b + c + d), each holding
 // one 32 KB file — LevelBaseBytes is 64 KB, so the level scores 2.0.
-func openSchedTree(t *testing.T) *Tree {
+func openSchedTree(t *testing.T) *testTree {
 	t.Helper()
 	cfg := testConfig()
 	cfg.CompactionUnitGuards = 2
-	host := &fakeHost{smallest: base.MaxSeqNum}
-	tree, err := Open(cfg, vfs.NewMem(), "db", host)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := openTree(t, cfg, &fakeHost{smallest: base.MaxSeqNum})
 	edit := &manifest.VersionEdit{
 		NewGuards: []manifest.GuardEntry{
 			{Level: 1, Key: []byte("b")},
@@ -44,25 +39,34 @@ func openSchedTree(t *testing.T) *Tree {
 			{Level: 1, Meta: fabMeta(104, 32<<10, "d0", "d9")},
 		},
 	}
-	if _, err := tree.logAndInstall(edit); err != nil {
+	applyEdit(t, tree, edit)
+	return tree
+}
+
+// applyEdit installs a fabricated edit in memory only.
+func applyEdit(t *testing.T, tree *testTree, edit *manifest.VersionEdit) {
+	t.Helper()
+	tree.Mu.Lock()
+	defer tree.Mu.Unlock()
+	if err := tree.l.Apply(edit); err != nil {
 		t.Fatal(err)
 	}
-	return tree
 }
 
 // TestParallelUnitsSameLevelDisjoint is the scheduler-level guarantee
 // behind intra-level parallel compaction: two consecutive picks claim
-// disjoint guard groups of the same level, the per-level parallelism
-// high-water mark reaches 2, and releasing both units restores a fully
-// unclaimed scheduler.
+// disjoint guard groups of the same level, and releasing both units
+// restores a fully unclaimed scheduler. That the core counts two such units
+// as two (PeakLevelUnits, PeakUnitsInflight) is the core suite's
+// ParallelUnits case.
 func TestParallelUnitsSameLevelDisjoint(t *testing.T) {
 	tree := openSchedTree(t)
 	defer tree.Close()
 
-	tree.mu.Lock()
-	c1 := tree.pickLocked()
-	c2 := tree.pickLocked()
-	tree.mu.Unlock()
+	tree.Mu.Lock()
+	c1 := tree.l.pickLocked()
+	c2 := tree.l.pickLocked()
+	tree.Mu.Unlock()
 	if c1 == nil || c2 == nil {
 		t.Fatalf("expected two concurrent units, got %v / %v", c1, c2)
 	}
@@ -85,15 +89,9 @@ func TestParallelUnitsSameLevelDisjoint(t *testing.T) {
 		t.Fatalf("the two units should cover all 4 files, got %d", len(seen))
 	}
 
-	tree.mu.Lock()
-	if got := tree.metrics.PeakLevelUnits[1]; got != 2 {
-		t.Errorf("PeakLevelUnits[1] = %d, want 2", got)
-	}
-	if got := tree.metrics.PeakUnitsInflight; got != 2 {
-		t.Errorf("PeakUnitsInflight = %d, want 2", got)
-	}
+	tree.Mu.Lock()
 	// Both units write into level 2 and must share one output partition.
-	if got := tree.inflight.writers[2]; got != 2 {
+	if got := tree.l.inflight.writers[2]; got != 2 {
 		t.Errorf("writers[2] = %d, want 2", got)
 	}
 	if &c1.sources[0].partition != &c2.sources[0].partition &&
@@ -101,18 +99,15 @@ func TestParallelUnitsSameLevelDisjoint(t *testing.T) {
 		t.Errorf("concurrent units into one level must share the partition set")
 	}
 
-	tree.releaseLocked(c1)
-	tree.releaseLocked(c2)
-	if tree.inflight.units != 0 {
-		t.Errorf("units = %d after release, want 0", tree.inflight.units)
+	tree.l.releaseLocked(c1, false)
+	tree.l.releaseLocked(c2, false)
+	if len(tree.l.inflight.srcGuards[1]) != 0 {
+		t.Errorf("srcGuards[1] not empty after release: %v", tree.l.inflight.srcGuards[1])
 	}
-	if len(tree.inflight.srcGuards[1]) != 0 {
-		t.Errorf("srcGuards[1] not empty after release: %v", tree.inflight.srcGuards[1])
-	}
-	if tree.inflight.writers[2] != 0 || tree.inflight.partition[2] != nil {
+	if tree.l.inflight.writers[2] != 0 || tree.l.inflight.partition[2] != nil {
 		t.Errorf("level-2 writer state not released")
 	}
-	tree.mu.Unlock()
+	tree.Mu.Unlock()
 }
 
 // TestL0UnitIsExclusive: only one unit may own L0, and while it runs the
@@ -122,88 +117,26 @@ func TestL0UnitIsExclusive(t *testing.T) {
 	defer tree.Close()
 
 	edit := &manifest.VersionEdit{}
-	for i := 0; i < tree.cfg.L0CompactionTrigger; i++ {
+	for i := 0; i < tree.l.cfg.L0CompactionTrigger; i++ {
 		edit.NewFiles = append(edit.NewFiles, manifest.NewFileEntry{
 			Level: 0, Meta: fabMeta(base.FileNum(200+i), 8<<10, "a0", "d9"),
 		})
 	}
-	if _, err := tree.logAndInstall(edit); err != nil {
-		t.Fatal(err)
-	}
+	applyEdit(t, tree, edit)
 
-	tree.mu.Lock()
-	defer tree.mu.Unlock()
-	c1 := tree.pickLocked()
+	tree.Mu.Lock()
+	defer tree.Mu.Unlock()
+	c1 := tree.l.pickLocked()
 	if c1 == nil || c1.level != 0 {
 		t.Fatalf("first pick should be the L0 unit, got %+v", c1)
 	}
-	c2 := tree.pickLocked()
+	c2 := tree.l.pickLocked()
 	if c2 == nil {
 		t.Fatal("level-1 work should remain claimable during the L0 unit")
 	}
 	if c2.level == 0 {
 		t.Fatal("second pick must not claim L0 again")
 	}
-	tree.releaseLocked(c1)
-	tree.releaseLocked(c2)
-}
-
-// TestNeedsCompactionNoAllocs pins the scheduling predicate's
-// allocation-free property: it runs on every commit group and worker
-// wakeup, so it must not build candidate slices.
-func TestNeedsCompactionNoAllocs(t *testing.T) {
-	tree := openSchedTree(t)
-	defer tree.Close()
-
-	if !tree.NeedsCompaction() {
-		t.Fatal("fabricated level 1 should need compaction")
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		tree.NeedsCompaction()
-	}); avg != 0 {
-		t.Errorf("NeedsCompaction allocates %.1f per call, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		tree.ClaimableUnits()
-	}); avg != 0 {
-		t.Errorf("ClaimableUnits allocates %.1f per call, want 0", avg)
-	}
-}
-
-// TestClaimStallAccounting: with every unit claimed, CompactOnce must
-// report no work while counting the conflict.
-func TestClaimStallAccounting(t *testing.T) {
-	tree := openSchedTree(t)
-	defer tree.Close()
-
-	tree.mu.Lock()
-	var held []*compaction
-	for {
-		c := tree.pickLocked()
-		if c == nil {
-			break
-		}
-		held = append(held, c)
-	}
-	tree.mu.Unlock()
-	if len(held) == 0 {
-		t.Fatal("expected claimable units")
-	}
-
-	did, err := tree.CompactOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if did {
-		t.Fatal("CompactOnce should find nothing claimable")
-	}
-	tree.mu.Lock()
-	conflicts := tree.metrics.ClaimConflicts
-	for _, c := range held {
-		tree.releaseLocked(c)
-	}
-	tree.mu.Unlock()
-	if conflicts == 0 {
-		t.Error("ClaimConflicts should count the blocked probe")
-	}
+	tree.l.releaseLocked(c1, false)
+	tree.l.releaseLocked(c2, false)
 }

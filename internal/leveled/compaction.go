@@ -2,13 +2,8 @@ package leveled
 
 import (
 	"bytes"
-	"time"
 
 	"pebblesdb/internal/base"
-	"pebblesdb/internal/iterator"
-	"pebblesdb/internal/manifest"
-	"pebblesdb/internal/obs"
-	"pebblesdb/internal/rangedel"
 	"pebblesdb/internal/treebase"
 )
 
@@ -22,31 +17,14 @@ type compaction struct {
 	trivially bool // metadata-only move
 }
 
-// NeedsCompaction reports whether claimable compaction work is pending.
-// This is the allocation-free scheduling predicate: triggers are evaluated
-// against the live version without building candidate file sets.
-func (t *Tree) NeedsCompaction() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.claimableLocked(1, false) > 0
-}
-
-// ClaimableUnits estimates how many compaction units workers could claim
-// right now; the engine sizes its worker pool to it.
-func (t *Tree) ClaimableUnits() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.claimableLocked(64, false)
-}
-
 // targetsFreeLocked reports whether no level+1 file overlapping [lo, hi]
 // is claimed by a running unit. Allocation-free (no target slice built).
-func (t *Tree) targetsFreeLocked(v *version, level int, lo, hi []byte) bool {
+func (l *layout) targetsFreeLocked(v *version, level int, lo, hi []byte) bool {
 	for _, g := range v.files[level+1] {
 		if bytes.Compare(g.LargestUserKey(), lo) < 0 || bytes.Compare(g.SmallestUserKey(), hi) > 0 {
 			continue
 		}
-		if t.claimed[g.FileNum] {
+		if l.claimed[g.FileNum] {
 			return false
 		}
 	}
@@ -66,18 +44,16 @@ func l0Hull(v *version) (lo, hi []byte) {
 	return lo, hi
 }
 
-// claimableLocked counts the compaction units a worker could claim right
-// now, stopping once limit is reached. With ignoreClaims it counts pending
-// work as if nothing were claimed — the probe distinguishing "no work"
-// from "work exists but peers hold it all" for claim-stall accounting.
-func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
-	v := t.cur
+// Claimable counts the compaction units a worker could claim right now,
+// stopping once limit is reached.
+func (l *layout) Claimable(limit int, ignoreClaims bool) int {
+	v := l.cur
 	n := 0
-	if len(v.files[0]) >= t.cfg.L0CompactionTrigger {
+	if len(v.files[0]) >= l.cfg.L0CompactionTrigger {
 		free := ignoreClaims
-		if !free && !t.l0Busy {
+		if !free && !l.l0Busy {
 			lo, hi := l0Hull(v)
-			free = t.targetsFreeLocked(v, 0, lo, hi)
+			free = l.targetsFreeLocked(v, 0, lo, hi)
 		}
 		if free {
 			if n++; n >= limit {
@@ -88,21 +64,21 @@ func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
 	// An over-threshold level contributes one unit per file it is over by
 	// (score floor), bounded by the files actually free to claim: two
 	// workers can drain disjoint ranges of the same level pair.
-	for l := 1; l < t.cfg.NumLevels-1; l++ {
-		size := v.levelBytes(l)
-		max := t.cfg.MaxBytesForLevel(l)
+	for lv := 1; lv < l.cfg.NumLevels-1; lv++ {
+		size := v.levelBytes(lv)
+		max := l.cfg.MaxBytesForLevel(lv)
 		if size < max {
 			continue
 		}
 		want := int(size / max)
 		got := 0
-		for _, f := range v.files[l] {
+		for _, f := range v.files[lv] {
 			if got >= want {
 				break
 			}
 			if !ignoreClaims {
-				if t.claimed[f.FileNum] ||
-					!t.targetsFreeLocked(v, l, f.SmallestUserKey(), f.LargestUserKey()) {
+				if l.claimed[f.FileNum] ||
+					!l.targetsFreeLocked(v, lv, f.SmallestUserKey(), f.LargestUserKey()) {
 					continue
 				}
 			}
@@ -115,7 +91,7 @@ func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
 	}
 	// Seek-triggered candidates; stale entries (file compacted away) are
 	// pruned so they cannot keep reporting phantom work.
-	for fn, level := range t.seekPending {
+	for fn, level := range l.seekPending {
 		var file *base.FileMetadata
 		for _, f := range v.files[level] {
 			if f.FileNum == fn {
@@ -124,12 +100,12 @@ func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
 			}
 		}
 		if file == nil {
-			delete(t.seekPending, fn)
+			delete(l.seekPending, fn)
 			continue
 		}
 		if !ignoreClaims {
-			if t.claimed[fn] ||
-				!t.targetsFreeLocked(v, level, file.SmallestUserKey(), file.LargestUserKey()) {
+			if l.claimed[fn] ||
+				!l.targetsFreeLocked(v, level, file.SmallestUserKey(), file.LargestUserKey()) {
 				continue
 			}
 		}
@@ -140,42 +116,71 @@ func (t *Tree) claimableLocked(limit int, ignoreClaims bool) int {
 	return n
 }
 
-// claimLocked marks a unit's files as owned and updates the concurrency
-// counters and high-water marks.
-func (t *Tree) claimLocked(c *compaction) {
+// claimLocked marks a unit's files as owned.
+func (l *layout) claimLocked(c *compaction) {
 	if c.level == 0 {
-		t.l0Busy = true
+		l.l0Busy = true
 	}
 	for _, f := range c.inputs {
-		t.claimed[f.FileNum] = true
+		l.claimed[f.FileNum] = true
 	}
 	for _, f := range c.targets {
-		t.claimed[f.FileNum] = true
-	}
-	t.inflightUnits++
-	t.levelUnits[c.level]++
-	t.metrics.CompactionUnits++
-	if int64(t.inflightUnits) > t.metrics.PeakUnitsInflight {
-		t.metrics.PeakUnitsInflight = int64(t.inflightUnits)
-	}
-	if t.levelUnits[c.level] > t.metrics.PeakLevelUnits[c.level] {
-		t.metrics.PeakLevelUnits[c.level] = t.levelUnits[c.level]
+		l.claimed[f.FileNum] = true
 	}
 }
 
-// releaseLocked returns a unit's file claims.
-func (t *Tree) releaseLocked(c *compaction) {
+// Release returns a unit's file claims. A unit that completed advances its
+// level's round-robin cursor past its inputs.
+func (l *layout) Release(u *treebase.Unit, done bool) {
+	l.releaseLocked(u.Claim.(*compaction), done)
+}
+
+func (l *layout) releaseLocked(c *compaction, done bool) {
 	if c.level == 0 {
-		t.l0Busy = false
+		l.l0Busy = false
 	}
 	for _, f := range c.inputs {
-		delete(t.claimed, f.FileNum)
+		delete(l.claimed, f.FileNum)
 	}
 	for _, f := range c.targets {
-		delete(t.claimed, f.FileNum)
+		delete(l.claimed, f.FileNum)
 	}
-	t.inflightUnits--
-	t.levelUnits[c.level]--
+	if done {
+		l.compactPtr[c.level] = append([]byte(nil), c.inputs[len(c.inputs)-1].LargestUserKey()...)
+	}
+}
+
+// Pick claims the next unit (see pickLocked), or with force the unit
+// pushing the topmost populated level's files one level down.
+func (l *layout) Pick(force bool) *treebase.Unit {
+	var c *compaction
+	if force {
+		c = l.forcePushLocked()
+	} else {
+		c = l.pickLocked()
+	}
+	if c == nil {
+		return nil
+	}
+	lo, hi := rangeOfFiles(c.inputs)
+	dst := c.level + 1
+	return &treebase.Unit{
+		Level: c.level,
+		Lo:    string(lo),
+		Hi:    string(hi),
+		Seek:  c.seek,
+		Move:  c.trivially,
+		Claim: c,
+		Merges: []treebase.Merge{{
+			Files:   c.inputs,
+			Overlap: c.targets,
+			Dst:     dst,
+			// Tombstones every snapshot can see have nothing left to mask
+			// once the output is the last level.
+			Elide: dst == l.cfg.NumLevels-1,
+			Cut:   treebase.CutPolicy{Size: uint64(l.cfg.TargetFileSize)},
+		}},
+	}
 }
 
 // pickLocked claims and returns the next compaction unit, or nil. Claims
@@ -185,21 +190,21 @@ func (t *Tree) releaseLocked(c *compaction) {
 // level+1 files overlapping the input hull, a unit's outputs can never
 // straddle a file it does not own — the level's disjointness invariant
 // holds under concurrent installs.
-func (t *Tree) pickLocked() *compaction {
-	v := t.cur
+func (l *layout) pickLocked() *compaction {
+	v := l.cur
 
 	// L0 gets absolute priority (draining L0 is what clears write stalls)
 	// and is exclusive: L0 files overlap arbitrarily, so one unit takes
 	// them all.
-	if len(v.files[0]) >= t.cfg.L0CompactionTrigger && !t.l0Busy {
+	if len(v.files[0]) >= l.cfg.L0CompactionTrigger && !l.l0Busy {
 		lo, hi := l0Hull(v)
-		if t.targetsFreeLocked(v, 0, lo, hi) {
+		if l.targetsFreeLocked(v, 0, lo, hi) {
 			inputs := append([]*base.FileMetadata(nil), v.files[0]...)
 			c := &compaction{level: 0, inputs: inputs, targets: overlaps(v.files[1], lo, hi)}
 			if len(c.inputs) == 1 && len(c.targets) == 0 {
 				c.trivially = true
 			}
-			t.claimLocked(c)
+			l.claimLocked(c)
 			return c
 		}
 	}
@@ -210,38 +215,38 @@ func (t *Tree) pickLocked() *compaction {
 	for {
 		bestScore := 0.0
 		bestLevel := -1
-		for l := 1; l < t.cfg.NumLevels-1; l++ {
-			if tried&(1<<l) != 0 {
+		for lv := 1; lv < l.cfg.NumLevels-1; lv++ {
+			if tried&(1<<lv) != 0 {
 				continue
 			}
-			score := float64(v.levelBytes(l)) / float64(t.cfg.MaxBytesForLevel(l))
+			score := float64(v.levelBytes(lv)) / float64(l.cfg.MaxBytesForLevel(lv))
 			if score >= 1.0 && score > bestScore {
-				bestScore, bestLevel = score, l
+				bestScore, bestLevel = score, lv
 			}
 		}
 		if bestLevel < 0 {
 			break
 		}
-		if c := t.pickClaimableFileLocked(v, bestLevel); c != nil {
+		if c := l.pickClaimableFileLocked(v, bestLevel); c != nil {
 			return c
 		}
 		tried |= 1 << bestLevel
 	}
 
-	return t.pickSeekLocked(v)
+	return l.pickSeekLocked(v)
 }
 
 // pickClaimableFileLocked round-robins from the level's compaction pointer
 // (LevelDB style) over files whose input and target sets are free, claims
 // the first, and returns the unit; nil when every candidate conflicts with
 // a running unit.
-func (t *Tree) pickClaimableFileLocked(v *version, level int) *compaction {
+func (l *layout) pickClaimableFileLocked(v *version, level int) *compaction {
 	files := v.files[level]
 	if len(files) == 0 {
 		return nil
 	}
 	start := 0
-	if ptr := t.compactPtr[level]; ptr != nil {
+	if ptr := l.compactPtr[level]; ptr != nil {
 		for i, f := range files {
 			if bytes.Compare(f.LargestUserKey(), ptr) > 0 {
 				start = i
@@ -251,8 +256,8 @@ func (t *Tree) pickClaimableFileLocked(v *version, level int) *compaction {
 	}
 	for k := 0; k < len(files); k++ {
 		f := files[(start+k)%len(files)]
-		if t.claimed[f.FileNum] ||
-			!t.targetsFreeLocked(v, level, f.SmallestUserKey(), f.LargestUserKey()) {
+		if l.claimed[f.FileNum] ||
+			!l.targetsFreeLocked(v, level, f.SmallestUserKey(), f.LargestUserKey()) {
 			continue
 		}
 		c := &compaction{
@@ -263,15 +268,15 @@ func (t *Tree) pickClaimableFileLocked(v *version, level int) *compaction {
 		if len(c.targets) == 0 {
 			c.trivially = true
 		}
-		t.claimLocked(c)
+		l.claimLocked(c)
 		return c
 	}
 	return nil
 }
 
 // pickSeekLocked turns a seek-budget exhaustion into a claimed compaction.
-func (t *Tree) pickSeekLocked(v *version) *compaction {
-	for fn, level := range t.seekPending {
+func (l *layout) pickSeekLocked(v *version) *compaction {
+	for fn, level := range l.seekPending {
 		var file *base.FileMetadata
 		for _, f := range v.files[level] {
 			if f.FileNum == fn {
@@ -280,14 +285,14 @@ func (t *Tree) pickSeekLocked(v *version) *compaction {
 			}
 		}
 		if file == nil {
-			delete(t.seekPending, fn) // already compacted away
+			delete(l.seekPending, fn) // already compacted away
 			continue
 		}
-		if t.claimed[fn] ||
-			!t.targetsFreeLocked(v, level, file.SmallestUserKey(), file.LargestUserKey()) {
+		if l.claimed[fn] ||
+			!l.targetsFreeLocked(v, level, file.SmallestUserKey(), file.LargestUserKey()) {
 			continue
 		}
-		delete(t.seekPending, fn)
+		delete(l.seekPending, fn)
 		c := &compaction{
 			level:   level,
 			inputs:  []*base.FileMetadata{file},
@@ -297,311 +302,41 @@ func (t *Tree) pickSeekLocked(v *version) *compaction {
 		if len(c.targets) == 0 {
 			c.trivially = true
 		}
-		t.claimLocked(c)
+		l.claimLocked(c)
 		return c
 	}
 	return nil
-}
-
-// CompactOnce claims and performs at most one compaction unit. A worker
-// that finds work pending but fully claimed by its peers starts the
-// claim-stall clock; the next successful claim (by any worker) folds the
-// elapsed wait into ClaimStallNanos.
-func (t *Tree) CompactOnce() (bool, error) {
-	t.mu.Lock()
-	c := t.pickLocked()
-	if c == nil {
-		if t.claimableLocked(1, true) > 0 {
-			t.metrics.ClaimConflicts++
-			if t.claimStallStart.IsZero() {
-				t.claimStallStart = time.Now()
-			}
-		}
-		t.mu.Unlock()
-		return false, nil
-	}
-	if !t.claimStallStart.IsZero() {
-		t.metrics.ClaimStallNanos += int64(time.Since(t.claimStallStart))
-		t.claimStallStart = time.Time{}
-	}
-	t.mu.Unlock()
-	err := t.runCompaction(c)
-	t.mu.Lock()
-	t.releaseLocked(c)
-	t.mu.Unlock()
-	return true, err
-}
-
-// runCompaction brackets one unit with compaction begin/end events —
-// source level, input key range, unit id, input/output volume, duration —
-// and delegates the work to compactUnit.
-func (t *Tree) runCompaction(c *compaction) error {
-	inTables := len(c.inputs) + len(c.targets)
-	var inBytes int64
-	for _, f := range c.inputs {
-		inBytes += int64(f.Size)
-	}
-	for _, f := range c.targets {
-		inBytes += int64(f.Size)
-	}
-	lo, hi := rangeOfFiles(c.inputs)
-	detail := ""
-	switch {
-	case c.trivially:
-		detail = "trivial-move"
-	case c.seek:
-		detail = "seek"
-	}
-	id := t.unitID.Add(1)
-	t.cfg.Emit(obs.Event{
-		Kind: obs.EventCompactionBegin, Nanos: obs.Monotonic(),
-		Level: c.level, Unit: id, GuardLo: string(lo), GuardHi: string(hi),
-		InputTables: inTables, InputBytes: inBytes, Detail: detail,
-	})
-	start := time.Now()
-	outBytes, outTables, err := t.compactUnit(c)
-	t.cfg.Emit(obs.Event{
-		Kind: obs.EventCompactionEnd, Nanos: obs.Monotonic(),
-		Level: c.level, Unit: id, GuardLo: string(lo), GuardHi: string(hi),
-		InputTables: inTables, InputBytes: inBytes,
-		OutputTables: outTables, OutputBytes: outBytes,
-		Dur: time.Since(start), Err: err, Detail: detail,
-	})
-	return err
-}
-
-// compactUnit performs one claimed unit: merge the inputs with the
-// overlapping next-level files (or trivially move a file) and install the
-// edit. Returns the installed output volume for the end event.
-func (t *Tree) compactUnit(c *compaction) (int64, int, error) {
-	if c.trivially {
-		// Metadata-only move: the LSM fast path for non-overlapping data
-		// that FLSM deliberately forgoes (§4.5: sequential workloads).
-		f := c.inputs[0]
-		edit := &manifest.VersionEdit{
-			DeletedFiles: []manifest.DeletedFileEntry{{Level: c.level, FileNum: f.FileNum}},
-			NewFiles:     []manifest.NewFileEntry{{Level: c.level + 1, Meta: *f}},
-		}
-		if _, err := t.logAndInstall(edit); err != nil {
-			return 0, 0, err
-		}
-		t.mu.Lock()
-		t.metrics.TrivialMoves++
-		t.compactPtr[c.level] = append([]byte(nil), f.LargestUserKey()...)
-		t.mu.Unlock()
-		return int64(f.Size), 1, nil
-	}
-
-	all := append(append([]*base.FileMetadata(nil), c.inputs...), c.targets...)
-
-	// Open each input once, collecting its range tombstones alongside its
-	// merge iterator. The tombstones drive covered-point elision in the
-	// compaction iterator and are rewritten into the outputs clipped to
-	// each table's cut boundaries, so output tables stay disjoint and a
-	// tombstone can never widen past the span its table owns. When the
-	// output level is the last, tombstones every snapshot can see have
-	// nothing left to mask and are dropped.
-	var rd *rangedel.List
-	var iters []iterator.Iterator
-	var bytesIn int64
-	for _, f := range all {
-		r, err := t.tc.Find(f.FileNum, f.Size)
-		if err != nil {
-			for _, it := range iters {
-				it.Close()
-			}
-			return 0, 0, err
-		}
-		if f.NumRangeDels > 0 {
-			if rd == nil {
-				rd = &rangedel.List{}
-			}
-			for _, ts := range r.RangeDels().Raw() {
-				rd.Add(ts)
-			}
-		}
-		iters = append(iters, treebase.NewSequentialTableIter(r))
-		bytesIn += int64(f.Size)
-	}
-	merged := iterator.NewMerging(base.InternalCompare, iters...)
-	smallest := base.MaxSeqNum
-	if t.snap != nil {
-		smallest = t.snap.SmallestSnapshot()
-	}
-	elide := c.level+1 == t.cfg.NumLevels-1
-	dropLE := base.SeqNum(0)
-	if elide {
-		dropLE = smallest
-	}
-	ci := treebase.NewCompactionIter(merged, smallest, elide, rd)
-
-	ob := treebase.NewOutputBuilder(t.fs, t.dir, t.writerOptions(), t.vs, t)
-	// cutAt closes the open table, attaching the tombstones clipped to
-	// [boundary of the previous cut, hi). hi == nil closes the final table
-	// with every remaining tombstone. The clipped tombstones alias cutLo
-	// (and hi) until the writer's Finish runs inside Cut, so the table must
-	// be cut before the boundary advances, and the boundary copy must be a
-	// fresh allocation — reusing the buffer would rewrite the stored
-	// fragment starts and silently un-cover the keys after the cut.
-	var cutLo []byte
-	cutAt := func(hi []byte) error {
-		if !rd.Empty() {
-			if err := ob.AddRangeDels(rd.Clipped(cutLo, hi, dropLE)); err != nil {
-				return err
-			}
-		}
-		if ob.HasOpen() {
-			if err := ob.Cut(); err != nil {
-				return err
-			}
-		}
-		if hi != nil {
-			cutLo = append([]byte(nil), hi...)
-		}
-		return nil
-	}
-	var prevUkey []byte
-	for ci.First(); ci.Valid(); ci.Next() {
-		ukey := base.UserKey(ci.Key())
-		// Cut at the size target, but never between two versions of the
-		// same user key: deeper levels must stay disjoint in user keys.
-		if ob.HasOpen() && ob.CurrentSize() >= uint64(t.cfg.TargetFileSize) &&
-			prevUkey != nil && !bytes.Equal(prevUkey, ukey) {
-			if err := cutAt(ukey); err != nil {
-				ob.Abandon()
-				ci.Close()
-				return 0, 0, err
-			}
-		}
-		if err := ob.Add(ci.Key(), ci.Value()); err != nil {
-			ob.Abandon()
-			ci.Close()
-			return 0, 0, err
-		}
-		prevUkey = append(prevUkey[:0], ukey...)
-	}
-	if err := ci.Error(); err != nil {
-		ob.Abandon()
-		ci.Close()
-		return 0, 0, err
-	}
-	ci.Close()
-	if err := cutAt(nil); err != nil {
-		ob.Abandon()
-		return 0, 0, err
-	}
-	metas, err := ob.Finish()
-	if err != nil {
-		ob.Abandon()
-		return 0, 0, err
-	}
-
-	edit := &manifest.VersionEdit{}
-	for _, f := range c.inputs {
-		edit.DeletedFiles = append(edit.DeletedFiles, manifest.DeletedFileEntry{Level: c.level, FileNum: f.FileNum})
-	}
-	for _, f := range c.targets {
-		edit.DeletedFiles = append(edit.DeletedFiles, manifest.DeletedFileEntry{Level: c.level + 1, FileNum: f.FileNum})
-	}
-	var bytesOut int64
-	for _, m := range metas {
-		edit.NewFiles = append(edit.NewFiles, manifest.NewFileEntry{Level: c.level + 1, Meta: *m})
-		bytesOut += int64(m.Size)
-	}
-	installed, err := t.logAndInstall(edit)
-	if err != nil {
-		if installed {
-			// Outputs are live in the installed version and inputs are still
-			// referenced by the durable manifest: keep everything on disk and
-			// skip the obsolete-table notification.
-			ob.ReleasePending()
-		} else {
-			ob.Abandon()
-		}
-		return 0, 0, err
-	}
-	ob.ReleasePending()
-	if t.snap != nil {
-		dead := make([]base.FileNum, 0, len(edit.DeletedFiles))
-		for _, d := range edit.DeletedFiles {
-			dead = append(dead, d.FileNum)
-		}
-		t.snap.NoteObsoleteTables(dead)
-	}
-
-	t.mu.Lock()
-	t.metrics.Compactions++
-	if c.seek {
-		t.metrics.SeekCompactions++
-	}
-	t.metrics.BytesCompactedIn += bytesIn
-	t.metrics.BytesCompactedOut += bytesOut
-	t.metrics.Compression.Merge(ob.CompressionStats())
-	if len(c.inputs) > 0 {
-		t.compactPtr[c.level] = append([]byte(nil), c.inputs[len(c.inputs)-1].LargestUserKey()...)
-	}
-	t.mu.Unlock()
-	return bytesOut, len(metas), nil
 }
 
 // forcePushLocked claims a compaction moving the topmost populated
 // level's files one level down regardless of size triggers, or nil when
 // everything already sits in the last level (or running units hold any of
 // the involved files).
-func (t *Tree) forcePushLocked() *compaction {
-	v := t.cur
-	for l := 0; l < t.cfg.NumLevels-1; l++ {
-		if len(v.files[l]) == 0 {
+func (l *layout) forcePushLocked() *compaction {
+	v := l.cur
+	for lv := 0; lv < l.cfg.NumLevels-1; lv++ {
+		if len(v.files[lv]) == 0 {
 			continue
 		}
-		if l == 0 && t.l0Busy {
+		if lv == 0 && l.l0Busy {
 			return nil
 		}
-		inputs := append([]*base.FileMetadata(nil), v.files[l]...)
+		inputs := append([]*base.FileMetadata(nil), v.files[lv]...)
 		lo, hi := rangeOfFiles(inputs)
 		for _, f := range inputs {
-			if t.claimed[f.FileNum] {
+			if l.claimed[f.FileNum] {
 				return nil
 			}
 		}
-		if !t.targetsFreeLocked(v, l, lo, hi) {
+		if !l.targetsFreeLocked(v, lv, lo, hi) {
 			return nil
 		}
-		c := &compaction{level: l, inputs: inputs, targets: overlaps(v.files[l+1], lo, hi)}
+		c := &compaction{level: lv, inputs: inputs, targets: overlaps(v.files[lv+1], lo, hi)}
 		if len(inputs) == 1 && len(c.targets) == 0 {
 			c.trivially = true
 		}
-		t.claimLocked(c)
+		l.claimLocked(c)
 		return c
 	}
 	return nil
-}
-
-// CompactAll drives compaction until no level is over threshold. Used by
-// benchmarks that measure fully-compacted stores (Fig 5.1b seeks). Like
-// LevelDB's manual CompactRange it then keeps pushing data down until
-// everything sits in the last level, so seeks consult one sorted run.
-func (t *Tree) CompactAll() error {
-	for {
-		did, err := t.CompactOnce()
-		if err != nil {
-			return err
-		}
-		if did {
-			continue
-		}
-		t.mu.Lock()
-		c := t.forcePushLocked()
-		t.mu.Unlock()
-		if c == nil {
-			return nil
-		}
-		err = t.runCompaction(c)
-		t.mu.Lock()
-		t.releaseLocked(c)
-		t.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
 }

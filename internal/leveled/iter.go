@@ -3,7 +3,6 @@ package leveled
 import (
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/iterator"
-	"pebblesdb/internal/tablecache"
 	"pebblesdb/internal/treebase"
 )
 
@@ -15,7 +14,7 @@ import (
 // are passed over (stood in for by an empty iterator, so the skipEmpty
 // machinery advances across them) without any block IO.
 type levelIter struct {
-	tc    *tablecache.TableCache
+	core  *treebase.Core
 	files []*base.FileMetadata
 	idx   int
 	cur   iterator.Iterator
@@ -24,8 +23,8 @@ type levelIter struct {
 	empty iterator.Empty
 }
 
-func newLevelIter(tc *tablecache.TableCache, files []*base.FileMetadata, req treebase.IterRequest) *levelIter {
-	return &levelIter{tc: tc, files: files, idx: -1, req: req}
+func newLevelIter(core *treebase.Core, files []*base.FileMetadata, req treebase.IterRequest) *levelIter {
+	return &levelIter{core: core, files: files, idx: -1, req: req}
 }
 
 func (l *levelIter) openFile(i int) bool {
@@ -43,21 +42,17 @@ func (l *levelIter) openFile(i int) bool {
 		l.idx = len(l.files)
 		return false
 	}
-	r, err := l.tc.Find(l.files[i].FileNum, l.files[i].Size)
+	it, err := l.core.OpenIter(&l.req, l.files[i])
 	if err != nil {
 		l.err = err
 		return false
 	}
 	l.idx = i
-	if l.req.Prefix != nil && !r.MayContainPrefix(l.req.Prefix) {
-		r.Unref()
-		l.req.CountPrefixSkip()
+	if it == nil {
 		l.empty = iterator.Empty{}
-		l.cur = &l.empty
-		return true
+		it = &l.empty
 	}
-	l.req.CountOpen()
-	l.cur = treebase.GetTableIter(r)
+	l.cur = it
 	return true
 }
 

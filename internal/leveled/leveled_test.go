@@ -10,6 +10,7 @@ import (
 	"pebblesdb/internal/iterator"
 	"pebblesdb/internal/memtable"
 	"pebblesdb/internal/treebase"
+	"pebblesdb/internal/treebase/coretest"
 	"pebblesdb/internal/vfs"
 )
 
@@ -34,17 +35,33 @@ func testConfig() *base.Config {
 	return cfg
 }
 
-func openTestTree(t *testing.T) (*Tree, *fakeHost) {
+// testTree pairs a tree with its leveled layout for white-box tests.
+type testTree struct {
+	*treebase.Core
+	l *layout
+}
+
+func openTestTree(t *testing.T) (*testTree, *fakeHost) {
+	t.Helper()
+	return openTree(t, testConfig())
+}
+
+func openTree(t *testing.T, cfg *base.Config) (*testTree, *fakeHost) {
 	t.Helper()
 	host := &fakeHost{smallest: base.MaxSeqNum}
-	tree, err := Open(testConfig(), vfs.NewMem(), "db", host)
+	tree := &testTree{}
+	var err error
+	tree.Core, err = treebase.Open(kind, cfg, vfs.NewMem(), "db", host, func(c *treebase.Core) treebase.Layout {
+		tree.l = newLayout(c, cfg)
+		return tree.l
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tree, host
 }
 
-func flushBatch(t *testing.T, tree *Tree, kvs map[string]string, seq *base.SeqNum) {
+func flushBatch(t *testing.T, tree *testTree, kvs map[string]string, seq *base.SeqNum) {
 	t.Helper()
 	mem := memtable.New()
 	for k, v := range kvs {
@@ -58,10 +75,10 @@ func flushBatch(t *testing.T, tree *Tree, kvs map[string]string, seq *base.SeqNu
 
 // checkDisjoint verifies the core leveled invariant: levels >= 1 hold
 // sstables with pairwise-disjoint user-key ranges, sorted by key.
-func checkDisjoint(t *testing.T, tree *Tree) {
+func checkDisjoint(t *testing.T, tree *testTree) {
 	t.Helper()
-	v := tree.currentVersion()
-	for l := 1; l < tree.cfg.NumLevels; l++ {
+	v := tree.l.currentVersion()
+	for l := 1; l < tree.l.cfg.NumLevels; l++ {
 		files := v.files[l]
 		for i := 1; i < len(files); i++ {
 			if bytes.Compare(files[i-1].LargestUserKey(), files[i].SmallestUserKey()) >= 0 {
@@ -192,11 +209,7 @@ func TestLevelIterConcatenates(t *testing.T) {
 func TestSeekCompactionTriggers(t *testing.T) {
 	cfg := testConfig()
 	cfg.SeekCompactionThreshold = 10
-	host := &fakeHost{smallest: base.MaxSeqNum}
-	tree, err := Open(cfg, vfs.NewMem(), "db", host)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree, _ := openTree(t, cfg)
 	defer tree.Close()
 	seq := base.SeqNum(0)
 
@@ -217,9 +230,9 @@ func TestSeekCompactionTriggers(t *testing.T) {
 	// that examines an extra file charges seek budget.
 	for i := 0; i < 300000; i++ {
 		tree.Get([]byte(fmt.Sprintf("key%06d", i%2000)), base.MaxSeqNum, nil, nil)
-		tree.mu.Lock()
+		tree.Mu.Lock()
 		n := len(t2pending(tree))
-		tree.mu.Unlock()
+		tree.Mu.Unlock()
 		if n > 0 {
 			return // a seek compaction was scheduled
 		}
@@ -227,7 +240,7 @@ func TestSeekCompactionTriggers(t *testing.T) {
 	t.Skip("seek budget not exhausted in this configuration")
 }
 
-func t2pending(tree *Tree) map[base.FileNum]int { return tree.seekPending }
+func t2pending(tree *testTree) map[base.FileNum]int { return tree.l.seekPending }
 
 func TestObsoleteFilesReported(t *testing.T) {
 	tree, host := openTestTree(t)
@@ -249,3 +262,7 @@ func TestObsoleteFilesReported(t *testing.T) {
 		t.Fatal("compactions must report obsolete inputs")
 	}
 }
+
+// TestCoreSuite runs the shared treebase.Core behaviour suite over the
+// leveled layout.
+func TestCoreSuite(t *testing.T) { coretest.Run(t, Open) }

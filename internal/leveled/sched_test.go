@@ -5,7 +5,6 @@ import (
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/manifest"
-	"pebblesdb/internal/vfs"
 )
 
 func fabMeta(fn base.FileNum, size uint64, lo, hi string) base.FileMetadata {
@@ -20,13 +19,9 @@ func fabMeta(fn base.FileNum, size uint64, lo, hi string) base.FileMetadata {
 // openSchedTree fabricates a level 1 at twice its size threshold (four
 // 32 KB files against LevelBaseBytes 64 KB) over a populated level 2, so
 // two units are claimable at once and neither is a trivial move.
-func openSchedTree(t *testing.T) *Tree {
+func openSchedTree(t *testing.T) *testTree {
 	t.Helper()
-	host := &fakeHost{smallest: base.MaxSeqNum}
-	tree, err := Open(testConfig(), vfs.NewMem(), "db", host)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree, _ := openTestTree(t)
 	edit := &manifest.VersionEdit{
 		NewFiles: []manifest.NewFileEntry{
 			{Level: 1, Meta: fabMeta(101, 32<<10, "a0", "a9")},
@@ -39,23 +34,33 @@ func openSchedTree(t *testing.T) *Tree {
 			{Level: 2, Meta: fabMeta(204, 8<<10, "d0", "d5")},
 		},
 	}
-	if _, err := tree.logAndInstall(edit); err != nil {
+	applyEdit(t, tree, edit)
+	return tree
+}
+
+// applyEdit installs a fabricated edit in memory only.
+func applyEdit(t *testing.T, tree *testTree, edit *manifest.VersionEdit) {
+	t.Helper()
+	tree.Mu.Lock()
+	defer tree.Mu.Unlock()
+	if err := tree.l.Apply(edit); err != nil {
 		t.Fatal(err)
 	}
-	return tree
 }
 
 // TestParallelClaimsDisjointFiles: two consecutive picks on the same
 // level pair own disjoint input+target file sets, and releasing both
-// restores a fully unclaimed scheduler.
+// restores a fully unclaimed scheduler. That the core counts two such units
+// as two (PeakLevelUnits, PeakUnitsInflight) is the core suite's
+// ParallelUnits case.
 func TestParallelClaimsDisjointFiles(t *testing.T) {
 	tree := openSchedTree(t)
 	defer tree.Close()
 
-	tree.mu.Lock()
-	c1 := tree.pickLocked()
-	c2 := tree.pickLocked()
-	tree.mu.Unlock()
+	tree.Mu.Lock()
+	c1 := tree.l.pickLocked()
+	c2 := tree.l.pickLocked()
+	tree.Mu.Unlock()
 	if c1 == nil || c2 == nil {
 		t.Fatalf("expected two concurrent units, got %v / %v", c1, c2)
 	}
@@ -73,16 +78,13 @@ func TestParallelClaimsDisjointFiles(t *testing.T) {
 		}
 	}
 
-	tree.mu.Lock()
-	if got := tree.metrics.PeakLevelUnits[1]; got != 2 {
-		t.Errorf("PeakLevelUnits[1] = %d, want 2", got)
+	tree.Mu.Lock()
+	tree.l.releaseLocked(c1, false)
+	tree.l.releaseLocked(c2, false)
+	if len(tree.l.claimed) != 0 {
+		t.Errorf("claims not fully released: %v", tree.l.claimed)
 	}
-	tree.releaseLocked(c1)
-	tree.releaseLocked(c2)
-	if len(tree.claimed) != 0 || tree.inflightUnits != 0 {
-		t.Errorf("claims not fully released: %v, units=%d", tree.claimed, tree.inflightUnits)
-	}
-	tree.mu.Unlock()
+	tree.Mu.Unlock()
 }
 
 // TestL0PriorityAndExclusivity: with L0 over its trigger, the first pick
@@ -93,22 +95,20 @@ func TestL0PriorityAndExclusivity(t *testing.T) {
 	defer tree.Close()
 
 	edit := &manifest.VersionEdit{}
-	for i := 0; i < tree.cfg.L0CompactionTrigger; i++ {
+	for i := 0; i < tree.l.cfg.L0CompactionTrigger; i++ {
 		edit.NewFiles = append(edit.NewFiles, manifest.NewFileEntry{
 			Level: 0, Meta: fabMeta(base.FileNum(300+i), 8<<10, "a0", "b9"),
 		})
 	}
-	if _, err := tree.logAndInstall(edit); err != nil {
-		t.Fatal(err)
-	}
+	applyEdit(t, tree, edit)
 
-	tree.mu.Lock()
-	defer tree.mu.Unlock()
-	c1 := tree.pickLocked()
+	tree.Mu.Lock()
+	defer tree.Mu.Unlock()
+	c1 := tree.l.pickLocked()
 	if c1 == nil || c1.level != 0 {
 		t.Fatalf("first pick should be the L0 unit, got %+v", c1)
 	}
-	c2 := tree.pickLocked()
+	c2 := tree.l.pickLocked()
 	if c2 == nil {
 		t.Fatal("disjoint level-1 work should remain claimable during the L0 unit")
 	}
@@ -122,27 +122,6 @@ func TestL0PriorityAndExclusivity(t *testing.T) {
 			}
 		}
 	}
-	tree.releaseLocked(c1)
-	tree.releaseLocked(c2)
-}
-
-// TestNeedsCompactionNoAllocs pins the leveled predicate's allocation-free
-// property.
-func TestNeedsCompactionNoAllocs(t *testing.T) {
-	tree := openSchedTree(t)
-	defer tree.Close()
-
-	if !tree.NeedsCompaction() {
-		t.Fatal("fabricated level 1 should need compaction")
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		tree.NeedsCompaction()
-	}); avg != 0 {
-		t.Errorf("NeedsCompaction allocates %.1f per call, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		tree.ClaimableUnits()
-	}); avg != 0 {
-		t.Errorf("ClaimableUnits allocates %.1f per call, want 0", avg)
-	}
+	tree.l.releaseLocked(c1, false)
+	tree.l.releaseLocked(c2, false)
 }

@@ -1,9 +1,3 @@
-// Package treebase holds machinery shared by the FLSM tree (the paper's
-// contribution) and the leveled LSM tree (the baseline): the compaction
-// iterator that applies snapshot-aware garbage collection, the output table
-// builder, and small shared types. Keeping this layer common makes the
-// FLSM-vs-LSM benchmarks an apples-to-apples comparison of the compaction
-// algorithms alone.
 package treebase
 
 import (

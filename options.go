@@ -141,9 +141,6 @@ type Options struct {
 	// ParallelSeeks enables concurrent last-level sstable positioning
 	// (§4.2).
 	ParallelSeeks bool
-	// ParallelGuardCompaction enables guard-granular compaction
-	// parallelism (paper §7 future work, implemented here).
-	ParallelGuardCompaction bool
 	// MaxCompactionConcurrency is the background compaction thread count.
 	MaxCompactionConcurrency int
 	// CompactionUnitGuards is the minimum number of guard groups one FLSM
@@ -375,7 +372,6 @@ func (o *Options) toConfig() (*base.Config, engine.Kind, vfs.FS) {
 		SeekCompactionThreshold:  o.SeekCompactionThreshold,
 		SizeRatioPct:             o.SizeRatioPct,
 		ParallelSeeks:            o.ParallelSeeks,
-		ParallelGuardCompaction:  o.ParallelGuardCompaction,
 		MaxCompactionConcurrency: o.MaxCompactionConcurrency,
 		CompactionUnitGuards:     o.CompactionUnitGuards,
 		WALSync:                  o.WALSync,
