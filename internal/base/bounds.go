@@ -12,9 +12,6 @@ type Bounds struct {
 	Upper []byte
 }
 
-// Unbounded reports whether no bound is set on either side.
-func (b Bounds) Unbounded() bool { return b.Lower == nil && b.Upper == nil }
-
 // PrefixSuccessor appends to dst the smallest key greater than every key
 // having the given prefix: the prefix with its last non-0xff byte
 // incremented and the tail dropped. A prefix scan is exactly the bounds
@@ -54,30 +51,4 @@ func (b Bounds) Overlaps(f *FileMetadata) bool {
 		return false
 	}
 	return true
-}
-
-// FilterFiles returns the files overlapping the bounds, preserving order.
-// When every file overlaps (the common unbounded case) the input slice is
-// returned without copying.
-func (b Bounds) FilterFiles(files []*FileMetadata) []*FileMetadata {
-	if b.Unbounded() {
-		return files
-	}
-	all := true
-	for _, f := range files {
-		if !b.Overlaps(f) {
-			all = false
-			break
-		}
-	}
-	if all {
-		return files
-	}
-	out := make([]*FileMetadata, 0, len(files))
-	for _, f := range files {
-		if b.Overlaps(f) {
-			out = append(out, f)
-		}
-	}
-	return out
 }

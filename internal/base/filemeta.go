@@ -25,12 +25,6 @@ type FileMetadata struct {
 	NumRangeDels  int
 	RangeDelStart []byte
 	RangeDelEnd   []byte
-
-	// AllowedSeeks implements seek-triggered compaction: it is decremented
-	// on every seek that touches the file and the containing guard or level
-	// becomes a compaction candidate when it reaches zero. Accessed under
-	// the tree mutex.
-	AllowedSeeks int
 }
 
 func (m *FileMetadata) String() string {

@@ -77,7 +77,7 @@ func (c *compaction) unit(last int) *treebase.Unit {
 }
 
 // inflight is the scheduler's claim state: the compaction work owned by
-// running units. Claims are taken under core.Mu at pick time and released
+// running units. Claims are taken under the core's lock at pick time and released
 // after the unit's edit installs.
 type inflight struct {
 	// l0 marks an exclusive L0->L1 unit: L0 files overlap arbitrarily, so
@@ -486,9 +486,8 @@ func (l *layout) releaseLocked(c *compaction, done bool) {
 			key := string(c.sources[i].key)
 			delete(inf.srcGuards[c.level], key)
 			if done {
-				id := guardID{Level: c.level, Key: key}
-				delete(l.seekCounts, id)
-				delete(l.seekPending, id)
+				delete(l.seeksLeft[c.level], key)
+				delete(l.seekPending, guardID{Level: c.level, Key: key})
 			}
 		}
 	}
@@ -555,7 +554,7 @@ func (l *layout) forcePushLocked() *compaction {
 		return l.claimL0Locked(v)
 	}
 	for lv := 1; lv < last; lv++ {
-		if v.levels[lv].fileCount() == 0 {
+		if v.levels[lv].files == 0 {
 			continue
 		}
 		return l.claimLevelUnitLocked(v, lv, math.MaxInt)

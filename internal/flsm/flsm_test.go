@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pebblesdb/internal/base"
-	"pebblesdb/internal/guard"
 	"pebblesdb/internal/iterator"
 	"pebblesdb/internal/manifest"
 	"pebblesdb/internal/memtable"
@@ -47,14 +46,16 @@ type testTree struct {
 	l *layout
 }
 
+// pinned returns the current version — the view the core reads. The
+// white-box tests drive the tree from one goroutine, so the layout's state
+// is read without the core's lock.
+func (t *testTree) pinned() *version { return t.l.cur }
+
 func openTree(tb testing.TB, cfg *base.Config, host treebase.Host) *testTree {
 	tb.Helper()
-	tree := &testTree{}
+	tree := &testTree{l: newLayout(cfg)}
 	var err error
-	tree.Core, err = treebase.Open(kind, cfg, vfs.NewMem(), "db", host, func(c *treebase.Core) treebase.Layout {
-		tree.l = newLayout(c, cfg)
-		return tree.l
-	})
+	tree.Core, err = treebase.Open(kind, cfg, vfs.NewMem(), "db", host, tree.l, tree.l.cur)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -82,15 +83,12 @@ func flushBatch(t *testing.T, tree *testTree, kvs map[string]string, seq *base.S
 	}
 }
 
-// checkInvariants verifies the FLSM structural invariants on the current
-// version: guards sorted and unique per level, every file within its guard
-// interval, sentinel files below the first guard.
-func checkInvariants(t *testing.T, tree *testTree) {
+// checkInvariants verifies the FLSM structural invariants on a version:
+// guards sorted and unique per level, every file within its guard interval,
+// sentinel files below the first guard.
+func checkInvariants(t *testing.T, v *version) {
 	t.Helper()
-	tree.Mu.Lock()
-	v := tree.l.cur
-	tree.Mu.Unlock()
-	for l := 1; l < tree.l.cfg.NumLevels; l++ {
+	for l := 1; l < len(v.levels); l++ {
 		gl := &v.levels[l]
 		for i := 1; i < len(gl.guards); i++ {
 			if bytes.Compare(gl.guards[i-1].Key, gl.guards[i].Key) >= 0 {
@@ -160,7 +158,7 @@ func TestCompactionPartitionsByGuards(t *testing.T) {
 	if err := tree.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	checkInvariants(t, tree)
+	checkInvariants(t, tree.pinned())
 
 	// Data must have left L0 and guards must exist somewhere.
 	m := tree.Metrics()
@@ -241,10 +239,7 @@ func TestUncommittedGuardsCommitOnCompaction(t *testing.T) {
 	}
 	flushBatch(t, tree, kvs, &seq)
 
-	tree.Mu.Lock()
-	uncommitted := len(tree.l.uncommitted[1])
-	tree.Mu.Unlock()
-	if uncommitted == 0 {
+	if len(tree.l.uncommitted[1]) == 0 {
 		t.Fatal("expected uncommitted guards after ingest")
 	}
 
@@ -255,12 +250,12 @@ func TestUncommittedGuardsCommitOnCompaction(t *testing.T) {
 	if err := tree.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	if !tree.l.cur.levels[1].hasGuard([]byte(guardKey)) {
+	if !tree.pinned().levels[1].hasGuard([]byte(guardKey)) {
 		// The guard may have been committed and the data pushed deeper;
 		// check all levels.
 		found := false
 		for l := 1; l < tree.l.cfg.NumLevels; l++ {
-			if tree.l.cur.levels[l].hasGuard([]byte(guardKey)) {
+			if tree.pinned().levels[l].hasGuard([]byte(guardKey)) {
 				found = true
 			}
 		}
@@ -268,7 +263,7 @@ func TestUncommittedGuardsCommitOnCompaction(t *testing.T) {
 			t.Fatal("guard key never committed")
 		}
 	}
-	checkInvariants(t, tree)
+	checkInvariants(t, tree.pinned())
 }
 
 func TestDeletesAreHonoredAcrossCompaction(t *testing.T) {
@@ -380,7 +375,7 @@ func TestEmptyGuardsAreHarmless(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree.CompactAll()
-	checkInvariants(t, tree)
+	checkInvariants(t, tree.pinned())
 
 	// Reads and iteration still work with (possibly) empty guards.
 	if _, found, _ := tree.Get([]byte("key000100"), base.MaxSeqNum, nil, nil); found {
@@ -430,16 +425,7 @@ func TestPebbles1ModeTerminates(t *testing.T) {
 	if tree.NeedsCompaction() {
 		t.Fatal("tree should be quiescent after CompactAll")
 	}
-	checkInvariants(t, tree)
-}
-
-func TestGuardKeysAccessor(t *testing.T) {
-	tree, _ := openTestTree(t)
-	defer tree.Close()
-	if tree.l.guardKeys(0) != nil || tree.l.guardKeys(99) != nil {
-		t.Fatal("out-of-range levels should return nil")
-	}
-	_ = guard.Picker{}
+	checkInvariants(t, tree.pinned())
 }
 
 func TestGuardDeletionEdit(t *testing.T) {
@@ -461,10 +447,11 @@ func TestGuardDeletionEdit(t *testing.T) {
 	tree.CompactAll()
 
 	// Find a level with at least one guard and delete its first guard.
+	v := tree.pinned()
 	var level int
 	var key []byte
 	for l := 1; l < tree.l.cfg.NumLevels; l++ {
-		if ks := tree.l.guardKeys(l); len(ks) > 0 {
+		if ks := v.levels[l].guardKeys(); len(ks) > 0 {
 			level, key = l, ks[0]
 			break
 		}
@@ -472,27 +459,25 @@ func TestGuardDeletionEdit(t *testing.T) {
 	if key == nil {
 		t.Skip("no guards materialized")
 	}
-	edit := &manifest.VersionEdit{
+	nv, err := v.apply(&manifest.VersionEdit{
 		DeletedGuards: []manifest.GuardEntry{{Level: level, Key: key}},
-	}
-	tree.Mu.Lock()
-	err := tree.l.Apply(edit)
-	tree.Mu.Unlock()
+	}, tree.l.cfg.NumLevels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range tree.l.guardKeys(level) {
-		if string(k) == string(key) {
-			t.Fatal("guard still present after deletion")
-		}
+	if nv.levels[level].hasGuard(key) {
+		t.Fatal("guard still present after deletion")
 	}
-	checkInvariants(t, tree)
-	// All data still readable.
-	if _, _, err := tree.Get([]byte("key000001"), base.MaxSeqNum, nil, nil); err != nil {
-		t.Fatal(err)
+	checkInvariants(t, nv)
+	// The guard's files moved to the sentinel: the level keeps every table.
+	if got, want := nv.levels[level].fileCount(), v.levels[level].fileCount(); got != want {
+		t.Fatalf("level %d holds %d tables after the deletion, want %d", level, got, want)
+	}
+	if _, files := nv.Find(level, key); len(files) != len(v.levels[level].sentinel)+len(v.levels[level].guards[0].Files) {
+		t.Fatalf("the sentinel holds %d tables, want its own and the deleted guard's", len(files))
 	}
 }
 
 // TestCoreSuite runs the shared treebase.Core behaviour suite over the
 // FLSM layout.
-func TestCoreSuite(t *testing.T) { coretest.Run(t, Open) }
+func TestCoreSuite(t *testing.T) { coretest.Run(t, Open, coretest.SeekPolicy{IterSeeks: true}) }

@@ -43,12 +43,11 @@ func openSchedTree(t *testing.T) *testTree {
 	return tree
 }
 
-// applyEdit installs a fabricated edit in memory only.
+// applyEdit installs a fabricated edit in the layout only: the scheduler
+// plans against it, the core never reads it.
 func applyEdit(t *testing.T, tree *testTree, edit *manifest.VersionEdit) {
 	t.Helper()
-	tree.Mu.Lock()
-	defer tree.Mu.Unlock()
-	if err := tree.l.Apply(edit); err != nil {
+	if _, err := tree.l.Apply(edit); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -63,10 +62,8 @@ func TestParallelUnitsSameLevelDisjoint(t *testing.T) {
 	tree := openSchedTree(t)
 	defer tree.Close()
 
-	tree.Mu.Lock()
 	c1 := tree.l.pickLocked()
 	c2 := tree.l.pickLocked()
-	tree.Mu.Unlock()
 	if c1 == nil || c2 == nil {
 		t.Fatalf("expected two concurrent units, got %v / %v", c1, c2)
 	}
@@ -89,7 +86,6 @@ func TestParallelUnitsSameLevelDisjoint(t *testing.T) {
 		t.Fatalf("the two units should cover all 4 files, got %d", len(seen))
 	}
 
-	tree.Mu.Lock()
 	// Both units write into level 2 and must share one output partition.
 	if got := tree.l.inflight.writers[2]; got != 2 {
 		t.Errorf("writers[2] = %d, want 2", got)
@@ -107,7 +103,6 @@ func TestParallelUnitsSameLevelDisjoint(t *testing.T) {
 	if tree.l.inflight.writers[2] != 0 || tree.l.inflight.partition[2] != nil {
 		t.Errorf("level-2 writer state not released")
 	}
-	tree.Mu.Unlock()
 }
 
 // TestL0UnitIsExclusive: only one unit may own L0, and while it runs the
@@ -124,8 +119,6 @@ func TestL0UnitIsExclusive(t *testing.T) {
 	}
 	applyEdit(t, tree, edit)
 
-	tree.Mu.Lock()
-	defer tree.Mu.Unlock()
 	c1 := tree.l.pickLocked()
 	if c1 == nil || c1.level != 0 {
 		t.Fatalf("first pick should be the L0 unit, got %+v", c1)

@@ -22,6 +22,8 @@ import (
 type guardedLevel struct {
 	sentinel []*base.FileMetadata
 	guards   []guard.Guard
+	// files counts the level's sstables; apply sets it once per version.
+	files int
 }
 
 func (gl *guardedLevel) totalBytes() int64 {
@@ -43,6 +45,14 @@ func (gl *guardedLevel) fileCount() int {
 	return n
 }
 
+// group returns group i of the level: 0 is the sentinel, i the guard i-1.
+func (gl *guardedLevel) group(i int) (key []byte, files []*base.FileMetadata) {
+	if i == 0 {
+		return nil, gl.sentinel
+	}
+	return gl.guards[i-1].Key, gl.guards[i-1].Files
+}
+
 // guardKeys returns the level's committed guard keys.
 func (gl *guardedLevel) guardKeys() [][]byte {
 	keys := make([][]byte, len(gl.guards))
@@ -60,10 +70,48 @@ func (gl *guardedLevel) hasGuard(key []byte) bool {
 	return i < len(gl.guards) && bytes.Equal(gl.guards[i].Key, key)
 }
 
-// version is an immutable snapshot of the FLSM layout.
+// version is an immutable snapshot of the FLSM layout. As a treebase.View
+// each level is the run sentinel, guard 0, guard 1, ...: guard intervals are
+// disjoint (§3.1) and tile the key space, so the group that can hold a key
+// is also where a seek to it lands.
 type version struct {
 	l0     []*base.FileMetadata // newest first
 	levels []guardedLevel       // index 0 unused
+}
+
+func (v *version) L0() []*base.FileMetadata { return v.l0 }
+
+func (v *version) Groups(level int) int { return len(v.levels[level].guards) + 1 }
+
+func (v *version) Group(level, i int) ([]byte, []*base.FileMetadata) {
+	return v.levels[level].group(i)
+}
+
+// Find is the guard lookup of §3.4: a binary search for the single guard
+// that can hold ukey. Empty guards are skipped by their empty file list.
+func (v *version) Find(level int, ukey []byte) (int, []*base.FileMetadata) {
+	gl := &v.levels[level]
+	i := guard.FindGuard(gl.guards, ukey) + 1
+	_, files := gl.group(i)
+	return i, files
+}
+
+// Span prunes the guards outside b: every file lies within its own guard
+// interval, so only the guards from b.Lower's to b.Upper's can hold a key
+// within b.
+func (v *version) Span(level int, b base.Bounds) (lo, hi int) {
+	gl := &v.levels[level]
+	if gl.files == 0 {
+		return 0, 0
+	}
+	hi = len(gl.guards) + 1
+	if b.Lower != nil {
+		lo = guard.FindGuard(gl.guards, b.Lower) + 1
+	}
+	if b.Upper != nil {
+		hi = guard.FindGuard(gl.guards, b.Upper) + 2
+	}
+	return lo, hi
 }
 
 func newVersion(numLevels int) *version {
@@ -128,6 +176,9 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 		nv.addFile(nf.Level, &meta)
 	}
 	sort.Slice(nv.l0, func(i, j int) bool { return nv.l0[i].FileNum > nv.l0[j].FileNum })
+	for l := range nv.levels {
+		nv.levels[l].files = nv.levels[l].fileCount()
+	}
 	return nv, nil
 }
 
@@ -250,7 +301,6 @@ func removeFromSlice(files *[]*base.FileMetadata, fn base.FileNum) bool {
 
 // addFile attaches a file to its guard at a level (or to L0).
 func (v *version) addFile(level int, f *base.FileMetadata) {
-	f.AllowedSeeks = allowedSeeks(f.Size)
 	if level == 0 {
 		v.l0 = append(v.l0, f)
 		return
@@ -262,14 +312,6 @@ func (v *version) addFile(level int, f *base.FileMetadata) {
 		return
 	}
 	gl.guards[idx].Files = append(gl.guards[idx].Files, f)
-}
-
-func allowedSeeks(size uint64) int {
-	n := int(size / (16 << 10))
-	if n < 100 {
-		n = 100
-	}
-	return n
 }
 
 // straddles reports whether any file at the level spans key (file.smallest

@@ -41,6 +41,11 @@ type testTree struct {
 	l *layout
 }
 
+// pinned returns the current version — the view the core reads. The
+// white-box tests drive the tree from one goroutine, so the layout's state
+// is read without the core's lock.
+func (t *testTree) pinned() *version { return t.l.cur }
+
 func openTestTree(t *testing.T) (*testTree, *fakeHost) {
 	t.Helper()
 	return openTree(t, testConfig())
@@ -49,12 +54,9 @@ func openTestTree(t *testing.T) (*testTree, *fakeHost) {
 func openTree(t *testing.T, cfg *base.Config) (*testTree, *fakeHost) {
 	t.Helper()
 	host := &fakeHost{smallest: base.MaxSeqNum}
-	tree := &testTree{}
+	tree := &testTree{l: newLayout(cfg)}
 	var err error
-	tree.Core, err = treebase.Open(kind, cfg, vfs.NewMem(), "db", host, func(c *treebase.Core) treebase.Layout {
-		tree.l = newLayout(c, cfg)
-		return tree.l
-	})
+	tree.Core, err = treebase.Open(kind, cfg, vfs.NewMem(), "db", host, tree.l, tree.l.cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func flushBatch(t *testing.T, tree *testTree, kvs map[string]string, seq *base.S
 // sstables with pairwise-disjoint user-key ranges, sorted by key.
 func checkDisjoint(t *testing.T, tree *testTree) {
 	t.Helper()
-	v := tree.l.currentVersion()
+	v := tree.pinned()
 	for l := 1; l < tree.l.cfg.NumLevels; l++ {
 		files := v.files[l]
 		for i := 1; i < len(files); i++ {
@@ -230,17 +232,12 @@ func TestSeekCompactionTriggers(t *testing.T) {
 	// that examines an extra file charges seek budget.
 	for i := 0; i < 300000; i++ {
 		tree.Get([]byte(fmt.Sprintf("key%06d", i%2000)), base.MaxSeqNum, nil, nil)
-		tree.Mu.Lock()
-		n := len(t2pending(tree))
-		tree.Mu.Unlock()
-		if n > 0 {
+		if len(tree.l.seekPending) > 0 {
 			return // a seek compaction was scheduled
 		}
 	}
 	t.Skip("seek budget not exhausted in this configuration")
 }
-
-func t2pending(tree *testTree) map[base.FileNum]int { return tree.l.seekPending }
 
 func TestObsoleteFilesReported(t *testing.T) {
 	tree, host := openTestTree(t)
@@ -265,4 +262,4 @@ func TestObsoleteFilesReported(t *testing.T) {
 
 // TestCoreSuite runs the shared treebase.Core behaviour suite over the
 // leveled layout.
-func TestCoreSuite(t *testing.T) { coretest.Run(t, Open) }
+func TestCoreSuite(t *testing.T) { coretest.Run(t, Open, coretest.SeekPolicy{GetMisses: true}) }

@@ -38,12 +38,11 @@ func openSchedTree(t *testing.T) *testTree {
 	return tree
 }
 
-// applyEdit installs a fabricated edit in memory only.
+// applyEdit installs a fabricated edit in the layout only: the scheduler
+// plans against it, the core never reads it.
 func applyEdit(t *testing.T, tree *testTree, edit *manifest.VersionEdit) {
 	t.Helper()
-	tree.Mu.Lock()
-	defer tree.Mu.Unlock()
-	if err := tree.l.Apply(edit); err != nil {
+	if _, err := tree.l.Apply(edit); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,10 +56,8 @@ func TestParallelClaimsDisjointFiles(t *testing.T) {
 	tree := openSchedTree(t)
 	defer tree.Close()
 
-	tree.Mu.Lock()
 	c1 := tree.l.pickLocked()
 	c2 := tree.l.pickLocked()
-	tree.Mu.Unlock()
 	if c1 == nil || c2 == nil {
 		t.Fatalf("expected two concurrent units, got %v / %v", c1, c2)
 	}
@@ -78,13 +75,11 @@ func TestParallelClaimsDisjointFiles(t *testing.T) {
 		}
 	}
 
-	tree.Mu.Lock()
 	tree.l.releaseLocked(c1, false)
 	tree.l.releaseLocked(c2, false)
 	if len(tree.l.claimed) != 0 {
 		t.Errorf("claims not fully released: %v", tree.l.claimed)
 	}
-	tree.Mu.Unlock()
 }
 
 // TestL0PriorityAndExclusivity: with L0 over its trigger, the first pick
@@ -102,8 +97,6 @@ func TestL0PriorityAndExclusivity(t *testing.T) {
 	}
 	applyEdit(t, tree, edit)
 
-	tree.Mu.Lock()
-	defer tree.Mu.Unlock()
 	c1 := tree.l.pickLocked()
 	if c1 == nil || c1.level != 0 {
 		t.Fatalf("first pick should be the L0 unit, got %+v", c1)

@@ -16,9 +16,51 @@ import (
 
 // version is an immutable snapshot of the file layout. files[0] is sorted
 // by file number descending (newest first); deeper levels are sorted by
-// smallest key and are disjoint in user-key ranges.
+// smallest key and are disjoint in user-key ranges. As a treebase.View each
+// of those levels is a run of one-table groups under no guard.
 type version struct {
 	files [][]*base.FileMetadata
+}
+
+func (v *version) L0() []*base.FileMetadata { return v.files[0] }
+
+func (v *version) Groups(level int) int { return len(v.files[level]) }
+
+func (v *version) Group(level, i int) ([]byte, []*base.FileMetadata) {
+	return nil, v.files[level][i : i+1]
+}
+
+// Find binary-searches the level for the first file ending at or after
+// ukey. A file whose upper bound is an exclusive range-del sentinel at
+// exactly ukey does not contain ukey — the neighbor starting at ukey does —
+// so the search treats such files as ending before ukey.
+func (v *version) Find(level int, ukey []byte) (int, []*base.FileMetadata) {
+	files := v.files[level]
+	i := sort.Search(len(files), func(i int) bool {
+		c := bytes.Compare(files[i].LargestUserKey(), ukey)
+		if c != 0 {
+			return c > 0
+		}
+		return !files[i].LargestExclusive()
+	})
+	if i < len(files) && bytes.Compare(files[i].SmallestUserKey(), ukey) <= 0 {
+		return i, files[i : i+1]
+	}
+	return i, nil
+}
+
+// Span prunes the files outside b; in a sorted disjoint level the files
+// overlapping b are contiguous.
+func (v *version) Span(level int, b base.Bounds) (lo, hi int) {
+	files := v.files[level]
+	hi = len(files)
+	if b.Lower != nil {
+		lo = sort.Search(hi, func(i int) bool { return bytes.Compare(files[i].LargestUserKey(), b.Lower) >= 0 })
+	}
+	if b.Upper != nil {
+		hi = lo + sort.Search(hi-lo, func(i int) bool { return bytes.Compare(files[lo+i].SmallestUserKey(), b.Upper) >= 0 })
+	}
+	return lo, hi
 }
 
 func newVersion(numLevels int) *version {
@@ -48,7 +90,6 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 			return nil, fmt.Errorf("leveled: new file at invalid level %d", nf.Level)
 		}
 		meta := nf.Meta // copy
-		meta.AllowedSeeks = allowedSeeks(meta.Size)
 		nv.files[nf.Level] = append(nv.files[nf.Level], &meta)
 	}
 	sort.Slice(nv.files[0], func(i, j int) bool {
@@ -80,28 +121,6 @@ func (v *version) levelBytes(level int) int64 {
 		t += int64(f.Size)
 	}
 	return t
-}
-
-// findFile returns the index in the (sorted, disjoint) level of the file
-// whose range may contain ukey, or -1. A file whose upper bound is an
-// exclusive range-del sentinel at exactly ukey does not contain ukey — the
-// neighbor starting at ukey does — so the search treats such files as
-// ending before ukey.
-func findFile(files []*base.FileMetadata, ukey []byte) int {
-	i := sort.Search(len(files), func(i int) bool {
-		c := bytes.Compare(files[i].LargestUserKey(), ukey)
-		if c != 0 {
-			return c > 0
-		}
-		return !files[i].LargestExclusive()
-	})
-	if i >= len(files) {
-		return -1
-	}
-	if bytes.Compare(files[i].SmallestUserKey(), ukey) > 0 {
-		return -1
-	}
-	return i
 }
 
 // overlaps returns the files in the (sorted, disjoint) level whose user-key

@@ -65,19 +65,25 @@ func TestVersionApplyRejectsBadLevel(t *testing.T) {
 	}
 }
 
-func TestFindFile(t *testing.T) {
+func TestFind(t *testing.T) {
 	m1 := meta(1, "b", "d")
 	m2 := meta(2, "f", "h")
-	files := []*base.FileMetadata{&m1, &m2}
+	v := &version{files: [][]*base.FileMetadata{nil, {&m1, &m2}}}
 	cases := []struct {
 		key  string
-		want int
+		land int // where a seek to key lands
+		hold int // the file that can hold key, or -1
 	}{
-		{"a", -1}, {"b", 0}, {"c", 0}, {"d", 0}, {"e", -1}, {"f", 1}, {"h", 1}, {"z", -1},
+		{"a", 0, -1}, {"b", 0, 0}, {"c", 0, 0}, {"d", 0, 0}, {"e", 1, -1}, {"f", 1, 1}, {"h", 1, 1}, {"z", 2, -1},
 	}
 	for _, c := range cases {
-		if got := findFile(files, []byte(c.key)); got != c.want {
-			t.Fatalf("findFile(%q)=%d want %d", c.key, got, c.want)
+		land, files := v.Find(1, []byte(c.key))
+		hold := -1
+		if len(files) == 1 {
+			hold = int(files[0].FileNum) - 1
+		}
+		if land != c.land || hold != c.hold || len(files) > 1 {
+			t.Fatalf("Find(%q) lands on %d and returns %v, want %d and file index %d", c.key, land, files, c.land, c.hold)
 		}
 	}
 }

@@ -16,8 +16,8 @@ import (
 // It runs on every commit group and worker wakeup, so the layouts evaluate
 // their triggers against the live version without allocating.
 func (c *Core) NeedsCompaction() bool {
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.layout.Claimable(1, false) > 0
 }
 
@@ -25,8 +25,8 @@ func (c *Core) NeedsCompaction() bool {
 // right now; the engine sizes its worker pool to it. Allocation-free, and
 // capped well above any realistic pool size.
 func (c *Core) ClaimableUnits() int {
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.layout.Claimable(64, false)
 }
 
@@ -60,7 +60,7 @@ func (c *Core) pickLocked(force bool) *Unit {
 // within a scheduling quantum; idle time before the next flush is never
 // charged as stall.
 func (c *Core) CompactOnce() (bool, error) {
-	c.Mu.Lock()
+	c.mu.Lock()
 	u := c.pickLocked(false)
 	if u == nil && c.layout.Claimable(1, true) > 0 {
 		c.metrics.ClaimConflicts++
@@ -71,7 +71,7 @@ func (c *Core) CompactOnce() (bool, error) {
 		c.metrics.ClaimStallNanos += int64(time.Since(c.claimStallStart))
 		c.claimStallStart = time.Time{}
 	}
-	c.Mu.Unlock()
+	c.mu.Unlock()
 	if u == nil {
 		return false, nil
 	}
@@ -91,9 +91,9 @@ func (c *Core) CompactAll() error {
 		if did {
 			continue
 		}
-		c.Mu.Lock()
+		c.mu.Lock()
 		u := c.pickLocked(true)
-		c.Mu.Unlock()
+		c.mu.Unlock()
 		if u == nil {
 			return nil
 		}
@@ -140,7 +140,7 @@ func (c *Core) runCompaction(u *Unit) error {
 	start := time.Now()
 	res, err := c.compactUnit(u)
 	if err == nil {
-		c.Mu.Lock()
+		c.mu.Lock()
 		if u.Move {
 			c.metrics.TrivialMoves++
 		} else {
@@ -153,18 +153,18 @@ func (c *Core) runCompaction(u *Unit) error {
 			c.metrics.BytesCompactedOut += res.bytesOut
 			c.metrics.Compression.Merge(res.compression)
 		}
-		c.Mu.Unlock()
+		c.mu.Unlock()
 	}
 	ev.Kind, ev.Nanos = obs.EventCompactionEnd, obs.Monotonic()
 	ev.OutputTables, ev.OutputBytes = res.tables, res.bytesOut
 	ev.Dur, ev.Err = time.Since(start), err
 	c.cfg.Emit(ev)
 
-	c.Mu.Lock()
+	c.mu.Lock()
 	c.layout.Release(u, err == nil)
 	c.units--
 	c.levelUnits[u.Level]--
-	c.Mu.Unlock()
+	c.mu.Unlock()
 	return err
 }
 

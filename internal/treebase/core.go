@@ -9,7 +9,6 @@
 package treebase
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -31,26 +30,17 @@ import (
 // else: how a version is organised and an edit applied to it; which
 // compaction units are claimable and how one is claimed and released; what
 // a claimed unit merges, where the output goes and where it is cut (the
-// Unit that Pick returns); and how a key or an iterator request finds its
-// candidate tables.
+// Unit that Pick returns); and which reads count against a seek budget (the
+// SeekCharger or MissCharger it also implements). Where a key or an iterator
+// finds its tables is not a method but data: the View that Apply hands back.
 //
-// Apply, Walk, L0Count, Claimable, Pick and Release are called with
-// Core.Mu held (Apply also during Open, before the core is shared) and
-// must not block. Get, NewIters, WantGuard and Ingest are called without
-// it; they take Core.Mu themselves for as long as it takes to pin the
-// current version or touch shared state. Claimable and a steady-state Get
-// must not allocate.
+// Every method except the pure-hash WantGuard runs under the core's lock
+// and must not block; views are immutable and are read without it.
+// Claimable and a repeated charge of one guard or table must not allocate.
 type Layout interface {
-	// Apply makes the version that results from edit the current one. On
-	// error the current version is unchanged.
-	Apply(edit *manifest.VersionEdit) error
-	// Walk visits the current version's files group by group, shallowest
-	// level first, in the order a snapshot edit lists them. guard is the
-	// key of the guard that holds the files, nil for files under no guard
-	// (level 0, an FLSM sentinel, every leveled level). A guard is visited
-	// even when it holds no files; other empty groups may be skipped.
-	Walk(fn func(level int, guard []byte, files []*base.FileMetadata))
-	L0Count() int
+	// Apply returns the version that results from edit and makes it the one
+	// the layout schedules against. On error nothing changes.
+	Apply(edit *manifest.VersionEdit) (View, error)
 
 	// Claimable counts the units a worker could claim right now, stopping
 	// at limit. With ignoreClaims it counts pending work as if nothing
@@ -65,19 +55,58 @@ type Layout interface {
 	// and persisted.
 	Release(u *Unit, done bool)
 
-	// Get returns the newest version of ukey visible at seq. latest, when
-	// non-nil, replaces seq with its value loaded after the version is
-	// pinned (see Core.Get). The value aliases immutable table storage.
-	Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstable.GetScratch) (value []byte, found bool, err error)
-	// NewIters appends the pinned version's point iterators to dst and
-	// returns them with every range tombstone held by a table overlapping
-	// the request's bounds. On error it returns the iterators opened so
-	// far; the core closes them.
-	NewIters(req IterRequest, dst []iterator.Iterator) ([]iterator.Iterator, []rangedel.Tombstone, error)
 	// WantGuard is the lock-free pre-filter for Ingest.
 	WantGuard(ukey []byte) bool
 	// Ingest is the per-key write hook (FLSM guard selection, §3.2).
 	Ingest(ukey []byte)
+}
+
+// The seek hooks (§4.2 seek-based compaction) are the two reads that cost
+// more tables than a compacted level would. A layout implements the hook of
+// each read it budgets, and the core reports — and takes its lock for —
+// only those: a read no budget counts costs nothing beyond the pin.
+// Exhausting a budget makes a unit claimable.
+
+// SeekCharger is a Layout that budgets iterator seeks.
+type SeekCharger interface {
+	// ChargeSeek reports an iterator seek that positioned every table of a
+	// group of more than one; guard is the group's key.
+	ChargeSeek(level int, guard []byte)
+}
+
+// MissCharger is a Layout that budgets the misses of point reads.
+type MissCharger interface {
+	// ChargeMiss reports f, the first table a Get searched without finding
+	// its key. A table of level 0 or of the last level is never reported:
+	// the last level has nowhere to push a table, and level-0 tables
+	// overlap each other, so compacting one down alone could bury a key's
+	// newest version under an older one still in another level-0 table
+	// (the level-0 count trigger handles level 0).
+	ChargeMiss(level int, f *base.FileMetadata)
+}
+
+// View is one immutable version of a layout's tables as the read path sees
+// it: level 0, and below it levels that are each an ordered run of groups
+// disjoint in user keys. The tables of one group may overlap each other.
+// An FLSM level is its sentinel followed by its guards; a leveled level is
+// a run of one-table groups. The core pins the current view under its lock
+// and reads it without.
+type View interface {
+	// L0 returns the level-0 tables, newest first; they may all overlap.
+	L0() []*base.FileMetadata
+	// Groups returns the number of groups of level (>= 1).
+	Groups(level int) int
+	// Group returns group i of level: the key of the guard that holds it
+	// (nil for tables under no guard) and its tables.
+	Group(level, i int) (guard []byte, files []*base.FileMetadata)
+	// Find returns the first group of level that ends at or after ukey —
+	// where a seek to ukey lands, Groups(level) when there is none — and
+	// that group's tables if ukey lies inside it, the only tables of the
+	// level that can hold ukey.
+	Find(level int, ukey []byte) (i int, files []*base.FileMetadata)
+	// Span returns the groups [lo, hi) of level that can hold a key within
+	// b; lo == hi when the level holds no table.
+	Span(level int, b base.Bounds) (lo, hi int)
 }
 
 // Unit is one claimed compaction unit in the form the core executes.
@@ -141,10 +170,14 @@ type Core struct {
 	tc     *tablecache.TableCache
 	host   Host
 	layout Layout
+	// seeks and misses are the layout's seek hooks, nil when it has none.
+	seeks  SeekCharger
+	misses MissCharger
 
-	// Mu guards the layout's shared state (current version, claims, seek
-	// budgets) and the core's counters below.
-	Mu      sync.Mutex
+	// mu guards the layout's state (claims, guard candidates, seek
+	// budgets), the current view and the core's counters below.
+	mu      sync.Mutex
+	view    View
 	metrics Metrics
 	// units / levelUnits count running units (total / per source level).
 	units      int
@@ -176,30 +209,33 @@ type Kind struct {
 	Guarded bool
 }
 
-// Open creates or recovers a tree in dir. newLayout builds the layout for
-// the core it is handed.
-func Open(kind Kind, cfg *base.Config, fs vfs.FS, dir string, host Host, newLayout func(*Core) Layout) (*Core, error) {
+// Open creates or recovers a tree in dir whose versions layout organises;
+// empty is the layout's version of a tree without tables.
+func Open(kind Kind, cfg *base.Config, fs vfs.FS, dir string, host Host, layout Layout, empty View) (*Core, error) {
 	c := &Core{
 		kind:       kind,
 		cfg:        cfg,
 		fs:         fs,
 		dir:        dir,
 		host:       host,
+		layout:     layout,
+		view:       empty,
 		levelUnits: make([]int, cfg.NumLevels),
 		pending:    make(map[base.FileNum]bool),
 	}
+	c.seeks, _ = layout.(SeekCharger)
+	c.misses, _ = layout.(MissCharger)
 	c.metrics.PeakLevelUnits = make([]int, cfg.NumLevels)
 	c.logCond = sync.NewCond(&c.logMu)
 	c.tc = tablecache.New(fs, dir, cfg.TableCacheSize, cache.New(cfg.BlockCacheSize, nil))
-	c.layout = newLayout(c)
 
 	if manifest.Exists(fs, dir) {
-		vs, err := manifest.Load(fs, dir, c.layout.Apply)
+		vs, err := manifest.Load(fs, dir, c.applyLocked)
 		if err != nil {
 			return nil, err
 		}
 		c.vs = vs
-		if err := vs.StartAppending(c.snapshotEditLocked()); err != nil {
+		if err := vs.StartAppending(c.snapshotEdit()); err != nil {
 			return nil, err
 		}
 	} else {
@@ -237,15 +273,35 @@ func (c *Core) CacheMetrics() tablecache.Metrics { return c.tc.Metrics() }
 // the rare keys that qualify.
 func (c *Core) WantGuard(ukey []byte) bool { return c.layout.WantGuard(ukey) }
 
-// Ingest hands an inserted key to the layout.
-func (c *Core) Ingest(ukey []byte) { c.layout.Ingest(ukey) }
+// Ingest hands an inserted key to the layout. Any key may be passed; the
+// commit pipeline passes only those WantGuard accepts, which keeps the
+// core's lock off its path.
+func (c *Core) Ingest(ukey []byte) {
+	c.mu.Lock()
+	c.layout.Ingest(ukey)
+	c.mu.Unlock()
+}
+
+// pin returns the current view. Views are immutable, so everything read
+// from the result is consistent and needs no lock.
+func (c *Core) pin() View {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.view
+}
+
+// applyLocked makes the version that results from edit the current one.
+// The caller holds mu, or — during Open — the core is not yet shared.
+func (c *Core) applyLocked(edit *manifest.VersionEdit) error {
+	v, err := c.layout.Apply(edit)
+	if err == nil {
+		c.view = v
+	}
+	return err
+}
 
 // L0Count returns the number of level-0 files (write stalls).
-func (c *Core) L0Count() int {
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
-	return c.layout.L0Count()
-}
+func (c *Core) L0Count() int { return len(c.pin().L0()) }
 
 // AddPending registers an in-flight output file (PendingRegistry).
 func (c *Core) AddPending(fn base.FileNum) {
@@ -308,10 +364,10 @@ func (c *Core) Flush(it iterator.Iterator, rangeDels []rangedel.Tombstone, logNu
 	if err := c.installOutputs(edit, ob); err != nil {
 		return err
 	}
-	c.Mu.Lock()
+	c.mu.Lock()
 	c.metrics.BytesFlushed += flushed
 	c.metrics.Compression.Merge(ob.CompressionStats())
-	c.Mu.Unlock()
+	c.mu.Unlock()
 	return nil
 }
 
@@ -341,30 +397,26 @@ func (c *Core) installOutputs(edit *manifest.VersionEdit, builders ...*OutputBui
 //
 // Units install concurrently, so the manifest append must happen in install
 // order: an edit deleting file f has to land after the edit that added f,
-// or recovery replay rejects it. Each install takes a ticket under Mu (the
+// or recovery replay rejects it. Each install takes a ticket under mu (the
 // critical section that switches the version) and waits its turn before
 // appending; the turn advances even when the append fails, so one degraded
 // unit cannot wedge its peers.
 func (c *Core) logAndInstall(edit *manifest.VersionEdit) (installed bool, err error) {
-	c.Mu.Lock()
-	if err := c.layout.Apply(edit); err != nil {
-		c.Mu.Unlock()
+	c.mu.Lock()
+	if err := c.applyLocked(edit); err != nil {
+		c.mu.Unlock()
 		return false, err
 	}
 	ticket := c.installTicket
 	c.installTicket++
-	c.Mu.Unlock()
+	c.mu.Unlock()
 
 	c.logMu.Lock()
 	for c.installTurn != ticket {
 		c.logCond.Wait()
 	}
 	c.logMu.Unlock()
-	err = c.vs.LogAndApply(edit, func() *manifest.VersionEdit {
-		c.Mu.Lock()
-		defer c.Mu.Unlock()
-		return c.snapshotEditLocked()
-	})
+	err = c.vs.LogAndApply(edit, c.snapshotEdit)
 	c.logMu.Lock()
 	c.installTurn++
 	c.logCond.Broadcast()
@@ -372,10 +424,26 @@ func (c *Core) logAndInstall(edit *manifest.VersionEdit) (installed bool, err er
 	return true, err
 }
 
-// snapshotEditLocked describes the full current version as one edit.
-func (c *Core) snapshotEditLocked() *manifest.VersionEdit {
+// walk visits v's tables group by group, shallowest level first, in the
+// order a snapshot edit lists them. guard is the key of the guard that holds
+// the files, nil for files under no guard (level 0, an FLSM sentinel, every
+// leveled table). Level 0 and every guard are visited even when they hold no
+// files; other empty groups are skipped.
+func (c *Core) walk(v View, fn func(level int, guard []byte, files []*base.FileMetadata)) {
+	fn(0, nil, v.L0())
+	for lv := 1; lv < c.cfg.NumLevels; lv++ {
+		for i, n := 0, v.Groups(lv); i < n; i++ {
+			if guard, files := v.Group(lv, i); guard != nil || len(files) > 0 {
+				fn(lv, guard, files)
+			}
+		}
+	}
+}
+
+// snapshotEdit describes the full current version as one edit.
+func (c *Core) snapshotEdit() *manifest.VersionEdit {
 	e := &manifest.VersionEdit{}
-	c.layout.Walk(func(level int, guard []byte, files []*base.FileMetadata) {
+	c.walk(c.pin(), func(level int, guard []byte, files []*base.FileMetadata) {
 		if guard != nil {
 			e.NewGuards = append(e.NewGuards, manifest.GuardEntry{Level: level, Key: guard})
 		}
@@ -384,112 +452,6 @@ func (c *Core) snapshotEditLocked() *manifest.VersionEdit {
 		}
 	})
 	return e
-}
-
-// Get returns the newest visible version of ukey at seq. latest, when
-// non-nil, is the engine's committed-sequence counter: the layout pins its
-// current version first and only then loads the read sequence from it, so
-// a concurrent compaction can never collapse every version <= seq out of
-// the probed view (a version is only dropped when a newer, also-committed
-// one shadows it — which the later load then makes visible). Snapshot
-// reads pass latest=nil: SmallestSnapshot protects them from collapse. s,
-// when non-nil, supplies the reusable point-read working set, and a
-// steady-state Get then allocates nothing; nil borrows one from the shared
-// pool. The returned value aliases an immutable block payload or cache
-// entry and must be copied if it outlives the read.
-func (c *Core) Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstable.GetScratch) (value []byte, found bool, err error) {
-	if s == nil {
-		s = sstable.AcquireGetScratch()
-		defer sstable.ReleaseGetScratch(s)
-	}
-	return c.layout.Get(ukey, seq, latest, s)
-}
-
-// ProbeFile checks one sstable for the newest visible point entry of ukey
-// and the newest visible range tombstone covering it (cov), in a single
-// table-cache round-trip. File bounds include tombstone spans, so the range
-// check cannot reject a file whose tombstones cover ukey; the resident
-// tombstone list answers with one binary search, no block IO. probed
-// reports whether the table's blocks were searched (the bloom filter passed
-// or was absent) — the input to seek charging.
-func (c *Core) ProbeFile(f *base.FileMetadata, ukey []byte, seq base.SeqNum, s *sstable.GetScratch) (val []byte, fseq base.SeqNum, kind base.Kind, cov base.SeqNum, hit, probed bool, err error) {
-	if !userKeyInRange(ukey, f) {
-		return nil, 0, 0, 0, false, false, nil
-	}
-	r, err := c.tc.Find(f.FileNum, f.Size)
-	if err != nil {
-		return nil, 0, 0, 0, false, false, err
-	}
-	if f.RangeDelSpanContains(ukey) {
-		cov = r.RangeDels().CoverSeq(ukey, seq)
-	}
-	if !r.MayContain(ukey) {
-		s.Stats.BloomNegatives++
-		r.Unref()
-		return nil, 0, 0, cov, false, false, nil
-	}
-	val, fseq, kind, hit, err = r.GetScratched(s.SearchKey, s)
-	r.Unref()
-	return val, fseq, kind, cov, hit, true, err
-}
-
-// userKeyInRange sits on the Get hot path for every candidate file;
-// bytes.Compare keeps it allocation-free without relying on the compiler's
-// string-conversion optimization.
-func userKeyInRange(ukey []byte, f *base.FileMetadata) bool {
-	return bytes.Compare(ukey, f.SmallestUserKey()) >= 0 &&
-		bytes.Compare(ukey, f.LargestUserKey()) <= 0
-}
-
-// NewIters returns the point iterators of the pinned version, appended to
-// dst (which pooled callers recycle), plus every range tombstone held by a
-// table overlapping the request's bounds; the engine merges those with the
-// memtables' into one visibility mask. File bounds include tombstone
-// spans, so bounds pruning cannot lose a tombstone that could mask an
-// in-bounds key.
-func (c *Core) NewIters(req IterRequest, dst []iterator.Iterator) ([]iterator.Iterator, []rangedel.Tombstone, error) {
-	iters, rds, err := c.layout.NewIters(req, dst)
-	if err != nil {
-		for _, it := range iters {
-			it.Close()
-		}
-		return nil, nil, err
-	}
-	return iters, rds, nil
-}
-
-// OpenIter opens a pooled iterator over f for req, or returns nil when f's
-// prefix bloom filter rules the request's prefix out — before any block is
-// read.
-func (c *Core) OpenIter(req *IterRequest, f *base.FileMetadata) (iterator.Iterator, error) {
-	r, err := c.tc.Find(f.FileNum, f.Size)
-	if err != nil {
-		return nil, err
-	}
-	if req.Prefix != nil && !r.MayContainPrefix(req.Prefix) {
-		r.Unref()
-		req.CountPrefixSkip()
-		return nil, nil
-	}
-	req.CountOpen()
-	return GetTableIter(r), nil
-}
-
-// AppendRangeDels appends f's range tombstones to rds. Tables flagged
-// clean in their metadata — the overwhelming majority — are skipped without
-// opening; flagged tables hand back their resident list, so no block IO
-// happens here either.
-func (c *Core) AppendRangeDels(rds []rangedel.Tombstone, f *base.FileMetadata) ([]rangedel.Tombstone, error) {
-	if f.NumRangeDels == 0 {
-		return rds, nil
-	}
-	r, err := c.tc.Find(f.FileNum, f.Size)
-	if err != nil {
-		return rds, err
-	}
-	rds = append(rds, r.RangeDels().Raw()...)
-	r.Unref()
-	return rds, nil
 }
 
 // ProtectedFiles returns every table file the sweeper must keep: live plus
@@ -503,29 +465,28 @@ func (c *Core) ProtectedFiles() map[base.FileNum]bool {
 		out[fn] = true
 	}
 	c.pendingMu.Unlock()
-	c.Mu.Lock()
-	c.layout.Walk(func(_ int, _ []byte, files []*base.FileMetadata) {
+	c.walk(c.pin(), func(_ int, _ []byte, files []*base.FileMetadata) {
 		for _, f := range files {
 			out[f.FileNum] = true
 		}
 	})
-	c.Mu.Unlock()
 	return out
 }
 
 // Metrics reports tree statistics, including guard occupancy.
 func (c *Core) Metrics() Metrics {
-	c.Mu.Lock()
-	defer c.Mu.Unlock()
+	c.mu.Lock()
 	m := c.metrics
 	m.PeakLevelUnits = append([]int(nil), c.metrics.PeakLevelUnits...)
 	m.UnitsInflight = int64(c.units)
+	v := c.view
+	c.mu.Unlock()
 	m.LevelFiles = make([]int, c.cfg.NumLevels)
 	m.LevelBytes = make([]int64, c.cfg.NumLevels)
 	if c.kind.Guarded {
 		m.GuardsPerLevel = make([]int, c.cfg.NumLevels)
 	}
-	c.layout.Walk(func(level int, guard []byte, files []*base.FileMetadata) {
+	c.walk(v, func(level int, guard []byte, files []*base.FileMetadata) {
 		if guard != nil {
 			m.GuardsPerLevel[level]++
 			if len(files) == 0 {
@@ -555,8 +516,10 @@ func (c *Core) Dump(w io.Writer) {
 		files, guards int
 		bytes         int64
 	}, c.cfg.NumLevels)
-	c.Mu.Lock()
-	c.layout.Walk(func(level int, guard []byte, files []*base.FileMetadata) {
+	c.walk(c.pin(), func(level int, guard []byte, files []*base.FileMetadata) {
+		if level == 0 && len(files) == 0 && !c.kind.Guarded {
+			return
+		}
 		groups = append(groups, group{level, guard, files})
 		sums[level].files += len(files)
 		for _, f := range files {
@@ -566,7 +529,6 @@ func (c *Core) Dump(w io.Writer) {
 			sums[level].guards++
 		}
 	})
-	c.Mu.Unlock()
 
 	fmt.Fprintf(w, "%s tree %s\n", c.kind.Name, c.dir)
 	level := -1

@@ -3,7 +3,9 @@
 // their tests with their Open. It checks what the core promises whatever
 // the layout — the install-vs-persist rule, ticket-ordered manifest
 // appends, the allocation-free scheduling predicates, claim-stall
-// accounting, and that a store reopens to the state it was closed in.
+// accounting, that a store reopens to the state it was closed in, and
+// (read.go) the one read path: Get and iteration against a model, the seek
+// hook, pin-then-load and the iterator error path.
 package coretest
 
 import (
@@ -26,8 +28,8 @@ import (
 // OpenFunc opens a tree of the layout under test.
 type OpenFunc func(cfg *base.Config, fs vfs.FS, dir string, host treebase.Host) (*treebase.Core, error)
 
-// Run runs the suite against one layout.
-func Run(t *testing.T, open OpenFunc) {
+// Run runs the suite against one layout, whose seek charging policy says.
+func Run(t *testing.T, open OpenFunc, policy SeekPolicy) {
 	t.Run("InstallVsPersist", func(t *testing.T) {
 		for _, step := range []string{"flush", "compaction"} {
 			for _, when := range []string{"before-install", "after-install"} {
@@ -39,6 +41,7 @@ func Run(t *testing.T, open OpenFunc) {
 	t.Run("PredicatesDoNotAllocate", func(t *testing.T) { testPredicateAllocs(t, open) })
 	t.Run("ClaimStall", func(t *testing.T) { testClaimStall(t, open) })
 	t.Run("ParallelUnits", func(t *testing.T) { testParallelUnits(t, open) })
+	runReads(t, open, policy)
 }
 
 // host is the engine stand-in. While gated, SmallestSnapshot — the first
@@ -47,19 +50,31 @@ func Run(t *testing.T, open OpenFunc) {
 type host struct {
 	mu       sync.Mutex
 	obsolete []base.FileNum
+	snapshot base.SeqNum   // non-zero: the oldest live snapshot
 	gate     chan struct{} // non-nil: units park here
 	parked   chan struct{} // receives one value per parked unit
 }
 
 func (h *host) SmallestSnapshot() base.SeqNum {
 	h.mu.Lock()
-	gate := h.gate
+	gate, snapshot := h.gate, h.snapshot
 	h.mu.Unlock()
 	if gate != nil {
 		h.parked <- struct{}{}
 		<-gate
 	}
+	if snapshot != 0 {
+		return snapshot
+	}
 	return base.MaxSeqNum
+}
+
+// setSnapshot registers a snapshot at seq: compaction keeps what reads at
+// seq and later see.
+func (h *host) setSnapshot(seq base.SeqNum) {
+	h.mu.Lock()
+	h.snapshot = seq
+	h.mu.Unlock()
 }
 
 // park gates the host for n units; the returned func opens the gate.
@@ -100,6 +115,7 @@ type store struct {
 	want map[string]string // live keys; a deleted key is absent
 
 	rotations atomic.Int64 // manifest rotations observed
+	seekUnits atomic.Int64 // seek-triggered compaction units begun
 }
 
 func newConfig() *base.Config {
@@ -116,14 +132,22 @@ func newConfig() *base.Config {
 	return cfg
 }
 
-func openStore(t testing.TB, open OpenFunc, fs vfs.FS) *store {
+// openStore opens an empty store on fs; tweak adjusts the suite's
+// configuration first.
+func openStore(t testing.TB, open OpenFunc, fs vfs.FS, tweak ...func(*base.Config)) *store {
 	t.Helper()
 	s := &store{t: t, fs: fs, host: &host{}, cfg: newConfig(), rng: rand.New(rand.NewSource(1)), want: map[string]string{}}
 	s.cfg.EventListener = obs.Func(func(e obs.Event) {
-		if e.Kind == obs.EventManifestRotation {
+		switch {
+		case e.Kind == obs.EventManifestRotation:
 			s.rotations.Add(1)
+		case e.Kind == obs.EventCompactionBegin && e.Detail == "seek":
+			s.seekUnits.Add(1)
 		}
 	})
+	for _, fn := range tweak {
+		fn(s.cfg)
+	}
 	c, err := open(s.cfg, fs, "db", s.host)
 	if err != nil {
 		t.Fatal(err)

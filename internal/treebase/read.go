@@ -1,0 +1,261 @@
+package treebase
+
+import (
+	"bytes"
+	"sync/atomic"
+
+	"pebblesdb/internal/base"
+	"pebblesdb/internal/iterator"
+	"pebblesdb/internal/rangedel"
+	"pebblesdb/internal/sstable"
+)
+
+// Get returns the newest visible version of ukey at seq — the read path of
+// §3.4, which a leveled tree shares with groups of one table: level 0
+// newest table first, then per level the one group that can hold the key,
+// every table of it examined. Range tombstones fold in as the search
+// descends: every probed table also reports the newest visible tombstone
+// covering the key, and because data only moves down the tree, once any
+// visible entry — point or covering tombstone — is found, everything deeper
+// is older, so the comparison at that moment decides the read. A covered
+// key therefore returns not-found without descending further.
+//
+// latest, when non-nil, is the engine's committed-sequence counter: the
+// view is pinned first and only then is the read sequence loaded from it,
+// so a concurrent compaction can never collapse every version <= seq out of
+// the probed view (a version is only dropped when a newer, also-committed
+// one shadows it — which the later load then makes visible). Snapshot
+// reads pass latest=nil: SmallestSnapshot protects them from collapse. s,
+// when non-nil, supplies the reusable point-read working set, and a
+// steady-state Get then allocates nothing; nil borrows one from the shared
+// pool. The returned value aliases an immutable block payload or cache
+// entry and must be copied if it outlives the read.
+func (c *Core) Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstable.GetScratch) (value []byte, found bool, err error) {
+	if s == nil {
+		s = sstable.AcquireGetScratch()
+		defer sstable.ReleaseGetScratch(s)
+	}
+	v := c.pin()
+	if latest != nil {
+		seq = base.SeqNum(latest.Load())
+	}
+	s.SearchKey = base.MakeSearchKey(s.SearchKey[:0], ukey, seq)
+
+	d := descent{c: c, ukey: ukey, seq: seq, s: s}
+	value, found, err = d.run(v)
+	if d.miss != nil && c.chargesMiss(d.missLevel) {
+		c.mu.Lock()
+		c.misses.ChargeMiss(d.missLevel, d.miss)
+		c.mu.Unlock()
+	}
+	return value, found, err
+}
+
+// descent is the state of one Get as it moves down the tree.
+type descent struct {
+	c    *Core
+	ukey []byte
+	seq  base.SeqNum
+	s    *sstable.GetScratch
+	// cov is the newest visible range tombstone covering ukey so far.
+	cov base.SeqNum
+	// miss is the first table whose blocks were searched without finding
+	// ukey, at missLevel: the read's input to the layout's MissCharger.
+	miss      *base.FileMetadata
+	missLevel int
+}
+
+func (d *descent) run(v View) (value []byte, found bool, err error) {
+	// Flush order guarantees newer level-0 tables hold newer versions, so
+	// each is a group of its own and the first visible hit wins.
+	l0 := v.L0()
+	for i := range l0 {
+		if value, found, done, err := d.probe(0, l0[i:i+1]); done {
+			return value, found, err
+		}
+	}
+	for lv := 1; lv < d.c.cfg.NumLevels; lv++ {
+		_, files := v.Find(lv, d.ukey)
+		if len(files) == 0 {
+			continue // no group holds the key, or an empty guard (§3.3)
+		}
+		if value, found, done, err := d.probe(lv, files); done {
+			return value, found, err
+		}
+	}
+	return nil, false, nil
+}
+
+// probe examines every table of one group — they overlap in both keys and
+// sequence ranges, so all must be consulted before deciding — and reports
+// done once the read is decided: the group's newest visible point entry
+// against the newest covering tombstone seen so far. Values alias immutable
+// block payloads, so tracking the best candidate needs no copies.
+func (d *descent) probe(level int, files []*base.FileMetadata) (value []byte, found, done bool, err error) {
+	var best base.SeqNum
+	var kind base.Kind
+	hit := false
+	for _, f := range files {
+		val, fseq, k, cov, ok, probed, err := d.c.probeFile(f, d.ukey, d.seq, d.s)
+		if err != nil {
+			return nil, false, true, err
+		}
+		if cov > d.cov {
+			d.cov = cov
+		}
+		if ok && (!hit || fseq > best) {
+			value, kind, best, hit = val, k, fseq, true
+		}
+		if probed && !ok && d.miss == nil {
+			d.miss, d.missLevel = f, level
+		}
+	}
+	switch {
+	case hit && d.cov <= best:
+		return value, kind == base.KindSet, true, nil
+	case hit || d.cov > 0:
+		// Older tables and deeper levels hold only lower sequence numbers:
+		// the tombstone wins over anything still unseen.
+		return nil, false, true, nil
+	}
+	return nil, false, false, nil
+}
+
+// probeFile checks one sstable for the newest visible point entry of ukey
+// and the newest visible range tombstone covering it (cov), in a single
+// table-cache round-trip. File bounds include tombstone spans, so the range
+// check cannot reject a file whose tombstones cover ukey; the resident
+// tombstone list answers with one binary search, no block IO. probed
+// reports whether the table's blocks were searched (the bloom filter passed
+// or was absent).
+func (c *Core) probeFile(f *base.FileMetadata, ukey []byte, seq base.SeqNum, s *sstable.GetScratch) (val []byte, fseq base.SeqNum, kind base.Kind, cov base.SeqNum, hit, probed bool, err error) {
+	if !userKeyInRange(ukey, f) {
+		return nil, 0, 0, 0, false, false, nil
+	}
+	r, err := c.tc.Find(f.FileNum, f.Size)
+	if err != nil {
+		return nil, 0, 0, 0, false, false, err
+	}
+	if f.RangeDelSpanContains(ukey) {
+		cov = r.RangeDels().CoverSeq(ukey, seq)
+	}
+	if !r.MayContain(ukey) {
+		s.Stats.BloomNegatives++
+		r.Unref()
+		return nil, 0, 0, cov, false, false, nil
+	}
+	val, fseq, kind, hit, err = r.GetScratched(s.SearchKey, s)
+	r.Unref()
+	return val, fseq, kind, cov, hit, true, err
+}
+
+// userKeyInRange sits on the Get hot path for every candidate file;
+// bytes.Compare keeps it allocation-free without relying on the compiler's
+// string-conversion optimization.
+func userKeyInRange(ukey []byte, f *base.FileMetadata) bool {
+	return bytes.Compare(ukey, f.SmallestUserKey()) >= 0 &&
+		bytes.Compare(ukey, f.LargestUserKey()) <= 0
+}
+
+// chargesMiss reports whether a budget counts a Get's first miss at level,
+// decided without the lock: see MissCharger for the exempt levels.
+func (c *Core) chargesMiss(level int) bool {
+	return c.misses != nil && c.cfg.SeekCompactionThreshold > 0 && level > 0 && level < c.cfg.NumLevels-1
+}
+
+// NewIters returns the point iterators of the pinned view — one per level-0
+// table, one level iterator per populated level — appended to dst (which
+// pooled callers recycle), plus every range tombstone held by a table
+// overlapping the request's bounds; the engine merges those with the
+// memtables' into one visibility mask. Groups and tables outside the bounds
+// are pruned before any table is opened, and with a prefix so are tables
+// whose prefix bloom filter rules it out; tombstone collection ignores the
+// filter, so a skipped table's range deletions are still honored. File
+// bounds include tombstone spans, so bounds pruning cannot lose a tombstone
+// that could mask an in-bounds key.
+func (c *Core) NewIters(req IterRequest, dst []iterator.Iterator) ([]iterator.Iterator, []rangedel.Tombstone, error) {
+	v := c.pin()
+	iters := dst
+	var rds []rangedel.Tombstone
+	var err error
+	for _, f := range v.L0() {
+		if !req.Bounds.Overlaps(f) {
+			continue
+		}
+		if rds, err = c.appendRangeDels(rds, f); err != nil {
+			return closeIters(iters, err)
+		}
+		it, err := c.openIter(&req, f)
+		if err != nil {
+			return closeIters(iters, err)
+		}
+		if it != nil {
+			iters = append(iters, it)
+		}
+	}
+	for lv := 1; lv < c.cfg.NumLevels; lv++ {
+		lo, hi := v.Span(lv, req.Bounds)
+		if lo == hi {
+			continue
+		}
+		parallel := c.cfg.ParallelSeeks && lv == c.cfg.NumLevels-1
+		iters = append(iters, &levelIter{c: c, v: v, level: lv, lo: lo, hi: hi, idx: lo - 1, parallel: parallel, req: req})
+		for i := lo; i < hi; i++ {
+			_, files := v.Group(lv, i)
+			for _, f := range files {
+				// The clean-table check comes first: it rejects nearly
+				// every file without comparing keys.
+				if f.NumRangeDels == 0 || !req.Bounds.Overlaps(f) {
+					continue
+				}
+				if rds, err = c.appendRangeDels(rds, f); err != nil {
+					return closeIters(iters, err)
+				}
+			}
+		}
+	}
+	return iters, rds, nil
+}
+
+// closeIters is NewIters' error return: the iterators opened so far are
+// closed.
+func closeIters(iters []iterator.Iterator, err error) ([]iterator.Iterator, []rangedel.Tombstone, error) {
+	for _, it := range iters {
+		it.Close()
+	}
+	return nil, nil, err
+}
+
+// openIter opens a pooled iterator over f for req, or returns nil when f's
+// prefix bloom filter rules the request's prefix out — before any block is
+// read.
+func (c *Core) openIter(req *IterRequest, f *base.FileMetadata) (iterator.Iterator, error) {
+	r, err := c.tc.Find(f.FileNum, f.Size)
+	if err != nil {
+		return nil, err
+	}
+	if req.Prefix != nil && !r.MayContainPrefix(req.Prefix) {
+		r.Unref()
+		req.CountPrefixSkip()
+		return nil, nil
+	}
+	req.CountOpen()
+	return GetTableIter(r), nil
+}
+
+// appendRangeDels appends f's range tombstones to rds. Tables flagged
+// clean in their metadata — the overwhelming majority — are skipped without
+// opening; flagged tables hand back their resident list, so no block IO
+// happens here either.
+func (c *Core) appendRangeDels(rds []rangedel.Tombstone, f *base.FileMetadata) ([]rangedel.Tombstone, error) {
+	if f.NumRangeDels == 0 {
+		return rds, nil
+	}
+	r, err := c.tc.Find(f.FileNum, f.Size)
+	if err != nil {
+		return rds, err
+	}
+	rds = append(rds, r.RangeDels().Raw()...)
+	r.Unref()
+	return rds, nil
+}
