@@ -99,43 +99,18 @@ type jsonReport struct {
 	Timestamp   string         `json:"timestamp"`
 	Workloads   []jsonWorkload `json:"workloads"`
 
-	WriteAmplification float64 `json:"write_amplification"`
-	Flushes            int64   `json:"flushes"`
-	Compactions        int64   `json:"compactions"`
-	CommitGroups       int64   `json:"commit_groups"`
-	BatchesPerGroup    float64 `json:"batches_per_group"`
-	WALSyncs           int64   `json:"wal_syncs"`
-	SyncCommits        int64   `json:"sync_commits"`
-	CompressionRatio   float64 `json:"compression_ratio"`
+	// Metrics is the store's full end-of-run snapshot, every counter under
+	// its own field name; the ratios below are derived from it.
+	Metrics pebblesdb.Metrics `json:"metrics"`
 
-	// Write-stall and compaction-scheduler accounting: WriteStallMS is
-	// wall time writers spent in L0 slowdown/stop stalls;
-	// PeakCompactionParallelism is the most units ever running at once in
-	// one shard, and PeakLevelParallelism the most whose *source* was the
-	// same level >= 1 (>1 means intra-level parallel compaction, the FLSM
-	// structural claim); ClaimConflicts/ClaimStallMS account workers that
-	// found work pending but fully claimed by peers.
-	WriteStallMS              float64 `json:"write_stall_ms"`
-	CompactionUnits           int64   `json:"compaction_units"`
-	PeakCompactionParallelism int64   `json:"peak_compaction_parallelism"`
-	PeakLevelParallelism      int     `json:"peak_level_parallelism"`
-	ClaimConflicts            int64   `json:"claim_conflicts"`
-	ClaimStallMS              float64 `json:"claim_stall_ms"`
-
-	Gets                   int64   `json:"gets"`
-	GetTablesProbed        int64   `json:"get_tables_probed"`
-	TablesProbedPerGet     float64 `json:"tables_probed_per_get"`
-	GetBloomNegatives      int64   `json:"get_bloom_negatives"`
-	GetBloomFalsePositives int64   `json:"get_bloom_false_positives"`
-	GetBlockCacheHits      int64   `json:"get_block_cache_hits"`
-	GetBlockCacheMisses    int64   `json:"get_block_cache_misses"`
-	GetBlockCacheHitRatio  float64 `json:"get_block_cache_hit_ratio"`
-
-	// Scan path: sstable iterators opened vs skipped by prefix bloom
-	// filters (scanshort with a matching -prefix_bloom_len).
-	IterTablesOpened   int64   `json:"iter_tables_opened"`
-	IterPrefixSkips    int64   `json:"iter_prefix_skips"`
-	IterTableSkipRatio float64 `json:"iter_table_skip_ratio"`
+	WriteAmplification    float64 `json:"write_amplification"`
+	BatchesPerGroup       float64 `json:"batches_per_group"`
+	SyncsPerCommit        float64 `json:"syncs_per_commit"`
+	CompressionRatio      float64 `json:"compression_ratio"`
+	PeakLevelParallelism  int     `json:"peak_level_parallelism"`
+	TablesProbedPerGet    float64 `json:"tables_probed_per_get"`
+	GetBlockCacheHitRatio float64 `json:"get_block_cache_hit_ratio"`
+	IterTableSkipRatio    float64 `json:"iter_table_skip_ratio"`
 }
 
 func latencyJSON(rec *harness.LatencyRecorder) *jsonLatency {
@@ -390,34 +365,15 @@ func main() {
 			Timestamp:   time.Now().UTC().Format(time.RFC3339),
 			Workloads:   results,
 
-			WriteAmplification: m.WriteAmplification(),
-			Flushes:            m.Flushes,
-			Compactions:        m.Tree.Compactions,
-			CommitGroups:       m.CommitGroups,
-			BatchesPerGroup:    m.CommitGroupSize(),
-			WALSyncs:           m.WALSyncs,
-			SyncCommits:        m.SyncCommits,
-			CompressionRatio:   m.Tree.Compression.Ratio(),
-
-			WriteStallMS:              float64(m.StallNanos) / 1e6,
-			CompactionUnits:           m.Tree.CompactionUnits,
-			PeakCompactionParallelism: m.Tree.PeakUnitsInflight,
-			PeakLevelParallelism:      m.Tree.MaxLevelParallelism(),
-			ClaimConflicts:            m.Tree.ClaimConflicts,
-			ClaimStallMS:              float64(m.Tree.ClaimStallNanos) / 1e6,
-
-			Gets:                   m.Gets,
-			GetTablesProbed:        m.GetTablesProbed,
-			TablesProbedPerGet:     m.TablesProbedPerGet(),
-			GetBloomNegatives:      m.GetBloomNegatives,
-			GetBloomFalsePositives: m.GetBloomFalsePositives,
-			GetBlockCacheHits:      m.GetBlockCacheHits,
-			GetBlockCacheMisses:    m.GetBlockCacheMisses,
-			GetBlockCacheHitRatio:  m.GetBlockCacheHitRatio(),
-
-			IterTablesOpened:   m.IterTablesOpened,
-			IterPrefixSkips:    m.IterPrefixSkips,
-			IterTableSkipRatio: m.IterTableSkipRatio(),
+			Metrics:               m,
+			WriteAmplification:    m.WriteAmplification(),
+			BatchesPerGroup:       m.CommitGroupSize(),
+			SyncsPerCommit:        m.SyncsPerCommit(),
+			CompressionRatio:      m.Tree.Compression.Ratio(),
+			PeakLevelParallelism:  m.Tree.MaxLevelParallelism(),
+			TablesProbedPerGet:    m.TablesProbedPerGet(),
+			GetBlockCacheHitRatio: m.GetBlockCacheHitRatio(),
+			IterTableSkipRatio:    m.IterTableSkipRatio(),
 		}
 		data, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {

@@ -81,10 +81,8 @@ func main() {
 	dbs := make([]*pebblesdb.DB, *shards)
 	for i := range dbs {
 		o := preset.Options()
-		if *slowOp > 0 {
-			o.SlowOpThreshold = *slowOp
-			o.SlowOpLogger = logf
-		}
+		o.Logger = logf
+		o.SlowOpThreshold = *slowOp
 		if memBytes > 0 {
 			// The memory target is per process; each shard gets an equal
 			// slice, and Tuned scales its caches and write buffers from it.

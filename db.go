@@ -72,9 +72,11 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if opts == nil {
 		opts = PresetPebblesDB.Options()
 	}
-	cfg, kind, baseFS := opts.toConfig()
-	counting := vfs.NewCounting(baseFS)
-	eng, err := engine.Open(cfg, counting, dir, kind)
+	// The engine fills in defaults and tees its flight recorder into the
+	// listener; it does so on its own copy, so opts can open another store.
+	cfg := opts.Config
+	counting := vfs.NewCounting(opts.filesystem())
+	eng, err := engine.Open(&cfg, counting, dir, opts.Engine)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package base
 
 import (
 	"fmt"
+	"log"
 	"time"
 
 	"pebblesdb/internal/compress"
@@ -9,26 +10,26 @@ import (
 )
 
 // Config carries every tunable shared by the engine and the two tree
-// implementations. The public package translates user-facing Options and
-// presets into a Config. Zero fields are filled in by EnsureDefaults.
+// layouts. It is also the body of the public pebblesdb.Options, which embeds
+// it: a field is declared, documented and defaulted here and nowhere else.
+// Zero fields are filled in by EnsureDefaults.
 type Config struct {
 	// MemtableSize is the size in bytes at which a memtable is frozen and
 	// scheduled for flush. HyperLevelDB's default is 4 MB; RocksDB's 64 MB.
 	MemtableSize int
 
 	// L0CompactionTrigger is the number of L0 files that triggers a
-	// compaction into level 1.
+	// compaction into level 1; L0SlowdownTrigger the count at which writes
+	// are delayed and L0StopTrigger the count at which they block (§5.1).
 	L0CompactionTrigger int
-	// L0SlowdownTrigger is the L0 file count at which writes are delayed.
-	L0SlowdownTrigger int
-	// L0StopTrigger is the L0 file count at which writes block.
-	L0StopTrigger int
+	L0SlowdownTrigger   int
+	L0StopTrigger       int
 
 	// NumLevels is the total number of levels including L0.
 	NumLevels int
-	// LevelBaseBytes is the target size of level 1.
-	LevelBaseBytes int64
-	// LevelMultiplier is the size ratio between successive levels.
+	// LevelBaseBytes is the target size of level 1 and LevelMultiplier the
+	// size ratio between successive levels.
+	LevelBaseBytes  int64
 	LevelMultiplier int
 
 	// TargetFileSize bounds output sstables during leveled compaction.
@@ -36,29 +37,26 @@ type Config struct {
 
 	// BlockSize is the uncompressed size target for sstable data blocks.
 	BlockSize int
-	// BlockRestartInterval is the number of keys between restart points.
-	BlockRestartInterval int
+	// Compression selects the sstable data-block codec; the zero value
+	// (compress.Default) is Snappy. Blocks that compress by less than 12.5%
+	// are stored raw regardless.
+	Compression compress.Kind
 	// BloomBitsPerKey sizes the per-sstable bloom filter; 0 selects the
 	// default (10) and a negative value disables bloom filters entirely
 	// (ablation: §5.2 reports reads improve 63% with them).
 	BloomBitsPerKey int
-	// PrefixBloomLength, when positive, adds a second bloom filter to every
-	// sstable built over the distinct first-PrefixBloomLength-byte prefixes
-	// of its user keys (sstable format v4). Prefix iterators whose prefix is
-	// exactly this length skip tables whose filter rules the prefix out
-	// before any data-block IO. 0 disables the filter (tables keep their
-	// v2/v3 format).
+	// PrefixBloomLength, when positive (1..255), adds a second bloom filter
+	// to every new sstable over the distinct first-PrefixBloomLength-byte
+	// prefixes of its user keys. Iterators opened with IterOptions.Prefix
+	// of exactly this length skip sstables whose filter rules the prefix
+	// out before any data-block IO — cheap pruning inside FLSM guards,
+	// whose sstables overlap by design. 0 disables; existing tables (and
+	// those written while disabled) stay readable either way.
 	PrefixBloomLength int
 
-	// Compression selects the sstable data-block codec (sstable format
-	// v2). The zero value (compress.None) writes raw blocks; the public
-	// Options layer defaults stores to Snappy. Blocks that compress by
-	// less than 12.5% are stored raw regardless.
-	Compression compress.Kind
-
-	// BlockCacheSize is the capacity in bytes of the shared block cache.
-	// The cache holds decompressed payloads, so capacity is charged in
-	// post-inflation bytes.
+	// BlockCacheSize is the capacity in bytes of the shared block cache
+	// (Fig 5.2b). The cache holds decompressed payloads, so capacity is
+	// charged in post-inflation bytes.
 	BlockCacheSize int64
 	// TableCacheSize is the number of open sstables (and their index
 	// blocks/bloom filters) kept cached. The paper notes the stores cache a
@@ -68,23 +66,17 @@ type Config struct {
 	// --- FLSM-specific (ignored by the leveled tree) ---
 
 	// TopLevelBits is the number of consecutive least-significant set bits
-	// a key's hash needs to become a guard at level 1 (§4.4).
+	// a key's hash needs to become a guard at level 1, and BitDecrement
+	// relaxes the requirement per deeper level (§4.4).
 	TopLevelBits int
-	// BitDecrement relaxes the requirement per deeper level (§4.4).
 	BitDecrement int
 	// MaxSSTablesPerGuard caps sstables per guard; reaching the cap
 	// triggers compaction of the guard (§3.5). 1 makes FLSM behave as LSM.
 	MaxSSTablesPerGuard int
-	// GuardHashSeed seeds guard selection hashing.
-	GuardHashSeed uint64
 	// SizeRatioPct triggers aggressive compaction of level i when its size
 	// is within this percentage of level i+1 (§4.2, default 25). Negative
 	// disables the rule (ablation).
 	SizeRatioPct int
-	// LastLevelRewriteFactor is the IO blow-up beyond which the
-	// second-highest level rewrites in place instead of merging into the
-	// full last-level guard (§3.4, default 25).
-	LastLevelRewriteFactor int
 	// ParallelSeeks enables concurrent sstable positioning in last-level
 	// guards during seeks (§4.2).
 	ParallelSeeks bool
@@ -108,112 +100,78 @@ type Config struct {
 	// setting it very large. Default 4.
 	CompactionUnitGuards int
 
-	// WALSync, if true, syncs the write-ahead log on every commit.
+	// WALSync makes every commit durable before it returns, as if each
+	// carried WriteOptions{Sync: true}; concurrent commits still share
+	// amortized fsyncs.
 	WALSync bool
 
-	// BgErrorRetries is how many times a failed background flush or
+	// MaxBgRetries is how many times a failed background flush or
 	// compaction is retried (with capped exponential backoff) before the
 	// store degrades to read-only. Corruption is never retried. 0 selects
 	// the default (3); a negative value disables retries.
-	BgErrorRetries int
-	// BgErrorRetryDelay is the initial backoff between background retries,
+	MaxBgRetries int
+	// BgRetryDelay is the initial backoff between background retries,
 	// doubling per attempt up to one second. 0 selects the default (50ms).
-	BgErrorRetryDelay time.Duration
+	BgRetryDelay time.Duration
 
-	// Logger, if non-nil, receives diagnostic messages.
-	Logger func(format string, args ...interface{})
-
-	// EventListener, if non-nil, receives structured lifecycle events
-	// (flush, compaction, WAL/manifest rotation, stalls, background
-	// errors; see internal/obs). The engine tees it with its own flight
-	// recorder at Open, so downstream code can assume it is non-nil
-	// after that point. When nil before Open, only the flight recorder
-	// observes events.
+	// EventListener, when non-nil, receives structured begin/end events for
+	// background activity: flushes, compactions, WAL rotations, sync
+	// stalls, manifest rotations, write stalls, background errors,
+	// read-only degradation and Resume (see internal/obs). Callbacks run
+	// synchronously on engine goroutines — keep them fast and
+	// non-blocking. Independent of the listener, the store always retains
+	// the most recent events in an in-memory flight recorder
+	// (DB.RecentEvents); the engine tees the two at Open.
 	EventListener obs.Listener
-
-	// SlowOpThreshold, when positive, emits a structured line through
-	// SlowOpLogger (falling back to Logger) for every commit whose total
-	// latency meets it, with a stage breakdown (wait, WAL sync, apply,
-	// stall). Zero disables the slow-op log.
+	// SlowOpThreshold, when positive, logs a structured line through Logger
+	// for every commit slower than the threshold, broken down by stage:
+	// write-stall time, WAL sync, memtable apply, and residual queueing
+	// wait. 0 disables slow-op logging.
 	SlowOpThreshold time.Duration
-	// SlowOpLogger, if non-nil, receives slow-op lines instead of Logger.
-	SlowOpLogger obs.Logger
+	// Logger receives the store's diagnostics: the degraded-to-read-only
+	// line with the flight-recorder dump that explains it, and slow-op
+	// lines. It is called on engine goroutines (the degradation lines under
+	// the engine's lock), so it must not block or call back into the store.
+	// Nil selects the standard library's log.Printf.
+	Logger obs.Logger
 }
 
 // EnsureDefaults fills zero-valued fields with the PebblesDB defaults used
-// throughout the paper's evaluation (HyperLevelDB-derived).
+// throughout the paper's evaluation (HyperLevelDB-derived, §5.1). This is
+// the one place they are spelled: the public presets start from it and
+// override.
 func (c *Config) EnsureDefaults() {
-	if c.MemtableSize == 0 {
-		c.MemtableSize = 4 << 20
+	def(&c.MemtableSize, 4<<20)
+	def(&c.L0CompactionTrigger, 4)
+	def(&c.L0SlowdownTrigger, 8)
+	def(&c.L0StopTrigger, 12)
+	def(&c.NumLevels, 7)
+	def(&c.LevelBaseBytes, 10<<20)
+	def(&c.LevelMultiplier, 10)
+	def(&c.TargetFileSize, 2<<20)
+	def(&c.BlockSize, 4<<10)
+	def(&c.BloomBitsPerKey, 10)
+	def(&c.BlockCacheSize, 8<<20)
+	def(&c.TableCacheSize, 1000)
+	def(&c.TopLevelBits, 22)
+	def(&c.BitDecrement, 2)
+	def(&c.MaxSSTablesPerGuard, 4)
+	def(&c.SizeRatioPct, 25)
+	def(&c.SeekCompactionThreshold, 10)
+	def(&c.MaxCompactionConcurrency, 3)
+	def(&c.CompactionUnitGuards, 4)
+	def(&c.MaxBgRetries, 3)
+	def(&c.BgRetryDelay, 50*time.Millisecond)
+	if c.Logger == nil {
+		c.Logger = log.Printf
 	}
-	if c.L0CompactionTrigger == 0 {
-		c.L0CompactionTrigger = 4
-	}
-	if c.L0SlowdownTrigger == 0 {
-		c.L0SlowdownTrigger = 8
-	}
-	if c.L0StopTrigger == 0 {
-		c.L0StopTrigger = 12
-	}
-	if c.NumLevels == 0 {
-		c.NumLevels = 7
-	}
-	if c.LevelBaseBytes == 0 {
-		c.LevelBaseBytes = 10 << 20
-	}
-	if c.LevelMultiplier == 0 {
-		c.LevelMultiplier = 10
-	}
-	if c.TargetFileSize == 0 {
-		c.TargetFileSize = 2 << 20
-	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 4 << 10
-	}
-	if c.BlockRestartInterval == 0 {
-		c.BlockRestartInterval = 16
-	}
-	if c.BloomBitsPerKey == 0 {
-		c.BloomBitsPerKey = 10
-	}
-	if c.BlockCacheSize == 0 {
-		c.BlockCacheSize = 8 << 20
-	}
-	if c.TableCacheSize == 0 {
-		c.TableCacheSize = 1000
-	}
-	if c.TopLevelBits == 0 {
-		c.TopLevelBits = 22
-	}
-	if c.BitDecrement == 0 {
-		c.BitDecrement = 2
-	}
-	if c.MaxSSTablesPerGuard == 0 {
-		c.MaxSSTablesPerGuard = 4
-	}
-	if c.GuardHashSeed == 0 {
-		c.GuardHashSeed = 0x9747b28c
-	}
-	if c.SizeRatioPct == 0 {
-		c.SizeRatioPct = 25
-	}
-	if c.LastLevelRewriteFactor == 0 {
-		c.LastLevelRewriteFactor = 25
-	}
-	if c.SeekCompactionThreshold == 0 {
-		c.SeekCompactionThreshold = 10
-	}
-	if c.MaxCompactionConcurrency == 0 {
-		c.MaxCompactionConcurrency = 3
-	}
-	if c.CompactionUnitGuards == 0 {
-		c.CompactionUnitGuards = 4
-	}
-	if c.BgErrorRetries == 0 {
-		c.BgErrorRetries = 3
-	}
-	if c.BgErrorRetryDelay == 0 {
-		c.BgErrorRetryDelay = 50 * time.Millisecond
+}
+
+// def sets *p to v if it still holds its zero value.
+func def[T comparable](p *T, v T) {
+	var zero T
+	if *p == zero {
+		*p = v
 	}
 }
 
@@ -253,25 +211,6 @@ func (c *Config) MaxBytesForLevel(level int) int64 {
 		b *= int64(c.LevelMultiplier)
 	}
 	return b
-}
-
-// Logf logs through the configured logger, if any.
-func (c *Config) Logf(format string, args ...interface{}) {
-	if c.Logger != nil {
-		c.Logger(format, args...)
-	}
-}
-
-// SlowOpLogf routes a slow-op line through SlowOpLogger, falling back to
-// the diagnostic Logger.
-func (c *Config) SlowOpLogf(format string, args ...interface{}) {
-	if c.SlowOpLogger != nil {
-		c.SlowOpLogger(format, args...)
-		return
-	}
-	if c.Logger != nil {
-		c.Logger(format, args...)
-	}
 }
 
 // Emit notifies the configured event listener, if any.

@@ -15,8 +15,8 @@ import (
 // failure tests exercise the retry loop without slowing the suite.
 func faultConfig(retries int) *base.Config {
 	cfg := testConfig()
-	cfg.BgErrorRetries = retries
-	cfg.BgErrorRetryDelay = time.Millisecond
+	cfg.MaxBgRetries = retries
+	cfg.BgRetryDelay = time.Millisecond
 	return cfg
 }
 

@@ -19,6 +19,7 @@ import (
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/batch"
 	"pebblesdb/internal/memtable"
+	"pebblesdb/internal/metric"
 	"pebblesdb/internal/wal"
 )
 
@@ -115,7 +116,7 @@ func (e *Engine) Apply(b *batch.Batch, sync bool) error {
 	}
 	start := time.Now()
 	if sync {
-		e.stats.syncCommits.Add(1)
+		atomic.AddInt64(&e.stats.SyncCommits, 1)
 	}
 
 	var req *commitRequest
@@ -254,7 +255,7 @@ func (e *Engine) Apply(b *batch.Batch, sync bool) error {
 		}
 	}
 	if req.err == nil {
-		e.stats.writes.Add(int64(b.Count()))
+		atomic.AddInt64(&e.stats.Writes, int64(b.Count()))
 	}
 	total := time.Since(start)
 	e.observeCommitWait(total)
@@ -283,7 +284,7 @@ type commitStages struct {
 	apply   time.Duration
 }
 
-// maybeLogSlowOp emits one structured line through the slow-op logger for
+// maybeLogSlowOp emits one structured line through the store's logger for
 // commits whose total latency reached Config.SlowOpThreshold.
 func (e *Engine) maybeLogSlowOp(total time.Duration, st commitStages, entries int, sync bool) {
 	th := e.cfg.SlowOpThreshold
@@ -294,7 +295,7 @@ func (e *Engine) maybeLogSlowOp(total time.Duration, st commitStages, entries in
 	if wait < 0 {
 		wait = 0
 	}
-	e.cfg.SlowOpLogf(
+	e.cfg.Logger(
 		"engine: slow commit: total=%s wait=%s stall=%s wal_sync=%s apply=%s entries=%d sync=%t",
 		total, wait, st.stall, st.walSync, st.apply, entries, sync)
 }
@@ -339,7 +340,7 @@ func (e *Engine) commitSerialLocked(b *batch.Batch, sync bool, st *commitStages)
 		e.setBgErr(err)
 		return err
 	}
-	e.stats.walBytes.Add(int64(len(repr)))
+	atomic.AddInt64(&e.stats.WALBytes, int64(len(repr)))
 	if slow {
 		t0 = time.Now()
 	}
@@ -363,8 +364,8 @@ func (e *Engine) commitSerialLocked(b *batch.Batch, sync bool, st *commitStages)
 	}
 	// Publish visibility only after the memtable holds every entry.
 	e.seq.Store(e.logSeq)
-	e.stats.commitGroups.Add(1)
-	e.stats.commitBatches.Add(1)
+	atomic.AddInt64(&e.stats.CommitGroups, 1)
+	atomic.AddInt64(&e.stats.CommitBatches, 1)
 	if sync {
 		// Holding commitMu through the fsync mirrors the serial path;
 		// writers arriving meanwhile queue up and enter the pipeline.
@@ -379,7 +380,7 @@ func (e *Engine) commitSerialLocked(b *batch.Batch, sync bool, st *commitStages)
 			st.walSync = time.Since(t0)
 		}
 	}
-	e.stats.writes.Add(int64(b.Count()))
+	atomic.AddInt64(&e.stats.Writes, int64(b.Count()))
 	return nil
 }
 
@@ -461,14 +462,14 @@ func (e *Engine) leadCommitLocked(group []*commitRequest) (*commitGroup, *wal.Wr
 			e.setBgErr(err)
 			continue
 		}
-		e.stats.walBytes.Add(int64(len(repr)))
+		atomic.AddInt64(&e.stats.WALBytes, int64(len(repr)))
 	}
 	// On a WAL error the requests are already scheduled; let them flow
 	// through publication so the pipeline drains (bgErr fails every
 	// subsequent commit anyway).
 
-	e.stats.commitGroups.Add(1)
-	e.stats.commitBatches.Add(int64(len(group)))
+	atomic.AddInt64(&e.stats.CommitGroups, 1)
+	atomic.AddInt64(&e.stats.CommitBatches, int64(len(group)))
 	for _, r := range group {
 		r.scheduled.Store(true)
 	}
@@ -604,25 +605,13 @@ func (e *Engine) drainIngest() {
 	e.ing.mu.Unlock()
 }
 
-// CommitWaitBuckets are the upper bounds of the commit-wait histogram
-// buckets; the last histogram slot counts waits above the final bound.
-var CommitWaitBuckets = [...]time.Duration{
-	time.Microsecond,
-	10 * time.Microsecond,
-	100 * time.Microsecond,
-	time.Millisecond,
-	10 * time.Millisecond,
-	100 * time.Millisecond,
-	time.Second,
-}
-
 func (e *Engine) observeCommitWait(d time.Duration) {
-	e.stats.commitWaitNanos.Add(int64(d))
-	for i, b := range CommitWaitBuckets {
+	atomic.AddInt64(&e.stats.CommitWaitNanos, int64(d))
+	for i, b := range metric.Buckets {
 		if d <= b {
-			e.stats.commitWaitHist[i].Add(1)
+			atomic.AddInt64(&e.stats.CommitWaitHist[i], 1)
 			return
 		}
 	}
-	e.stats.commitWaitHist[len(CommitWaitBuckets)].Add(1)
+	atomic.AddInt64(&e.stats.CommitWaitHist[len(metric.Buckets)], 1)
 }

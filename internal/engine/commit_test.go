@@ -342,8 +342,8 @@ func TestGroupCommitSyncFailure(t *testing.T) {
 		// the failure exercises the group path, not just serial commits.
 		efs := vfs.NewErr(slowSyncFS{FS: mem, delay: 200 * time.Microsecond})
 		cfg := testConfig()
-		cfg.BgErrorRetries = -1 // fail fast; this test drives Resume itself
-		cfg.BgErrorRetryDelay = time.Millisecond
+		cfg.MaxBgRetries = -1 // fail fast; this test drives Resume itself
+		cfg.BgRetryDelay = time.Millisecond
 		e, err := Open(cfg, efs, "db", kind)
 		if err != nil {
 			t.Fatal(err)

@@ -156,82 +156,8 @@ type Engine struct {
 	flushID atomic.Uint64
 	stallID atomic.Uint64
 
-	stats engineStats
-}
-
-// engineStats holds the engine's lock-free counters. Keeping them in one
-// named struct lets Metrics snapshot them in a single pass (snapshot)
-// instead of scattering loads across the constructor — each atomic is
-// loaded exactly once per snapshot, so no counter can be read twice at
-// different instants within one Metrics value.
-type engineStats struct {
-	slowdowns       atomic.Int64
-	stops           atomic.Int64
-	stallNanos      atomic.Int64
-	memWaits        atomic.Int64
-	flushes         atomic.Int64
-	walBytes        atomic.Int64
-	walSyncs        atomic.Int64
-	syncCommits     atomic.Int64
-	commitGroups    atomic.Int64
-	commitBatches   atomic.Int64
-	commitWaitNanos atomic.Int64
-	commitWaitHist  [len(CommitWaitBuckets) + 1]atomic.Int64
-	gets            atomic.Int64
-	writes          atomic.Int64
-	iterators       atomic.Int64
-
-	// Point-read path counters, folded in from per-Get scratches.
-	getTablesProbed        atomic.Int64
-	getBloomNegatives      atomic.Int64
-	getBloomFalsePositives atomic.Int64
-	getBlockHits           atomic.Int64
-	getBlockMisses         atomic.Int64
-
-	// Scan path counters, folded in from per-iterator stats at Close.
-	iterTablesOpened atomic.Int64
-	iterPrefixSkips  atomic.Int64
-
-	// Failure-handling counters: degradations by error class, retried
-	// background operations, and successful Resumes.
-	bgRetryable atomic.Int64
-	bgPermanent atomic.Int64
-	bgRetries   atomic.Int64
-	resumes     atomic.Int64
-}
-
-// snapshot loads every counter exactly once into m. This is the single
-// atomic pass DB.Metrics relies on: adding a stat means adding its load
-// here, next to the field, rather than in a distant constructor.
-func (s *engineStats) snapshot(m *Metrics) {
-	m.SlowdownWrites = s.slowdowns.Load()
-	m.StoppedWrites = s.stops.Load()
-	m.MemtableWaits = s.memWaits.Load()
-	m.StallNanos = s.stallNanos.Load()
-	m.Flushes = s.flushes.Load()
-	m.WALBytes = s.walBytes.Load()
-	m.WALSyncs = s.walSyncs.Load()
-	m.SyncCommits = s.syncCommits.Load()
-	m.CommitGroups = s.commitGroups.Load()
-	m.CommitBatches = s.commitBatches.Load()
-	m.CommitWaitNanos = s.commitWaitNanos.Load()
-	for i := range s.commitWaitHist {
-		m.CommitWaitHist[i] = s.commitWaitHist[i].Load()
-	}
-	m.Gets = s.gets.Load()
-	m.Writes = s.writes.Load()
-	m.Iterators = s.iterators.Load()
-	m.GetTablesProbed = s.getTablesProbed.Load()
-	m.GetBloomNegatives = s.getBloomNegatives.Load()
-	m.GetBloomFalsePositives = s.getBloomFalsePositives.Load()
-	m.GetBlockCacheHits = s.getBlockHits.Load()
-	m.GetBlockCacheMisses = s.getBlockMisses.Load()
-	m.IterTablesOpened = s.iterTablesOpened.Load()
-	m.IterPrefixSkips = s.iterPrefixSkips.Load()
-	m.BgRetryableErrors = s.bgRetryable.Load()
-	m.BgPermanentErrors = s.bgPermanent.Load()
-	m.BgRetries = s.bgRetries.Load()
-	m.Resumes = s.resumes.Load()
+	// stats is the live Counters instance (see Counters).
+	stats *Counters
 }
 
 // Open creates or recovers a store of the given kind in dir.
@@ -243,7 +169,7 @@ func Open(cfg *base.Config, fs vfs.FS, dir string, kind Kind) (*Engine, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg, fs: fs, dir: dir, snaps: make(map[base.SeqNum]int)}
+	e := &Engine{cfg: cfg, fs: fs, dir: dir, snaps: make(map[base.SeqNum]int), stats: new(Counters)}
 	e.cond = sync.NewCond(&e.mu)
 	e.stallClear = make(chan struct{})
 	e.ing.cond = sync.NewCond(&e.ing.mu)
@@ -392,7 +318,7 @@ func (e *Engine) startNewWAL() error {
 		old.Close()
 	}
 	e.walW = wal.NewWriter(f)
-	e.walW.SyncCounter = &e.stats.walSyncs
+	e.walW.SyncCounter = &e.stats.WALSyncs
 	e.walW.Listener = e.cfg.EventListener
 	e.walNum = fn
 	e.cfg.Emit(obs.Event{
@@ -594,12 +520,12 @@ func (e *Engine) setDegradedLocked(err error) {
 	e.bgErr = err
 	e.bgPermanent = bgErrPermanent(err)
 	if e.bgPermanent {
-		e.stats.bgPermanent.Add(1)
+		atomic.AddInt64(&e.stats.BgPermanentErrors, 1)
 	} else {
-		e.stats.bgRetryable.Add(1)
+		atomic.AddInt64(&e.stats.BgRetryableErrors, 1)
 	}
 	e.readOnly.Store(true)
-	e.cfg.Logf("engine: degraded to read-only: %v", err)
+	e.cfg.Logger("engine: degraded to read-only: %v", err)
 	detail := "retryable"
 	if e.bgPermanent {
 		detail = "permanent"
@@ -619,16 +545,16 @@ func (e *Engine) setDegradedLocked(err error) {
 const maxBgRetryDelay = time.Second
 
 // retryBg runs op, retrying transient failures with capped exponential
-// backoff per Config.BgErrorRetries / BgErrorRetryDelay. Corruption is
+// backoff per Config.MaxBgRetries / BgRetryDelay. Corruption is
 // never retried — the bytes will not get better. Returns op's final
 // error. name labels the operation in background-error events so a
 // flight-recorder dump identifies what failed.
 func (e *Engine) retryBg(name string, op func() error) error {
-	retries := e.cfg.BgErrorRetries
+	retries := e.cfg.MaxBgRetries
 	if retries < 0 {
 		retries = 0
 	}
-	delay := e.cfg.BgErrorRetryDelay
+	delay := e.cfg.BgRetryDelay
 	for attempt := 0; ; attempt++ {
 		err := op()
 		if err != nil {
@@ -646,7 +572,7 @@ func (e *Engine) retryBg(name string, op func() error) error {
 		if closed {
 			return err
 		}
-		e.stats.bgRetries.Add(1)
+		atomic.AddInt64(&e.stats.BgRetries, 1)
 		time.Sleep(delay)
 		if delay *= 2; delay > maxBgRetryDelay {
 			delay = maxBgRetryDelay
@@ -685,7 +611,7 @@ func (e *Engine) Resume() error {
 	}
 	e.bgErr = nil
 	e.readOnly.Store(false)
-	e.stats.resumes.Add(1)
+	atomic.AddInt64(&e.stats.Resumes, 1)
 	e.cfg.Emit(obs.Event{Kind: obs.EventResume, Nanos: obs.Monotonic(), Level: -1})
 	if e.imm != nil {
 		// The interrupted flush keeps its original log/sequence stamp: its

@@ -19,7 +19,7 @@ import (
 // whole read allocation-free; passing nil allocates exactly the value copy.
 // The caller owns the returned slice.
 func (e *Engine) Get(key []byte, snap *Snapshot, dst []byte) (value []byte, found bool, err error) {
-	e.stats.gets.Add(1)
+	atomic.AddInt64(&e.stats.Gets, 1)
 	e.opLock.RLock()
 	defer e.releaseOp()
 
@@ -95,19 +95,19 @@ func (e *Engine) Get(key []byte, snap *Snapshot, dst []byte) (value []byte, foun
 func (e *Engine) releaseGetScratch(s *sstable.GetScratch) {
 	st := &s.Stats
 	if st.TablesProbed != 0 {
-		e.stats.getTablesProbed.Add(st.TablesProbed)
+		atomic.AddInt64(&e.stats.GetTablesProbed, st.TablesProbed)
 	}
 	if st.BloomNegatives != 0 {
-		e.stats.getBloomNegatives.Add(st.BloomNegatives)
+		atomic.AddInt64(&e.stats.GetBloomNegatives, st.BloomNegatives)
 	}
 	if st.BloomFalsePositives != 0 {
-		e.stats.getBloomFalsePositives.Add(st.BloomFalsePositives)
+		atomic.AddInt64(&e.stats.GetBloomFalsePositives, st.BloomFalsePositives)
 	}
 	if st.BlockHits != 0 {
-		e.stats.getBlockHits.Add(st.BlockHits)
+		atomic.AddInt64(&e.stats.GetBlockCacheHits, st.BlockHits)
 	}
 	if st.BlockMisses != 0 {
-		e.stats.getBlockMisses.Add(st.BlockMisses)
+		atomic.AddInt64(&e.stats.GetBlockCacheMisses, st.BlockMisses)
 	}
 	sstable.ReleaseGetScratch(s)
 }
@@ -191,7 +191,7 @@ func (e *Engine) NewIter(opts *IterOptions) (*Iter, error) {
 	if opts != nil {
 		o = *opts
 	}
-	e.stats.iterators.Add(1)
+	atomic.AddInt64(&e.stats.Iterators, 1)
 	e.opLock.RLock()
 
 	e.mu.Lock()
@@ -539,8 +539,8 @@ func (it *Iter) Close() error {
 	it.valid = false
 	err := it.merged.Close()
 	if st := &it.stats; st.TablesOpened != 0 || st.PrefixSkips != 0 {
-		it.e.stats.iterTablesOpened.Add(st.TablesOpened)
-		it.e.stats.iterPrefixSkips.Add(st.PrefixSkips)
+		atomic.AddInt64(&it.e.stats.IterTablesOpened, st.TablesOpened)
+		atomic.AddInt64(&it.e.stats.IterPrefixSkips, st.PrefixSkips)
 	}
 	it.e.releaseOp()
 	if it.err == nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync/atomic"
 	"time"
 
 	"pebblesdb/internal/base"
@@ -57,7 +58,7 @@ func (e *Engine) makeRoomForWrite(n int) error {
 			// backpressure, ceding CPU and IO to compaction — but wake
 			// immediately if compaction brings L0 back under the trigger,
 			// at which point the rest of the sleep would throttle nothing.
-			e.stats.slowdowns.Add(1)
+			atomic.AddInt64(&e.stats.SlowdownWrites, 1)
 			clear := e.stallClear
 			e.mu.Unlock()
 			stall := e.stallID.Add(1)
@@ -73,7 +74,7 @@ func (e *Engine) makeRoomForWrite(n int) error {
 			}
 			timer.Stop()
 			d := time.Since(start)
-			e.stats.stallNanos.Add(int64(d))
+			atomic.AddInt64(&e.stats.StallNanos, int64(d))
 			e.cfg.Emit(obs.Event{
 				Kind: obs.EventWriteStallEnd, Nanos: obs.Monotonic(),
 				Level: -1, Unit: stall, Dur: d, Detail: "slowdown",
@@ -84,11 +85,11 @@ func (e *Engine) makeRoomForWrite(n int) error {
 			return nil
 		case e.imm != nil:
 			// Previous memtable still flushing.
-			e.stats.memWaits.Add(1)
+			atomic.AddInt64(&e.stats.MemtableWaits, 1)
 			e.cond.Wait()
 		case e.tree.L0Count() >= e.cfg.L0StopTrigger:
 			// Hard limit: block until compaction drains level 0.
-			e.stats.stops.Add(1)
+			atomic.AddInt64(&e.stats.StoppedWrites, 1)
 			stall := e.stallID.Add(1)
 			e.cfg.Emit(obs.Event{
 				Kind: obs.EventWriteStallBegin, Nanos: obs.Monotonic(),
@@ -97,7 +98,7 @@ func (e *Engine) makeRoomForWrite(n int) error {
 			start := time.Now()
 			e.cond.Wait()
 			d := time.Since(start)
-			e.stats.stallNanos.Add(int64(d))
+			atomic.AddInt64(&e.stats.StallNanos, int64(d))
 			e.cfg.Emit(obs.Event{
 				Kind: obs.EventWriteStallEnd, Nanos: obs.Monotonic(),
 				Level: -1, Unit: stall, Dur: d, Detail: "stop",
@@ -162,7 +163,7 @@ func (e *Engine) flushWorker(imm *memtable.Memtable, newLogNum base.FileNum, las
 		e.setDegradedLocked(err)
 	} else {
 		e.imm = nil
-		e.stats.flushes.Add(1)
+		atomic.AddInt64(&e.stats.Flushes, 1)
 	}
 	e.flushing = false
 	e.cond.Broadcast()

@@ -6,7 +6,7 @@ import (
 
 	"pebblesdb"
 	"pebblesdb/internal/apps"
-	"pebblesdb/internal/btree"
+	"pebblesdb/internal/experiments/btree"
 	"pebblesdb/internal/harness"
 	"pebblesdb/internal/vfs"
 	"pebblesdb/internal/ycsb"
@@ -150,8 +150,8 @@ func Fig56bMongoDB(cfg Config) error {
 	fmt.Fprintf(w, "== Figure 5.6b: MongoDB shim, load %d records ==\n", loadN)
 
 	type backend struct {
-		name  string
-		open  func() (ycsb.Store, func() (float64, error), error) // store, close->writeGB
+		name string
+		open func() (ycsb.Store, func() (float64, error), error) // store, close->writeGB
 	}
 	mongoOpts := func(p pebblesdb.Preset) *pebblesdb.Options {
 		o := p.Options()

@@ -397,6 +397,11 @@ func (l *layout) claimL0Locked(v *version) *compaction {
 	return c
 }
 
+// lastLevelRewriteFactor is the IO blow-up beyond which the second-highest
+// level rewrites in place instead of merging into the full last-level guard
+// (§3.4).
+const lastLevelRewriteFactor = 25
+
 // finalizeUnitLocked turns gathered sources into a claimed, runnable unit:
 // it applies the §3.4 second-to-last-level rewrite heuristic against the
 // version v the unit was planned on, registers the unit as a writer on
@@ -408,12 +413,12 @@ func (l *layout) finalizeUnitLocked(c *compaction, v *version) {
 		s := &c.sources[i]
 		// Second-to-last level heuristic (§3.4): when the target guard in
 		// the last level is full and merging there would cost more than
-		// LastLevelRewriteFactor times the input, rewrite within this
+		// lastLevelRewriteFactor times the input, rewrite within this
 		// level instead. A single-file guard is exempt: rewriting one
 		// file in place is pure churn (and would repeat forever).
 		if !s.inPlace && c.level == last-1 && len(s.files) >= 2 {
 			if full, existing := l.lastLevelPressure(v, *s); full &&
-				existing > uint64(l.cfg.LastLevelRewriteFactor)*s.bytes() {
+				existing > lastLevelRewriteFactor*s.bytes() {
 				s.dst = c.level
 				s.inPlace = true
 			}

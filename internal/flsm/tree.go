@@ -47,6 +47,10 @@ func Open(cfg *base.Config, fs vfs.FS, dir string, host treebase.Host) (*treebas
 	return treebase.Open(kind, cfg, fs, dir, host, l, l.cur)
 }
 
+// guardHashSeed seeds guard selection hashing. It is part of the on-storage
+// contract: guards already chosen stay guards only under the same seed.
+const guardHashSeed = 0x9747b28c
+
 func newLayout(cfg *base.Config) *layout {
 	l := &layout{
 		cfg: cfg,
@@ -54,7 +58,7 @@ func newLayout(cfg *base.Config) *layout {
 			TopLevelBits: cfg.TopLevelBits,
 			BitDecrement: cfg.BitDecrement,
 			NumLevels:    cfg.NumLevels,
-			Seed:         cfg.GuardHashSeed,
+			Seed:         guardHashSeed,
 		},
 		cur:         newVersion(cfg.NumLevels),
 		uncommitted: make([][][]byte, cfg.NumLevels),

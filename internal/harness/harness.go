@@ -83,9 +83,6 @@ func Scale(o *pebblesdb.Options, factor int) *pebblesdb.Options {
 	o.MemtableSize = div(o.MemtableSize)
 	o.LevelBaseBytes = int64(div(int(o.LevelBaseBytes)))
 	o.TargetFileSize = int64(div(int(o.TargetFileSize)))
-	if o.BlockCacheSize == 0 {
-		o.BlockCacheSize = 8 << 20
-	}
 	o.BlockCacheSize = int64(div(int(o.BlockCacheSize)))
 	// Guard probability tracks dataset size (§4.4: top_level_bits is set
 	// for the expected key count). Halving the dataset 2^k times calls

@@ -7,6 +7,7 @@ import (
 	"net/http/pprof"
 
 	"pebblesdb"
+	"pebblesdb/internal/metric"
 )
 
 // DebugHandler returns the server's observability endpoint:
@@ -38,13 +39,7 @@ func (s *Server) DebugHandler() http.Handler {
 func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	st.Aggregate.WritePrometheus(w)
-	fmt.Fprintf(w, "# HELP pebblesdb_server_shards Shard engines in this process.\n# TYPE pebblesdb_server_shards gauge\npebblesdb_server_shards %d\n", st.Shards)
-	fmt.Fprintf(w, "# HELP pebblesdb_server_read_only_shards Shards degraded to read-only.\n# TYPE pebblesdb_server_read_only_shards gauge\npebblesdb_server_read_only_shards %d\n", st.ReadOnlyShards)
-	fmt.Fprintf(w, "# HELP pebblesdb_server_active_conns Open client connections.\n# TYPE pebblesdb_server_active_conns gauge\npebblesdb_server_active_conns %d\n", st.ActiveConns)
-	fmt.Fprintf(w, "# HELP pebblesdb_server_conns_total Connections accepted.\n# TYPE pebblesdb_server_conns_total counter\npebblesdb_server_conns_total %d\n", st.TotalConns)
-	fmt.Fprintf(w, "# HELP pebblesdb_server_requests_total Wire requests handled.\n# TYPE pebblesdb_server_requests_total counter\npebblesdb_server_requests_total %d\n", st.Requests)
-	fmt.Fprintf(w, "# HELP pebblesdb_server_uptime_seconds Seconds since the server started.\n# TYPE pebblesdb_server_uptime_seconds gauge\npebblesdb_server_uptime_seconds %g\n", st.UptimeSecs)
+	metric.WritePrometheus(w, &st)
 }
 
 func (s *Server) handleDebugMetrics(w http.ResponseWriter, r *http.Request) {

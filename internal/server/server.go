@@ -226,18 +226,18 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 // aggregate (counters summed, histograms merged bucket-wise; see
 // Metrics.Merge).
 type Stats struct {
-	Shards int `json:"shards"`
+	Shards int `json:"shards" metric:"pebblesdb_server_shards" help:"Shard engines in this process."`
 	// ReadOnlyShards counts shards currently degraded to read-only by a
 	// background IO error; nonzero means some writes are failing with
 	// StatusReadOnly while reads keep serving.
-	ReadOnlyShards int     `json:"read_only_shards"`
-	ActiveConns    int     `json:"active_conns"`
-	TotalConns     int64   `json:"total_conns"`
-	Requests       int64   `json:"requests"`
-	UptimeSecs     float64 `json:"uptime_secs"`
+	ReadOnlyShards int     `json:"read_only_shards" metric:"pebblesdb_server_read_only_shards" help:"Shards degraded to read-only."`
+	ActiveConns    int     `json:"active_conns" metric:"pebblesdb_server_active_conns" help:"Open client connections."`
+	TotalConns     int64   `json:"total_conns" metric:"pebblesdb_server_conns_total" help:"Connections accepted."`
+	Requests       int64   `json:"requests" metric:"pebblesdb_server_requests_total" help:"Wire requests handled."`
+	UptimeSecs     float64 `json:"uptime_secs" metric:"pebblesdb_server_uptime_seconds" help:"Seconds since the server started."`
 	// WriteAmplification is the aggregate ratio, derived from the summed
 	// counters (not a mean of per-shard ratios).
-	WriteAmplification float64           `json:"write_amplification"`
+	WriteAmplification float64           `json:"write_amplification" metric:"pebblesdb_write_amplification" help:"Total write IO / user bytes written."`
 	Aggregate          pebblesdb.Metrics `json:"aggregate"`
 }
 

@@ -94,6 +94,73 @@ func TestV1FixtureReadable(t *testing.T) {
 	}
 }
 
+// TestOldFormatFixturesReadable opens one table of each format the writer
+// no longer emits (testdata/v2-format.sst and v3-format.sst, written by the
+// last commit whose writer chose among three footers): 500 snappy-compressed
+// entries each, the v3 table with two overlapping range tombstones. The
+// reader paths for those footers have no other source of input now.
+func TestOldFormatFixturesReadable(t *testing.T) {
+	for _, version := range []int{formatV2, formatV3} {
+		path := fmt.Sprintf("testdata/v%d-format.sst", version)
+		size, err := vfs.Default.Stat(path)
+		if err != nil {
+			t.Fatalf("fixture missing: %v", err)
+		}
+		f, err := vfs.Default.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var codec CodecStats
+		r, err := Open(f, size, 1, nil, &codec)
+		if err != nil {
+			t.Fatalf("open %s: %v", path, err)
+		}
+		if r.FormatVersion() != version {
+			t.Fatalf("%s detected as format %d", path, r.FormatVersion())
+		}
+		it := r.NewIter()
+		i := 0
+		for it.First(); it.Valid(); it.Next() {
+			wantKey := fmt.Sprintf("key%05d", i)
+			wantVal := strings.Repeat(fmt.Sprintf("value-%05d-%05d-", i, i*7), 4)
+			if string(base.UserKey(it.Key())) != wantKey || string(it.Value()) != wantVal {
+				t.Fatalf("%s entry %d: %q -> %q", path, i, base.UserKey(it.Key()), it.Value())
+			}
+			i++
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if i != 500 || codec.BlocksDecompressed.Load() == 0 {
+			t.Fatalf("%s: iterated %d entries, %d blocks inflated; want 500 from compressed blocks",
+				path, i, codec.BlocksDecompressed.Load())
+		}
+		search := base.MakeSearchKey(nil, []byte("key00123"), base.MaxSeqNum)
+		if _, v, ok, err := r.Get(search); err != nil || !ok || !strings.HasPrefix(string(v), "value-00123-") {
+			t.Fatalf("%s get key00123: %q ok=%v err=%v", path, v, ok, err)
+		}
+		if !r.MayContain([]byte("key00042")) || !r.MayContainPrefix([]byte("nope")) {
+			t.Fatalf("%s: key filter lost a present key, or a missing prefix filter said no", path)
+		}
+		rd := r.RangeDels()
+		if version == formatV2 {
+			if rd != nil {
+				t.Fatalf("%s reports range tombstones", path)
+			}
+		} else {
+			// [key00100,key00200)@600 and [key00150,key00300)@700.
+			for key, want := range map[string]base.SeqNum{
+				"key00099": 0, "key00100": 600, "key00149": 600, "key00150": 700, "key00299": 700, "key00300": 0,
+			} {
+				if got := rd.CoverSeq([]byte(key), base.MaxSeqNum); got != want {
+					t.Errorf("%s CoverSeq(%s) = %d, want %d", path, key, got, want)
+				}
+			}
+		}
+		r.Close()
+	}
+}
+
 // buildSingleBlockSnappyTable writes a table with exactly one, compressed
 // data block and no filter, returning the raw file image and the data
 // block's physical payload length.
@@ -117,7 +184,7 @@ func buildSingleBlockSnappyTable(t *testing.T, fs vfs.FS, name string) (data []b
 
 	// No filter => the index block directly follows the data block, so the
 	// footer's index offset gives the data block extent.
-	footer := data[len(data)-footerLenV2:]
+	footer := data[len(data)-footerLenV4:]
 	indexOff := binary.LittleEndian.Uint64(footer[16:])
 	return data, indexOff - blockTrailerLenV2
 }
@@ -201,7 +268,7 @@ func TestCorruptCompressedBlock(t *testing.T) {
 
 	t.Run("unknown-footer-version", func(t *testing.T) {
 		img := append([]byte(nil), data...)
-		img[len(img)-footerLenV2+32] = 9
+		img[len(img)-footerLenV4+64] = 9
 		if _, err := openRaw(t, img); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
 		}

@@ -82,15 +82,15 @@ func TestPrefixFilterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPrefixFilterDisabled: tables written without the knob keep the old
-// format and answer every prefix probe conservatively.
+// TestPrefixFilterDisabled: tables written without the knob have no prefix
+// block and answer every prefix probe conservatively.
 func TestPrefixFilterDisabled(t *testing.T) {
 	fs := vfs.NewMem()
 	buildTable(t, fs, "t.sst", prefixEntries(4, 4), WriterOptions{BloomBitsPerKey: 10})
 	r := openTable(t, fs, "t.sst", nil)
 	defer r.Close()
-	if r.FormatVersion() != formatV2 {
-		t.Fatalf("format = v%d, want v2", r.FormatVersion())
+	if r.FormatVersion() != formatV4 {
+		t.Fatalf("format = v%d, want v4", r.FormatVersion())
 	}
 	if r.PrefixFilterLength() != 0 {
 		t.Fatalf("prefix length = %d, want 0", r.PrefixFilterLength())

@@ -36,9 +36,9 @@ func buildRangeDelTable(t *testing.T, points []kv, dels [][3]interface{}) (*Read
 	return r, info
 }
 
-// TestRangeDelRoundTrip: tombstones written to the v3 range-del block come
+// TestRangeDelRoundTrip: tombstones written to the range-del block come
 // back fragmented, bounds include the tombstone span, and tables without
-// tombstones keep the v2 footer.
+// tombstones have no range-del block.
 func TestRangeDelRoundTrip(t *testing.T) {
 	points := []kv{
 		{ikey: base.MakeInternalKey(nil, []byte("d"), 5, base.KindSet), value: []byte("v1")},
@@ -50,8 +50,8 @@ func TestRangeDelRoundTrip(t *testing.T) {
 	})
 	defer r.Close()
 
-	if r.FormatVersion() != formatV3 {
-		t.Fatalf("format %d, want v3", r.FormatVersion())
+	if r.FormatVersion() != formatV4 {
+		t.Fatalf("format %d, want v4", r.FormatVersion())
 	}
 	if info.NumRangeDels == 0 {
 		t.Fatal("no fragments recorded")
@@ -101,12 +101,9 @@ func TestRangeDelRoundTrip(t *testing.T) {
 		t.Fatalf("read %d points, want %d", n, len(points))
 	}
 
-	// A clean table stays v2.
+	// A clean table has no range-del block.
 	clean, cleanInfo := buildRangeDelTable(t, points, nil)
 	defer clean.Close()
-	if clean.FormatVersion() != formatV2 {
-		t.Fatalf("clean table format %d, want v2", clean.FormatVersion())
-	}
 	if clean.RangeDels() != nil || cleanInfo.NumRangeDels != 0 {
 		t.Fatal("clean table reports tombstones")
 	}

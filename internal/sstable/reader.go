@@ -20,6 +20,28 @@ import (
 	"pebblesdb/internal/vfs"
 )
 
+// The formats earlier writers emitted, all still readable. v1: 4-byte block
+// trailer holding only the crc32 of the payload, blocks always raw, 40-byte
+// footer (filter and index handles) ending in magicV1. v2: the current
+// 5-byte trailer, 48-byte footer with a format-version byte, ending in
+// magicV2. v3: v2 plus a range-del block handle in a 64-byte footer ending
+// in magicV3. testdata/v{1,2,3}-format.sst pin one table of each.
+const (
+	footerLenV1 = 40
+	footerLenV2 = 48
+	footerLenV3 = 64
+
+	tableMagicV1 = 0x8773537fdb4eac2e
+	tableMagicV2 = 0xf09f95ccdb4eac2e
+	tableMagicV3 = 0xf09f97bbdb4eac2e
+
+	formatV1 = 1
+	formatV2 = 2
+	formatV3 = 3
+
+	blockTrailerLenV1 = 4 // crc32(payload)
+)
+
 // ErrCorrupt indicates a structurally invalid table or checksum failure.
 var ErrCorrupt = errors.New("sstable: corrupt table")
 
@@ -391,7 +413,7 @@ func (r *Reader) IndexMemory() int { return len(r.index) }
 // FileNum returns the table's file number.
 func (r *Reader) FileNum() base.FileNum { return r.fileNum }
 
-// FormatVersion returns the table's on-storage format (1 or 2).
+// FormatVersion returns the table's on-storage format (1 to 4).
 func (r *Reader) FormatVersion() int { return r.version }
 
 func decodeHandle(v []byte) (blockHandle, bool) {

@@ -4,32 +4,26 @@
 // LevelDB table concept intact — guards are a layer above sstables — so
 // this package is shared untouched by the FLSM and leveled trees.
 //
-// Two on-storage formats exist:
+// The writer emits one format, v4: a 5-byte block trailer — a 1-byte
+// block-type tag (none/snappy) followed by the crc32 of payload+type — and
+// an 80-byte footer of four block handles (key filter, index, range-del
+// block, prefix filter), a format-version byte and magicV4. A handle of
+// length zero means the block is absent: a table without range tombstones
+// has no range-del block, a store without Options.PrefixBloomLength no
+// prefix filter. Data blocks are compressed when the codec saves at least
+// 12.5%; the filter, index, range-del and prefix-filter blocks are always
+// raw (they stay resident in memory, so compressing them would buy nothing
+// after open). The range-del block holds fragmented, coalesced tombstones in
+// internal-key order; the prefix-filter block is one byte of prefix length
+// followed by a bloom filter over the table's distinct first-P-byte
+// user-key prefixes, which prefix iterators consult to skip tables whose
+// key range overlaps the scan but whose contents cannot match.
 //
-//   - Format v1 (legacy, read-only): 4-byte block trailer holding only the
-//     crc32 of the payload, 40-byte footer ending in magicV1. Blocks are
-//     always raw.
-//   - Format v2 (written for tables without range tombstones): 5-byte block
-//     trailer — a 1-byte block-type tag (none/snappy) followed by the crc32
-//     of payload+type — and a 48-byte footer carrying a format-version byte
-//     and ending in magicV2. Data blocks are compressed when the codec
-//     saves at least 12.5%; filter and index blocks are always raw (they
-//     stay resident in memory, so compressing them would buy nothing after
-//     open).
-//   - Format v3 (written only when the table holds range tombstones): v2
-//     plus a dedicated range-del block (fragmented, coalesced tombstones in
-//     internal-key order; always raw, resident like the index) addressed by
-//     a third handle in a 64-byte footer ending in magicV3. Tables without
-//     tombstones keep the v2 footer, so the overwhelmingly common case is
-//     byte-identical to before.
-//   - Format v4 (written only when a prefix bloom filter is configured): v3
-//     plus a prefix-filter block — one byte holding the fixed prefix length
-//     followed by a bloom filter over the distinct first-P-byte user-key
-//     prefixes in the table (always raw, resident like the key filter) —
-//     addressed by a fourth handle in an 80-byte footer ending in magicV4.
-//     Prefix iterators consult it to skip tables whose key range overlaps
-//     the scan but whose contents cannot match the prefix. Stores without
-//     the knob keep writing v2/v3; all older formats stay readable.
+// The formats earlier versions of the writer emitted stay readable and are
+// described, with their constants, beside the code that reads them
+// (reader.go): v1 (4-byte trailer, always raw, 40-byte footer), v2 (the
+// trailer above, 48-byte footer), v3 (v2 plus the range-del handle,
+// 64-byte footer).
 package sstable
 
 import (
@@ -47,23 +41,15 @@ import (
 )
 
 const (
-	footerLenV1 = 40
-	footerLenV2 = 48
-	footerLenV3 = 64
-	footerLenV4 = 80
-
-	tableMagicV1 = 0x8773537fdb4eac2e
-	tableMagicV2 = 0xf09f95ccdb4eac2e
-	tableMagicV3 = 0xf09f97bbdb4eac2e
+	footerLenV4  = 80
 	tableMagicV4 = 0xf09f94aedb4eac2e
+	formatV4     = 4
 
-	formatV1 = 1
-	formatV2 = 2
-	formatV3 = 3
-	formatV4 = 4
-
-	blockTrailerLenV1 = 4 // crc32(payload)
 	blockTrailerLenV2 = 5 // type byte + crc32(payload ++ type)
+
+	// blockRestartInterval is the number of keys between restart points in
+	// a data block.
+	blockRestartInterval = 16
 
 	// blockTypeNone / blockTypeSnappy are the v2 trailer type tags
 	// (LevelDB-compatible values).
@@ -78,26 +64,22 @@ type blockHandle struct {
 
 // WriterOptions configures table construction.
 type WriterOptions struct {
-	BlockSize            int
-	BlockRestartInterval int
+	BlockSize int
 	// BloomBitsPerKey sizes the table-level bloom filter; 0 disables it.
 	BloomBitsPerKey int
 	// PrefixBloomLength, when positive, adds a second bloom filter over the
 	// distinct first-PrefixBloomLength-byte user-key prefixes (keys shorter
 	// than the length are omitted: they can never carry a full-length
-	// prefix). Tables gain the v4 footer; 0 keeps the v2/v3 formats.
+	// prefix); 0 writes no prefix filter.
 	PrefixBloomLength int
-	// Compression selects the data-block codec. Blocks that fail to shrink
-	// by at least 1/8th are stored raw regardless.
+	// Compression selects the data-block codec: Snappy unless None. Blocks
+	// that fail to shrink by at least 1/8th are stored raw regardless.
 	Compression compress.Kind
 }
 
 func (o *WriterOptions) ensureDefaults() {
 	if o.BlockSize == 0 {
 		o.BlockSize = 4 << 10
-	}
-	if o.BlockRestartInterval == 0 {
-		o.BlockRestartInterval = 16
 	}
 }
 
@@ -108,23 +90,14 @@ func (o *WriterOptions) ensureDefaults() {
 type CompressionStats struct {
 	// LogicalDataBytes / PhysicalDataBytes cover data blocks only
 	// (excluding trailers, filter, index and footer).
-	LogicalDataBytes  int64
-	PhysicalDataBytes int64
+	LogicalDataBytes  int64 `metric:"pebblesdb_compress_logical_bytes_total" help:"Data-block bytes before compression."`
+	PhysicalDataBytes int64 `metric:"pebblesdb_compress_physical_bytes_total" help:"Data-block bytes as stored."`
 	// DataBlocks / CompressedBlocks count data blocks written vs those
 	// that were stored compressed.
-	DataBlocks       int64
-	CompressedBlocks int64
+	DataBlocks       int64 `metric:"pebblesdb_compress_blocks_total" help:"Data blocks written."`
+	CompressedBlocks int64 `metric:"pebblesdb_compress_compressed_blocks_total" help:"Data blocks stored compressed."`
 	// CompressNanos is time spent inside the codec's encoder.
-	CompressNanos int64
-}
-
-// Merge accumulates o into s.
-func (s *CompressionStats) Merge(o CompressionStats) {
-	s.LogicalDataBytes += o.LogicalDataBytes
-	s.PhysicalDataBytes += o.PhysicalDataBytes
-	s.DataBlocks += o.DataBlocks
-	s.CompressedBlocks += o.CompressedBlocks
-	s.CompressNanos += o.CompressNanos
+	CompressNanos int64 `metric:"pebblesdb_compress_nanos_total" help:"Time spent in the block encoder."`
 }
 
 // Ratio returns physical/logical data bytes (1.0 = incompressible, 0 before
@@ -136,7 +109,7 @@ func (s CompressionStats) Ratio() float64 {
 	return float64(s.PhysicalDataBytes) / float64(s.LogicalDataBytes)
 }
 
-// Writer builds a format-v2 sstable from internal keys added in increasing
+// Writer builds a format-v4 sstable from internal keys added in increasing
 // order.
 type Writer struct {
 	f               vfs.File
@@ -164,7 +137,7 @@ func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 	return &Writer{
 		f:     f,
 		opts:  opts,
-		data:  block.NewBuilder(opts.BlockRestartInterval),
+		data:  block.NewBuilder(blockRestartInterval),
 		index: block.NewBuilder(1),
 	}
 }
@@ -244,7 +217,7 @@ func (w *Writer) finishDataBlock() error {
 // saved).
 func (w *Writer) writeDataBlock(payload []byte) (blockHandle, error) {
 	stored, typ := payload, byte(blockTypeNone)
-	if w.opts.Compression == compress.Snappy {
+	if w.opts.Compression != compress.None {
 		start := time.Now()
 		w.cbuf = compress.Encode(w.cbuf[:cap(w.cbuf)], payload)
 		w.stats.CompressNanos += time.Since(start).Nanoseconds()
@@ -396,52 +369,19 @@ func (w *Writer) Finish() (TableInfo, error) {
 		return TableInfo{}, err
 	}
 
-	// Footer: handles, format version, magic. Tables without tombstones
-	// keep the v2 footer so existing tables and tools see no change; the v4
-	// footer appears only when a prefix filter was actually written.
-	if prefixHandle.length > 0 {
-		var footer [footerLenV4]byte
-		binary.LittleEndian.PutUint64(footer[0:], filterHandle.offset)
-		binary.LittleEndian.PutUint64(footer[8:], filterHandle.length)
-		binary.LittleEndian.PutUint64(footer[16:], indexHandle.offset)
-		binary.LittleEndian.PutUint64(footer[24:], indexHandle.length)
-		binary.LittleEndian.PutUint64(footer[32:], rangeDelHandle.offset)
-		binary.LittleEndian.PutUint64(footer[40:], rangeDelHandle.length)
-		binary.LittleEndian.PutUint64(footer[48:], prefixHandle.offset)
-		binary.LittleEndian.PutUint64(footer[56:], prefixHandle.length)
-		footer[64] = formatV4
-		binary.LittleEndian.PutUint64(footer[72:], tableMagicV4)
-		if _, err := w.f.Write(footer[:]); err != nil {
-			return TableInfo{}, err
-		}
-		w.offset += footerLenV4
-	} else if len(frags) == 0 {
-		var footer [footerLenV2]byte
-		binary.LittleEndian.PutUint64(footer[0:], filterHandle.offset)
-		binary.LittleEndian.PutUint64(footer[8:], filterHandle.length)
-		binary.LittleEndian.PutUint64(footer[16:], indexHandle.offset)
-		binary.LittleEndian.PutUint64(footer[24:], indexHandle.length)
-		footer[32] = formatV2
-		binary.LittleEndian.PutUint64(footer[40:], tableMagicV2)
-		if _, err := w.f.Write(footer[:]); err != nil {
-			return TableInfo{}, err
-		}
-		w.offset += footerLenV2
-	} else {
-		var footer [footerLenV3]byte
-		binary.LittleEndian.PutUint64(footer[0:], filterHandle.offset)
-		binary.LittleEndian.PutUint64(footer[8:], filterHandle.length)
-		binary.LittleEndian.PutUint64(footer[16:], indexHandle.offset)
-		binary.LittleEndian.PutUint64(footer[24:], indexHandle.length)
-		binary.LittleEndian.PutUint64(footer[32:], rangeDelHandle.offset)
-		binary.LittleEndian.PutUint64(footer[40:], rangeDelHandle.length)
-		footer[48] = formatV3
-		binary.LittleEndian.PutUint64(footer[56:], tableMagicV3)
-		if _, err := w.f.Write(footer[:]); err != nil {
-			return TableInfo{}, err
-		}
-		w.offset += footerLenV3
+	// Footer: the four handles (zero for an absent block), format version,
+	// magic.
+	var footer [footerLenV4]byte
+	for i, h := range []blockHandle{filterHandle, indexHandle, rangeDelHandle, prefixHandle} {
+		binary.LittleEndian.PutUint64(footer[16*i:], h.offset)
+		binary.LittleEndian.PutUint64(footer[16*i+8:], h.length)
 	}
+	footer[64] = formatV4
+	binary.LittleEndian.PutUint64(footer[72:], tableMagicV4)
+	if _, err := w.f.Write(footer[:]); err != nil {
+		return TableInfo{}, err
+	}
+	w.offset += footerLenV4
 
 	info.Size = w.offset
 	info.Compression = w.stats

@@ -79,28 +79,17 @@ func (tc *TableCache) Evict(fn base.FileNum) {
 // Metrics summarizes resident memory for Table 5.4 plus read-side codec
 // work.
 type Metrics struct {
-	OpenTables   int
-	FilterBytes  int64
-	IndexBytes   int64
-	Hits, Misses int64
+	OpenTables  int   `metric:"pebblesdb_table_cache_open_tables" help:"Sstables held open by the table cache."`
+	FilterBytes int64 `metric:"pebblesdb_table_cache_filter_bytes" help:"Resident bloom-filter bytes of open tables."`
+	IndexBytes  int64 `metric:"pebblesdb_table_cache_index_bytes" help:"Resident index-block bytes of open tables."`
+	Hits        int64 `metric:"pebblesdb_table_cache_hits_total" help:"Table-cache lookups that found the table open."`
+	Misses      int64 `metric:"pebblesdb_table_cache_misses_total" help:"Table-cache lookups that had to open the table."`
 	// BlocksDecompressed / BytesDecompressed / DecompressNanos account
 	// compressed data blocks inflated on read; block-cache hits skip the
 	// codec and do not appear here.
-	BlocksDecompressed int64
-	BytesDecompressed  int64
-	DecompressNanos    int64
-}
-
-// Merge accumulates o into m, counter-wise (shard aggregation).
-func (m *Metrics) Merge(o Metrics) {
-	m.OpenTables += o.OpenTables
-	m.FilterBytes += o.FilterBytes
-	m.IndexBytes += o.IndexBytes
-	m.Hits += o.Hits
-	m.Misses += o.Misses
-	m.BlocksDecompressed += o.BlocksDecompressed
-	m.BytesDecompressed += o.BytesDecompressed
-	m.DecompressNanos += o.DecompressNanos
+	BlocksDecompressed int64 `metric:"pebblesdb_decompress_blocks_total" help:"Compressed data blocks inflated on read."`
+	BytesDecompressed  int64 `metric:"pebblesdb_decompress_bytes_total" help:"Bytes produced by inflating data blocks."`
+	DecompressNanos    int64 `metric:"pebblesdb_decompress_nanos_total" help:"Time spent in the block decoder."`
 }
 
 // Metrics walks the cached readers. Approximate: concurrent evictions may

@@ -7,6 +7,7 @@ import (
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/iterator"
 	"pebblesdb/internal/manifest"
+	"pebblesdb/internal/metric"
 	"pebblesdb/internal/obs"
 	"pebblesdb/internal/rangedel"
 	"pebblesdb/internal/sstable"
@@ -151,7 +152,7 @@ func (c *Core) runCompaction(u *Unit) error {
 			}
 			c.metrics.BytesCompactedIn += ev.InputBytes
 			c.metrics.BytesCompactedOut += res.bytesOut
-			c.metrics.Compression.Merge(res.compression)
+			metric.Merge(&c.metrics.Compression, &res.compression)
 		}
 		c.mu.Unlock()
 	}
@@ -229,7 +230,7 @@ func (c *Core) compactUnit(u *Unit) (unitResult, error) {
 	}
 	c.host.NoteObsoleteTables(dead)
 	for _, ob := range builders {
-		res.compression.Merge(ob.CompressionStats())
+		metric.Merge(&res.compression, ob.CompressionStats())
 	}
 	return res, nil
 }

@@ -19,6 +19,7 @@ import (
 	"pebblesdb/internal/cache"
 	"pebblesdb/internal/iterator"
 	"pebblesdb/internal/manifest"
+	"pebblesdb/internal/metric"
 	"pebblesdb/internal/rangedel"
 	"pebblesdb/internal/sstable"
 	"pebblesdb/internal/tablecache"
@@ -319,11 +320,10 @@ func (c *Core) RemovePending(fn base.FileNum) {
 
 func (c *Core) newOutputBuilder() *OutputBuilder {
 	return NewOutputBuilder(c.fs, c.dir, sstable.WriterOptions{
-		BlockSize:            c.cfg.BlockSize,
-		BlockRestartInterval: c.cfg.BlockRestartInterval,
-		BloomBitsPerKey:      c.cfg.BloomBitsPerKey,
-		PrefixBloomLength:    c.cfg.PrefixBloomLength,
-		Compression:          c.cfg.Compression,
+		BlockSize:         c.cfg.BlockSize,
+		BloomBitsPerKey:   c.cfg.BloomBitsPerKey,
+		PrefixBloomLength: c.cfg.PrefixBloomLength,
+		Compression:       c.cfg.Compression,
 	}, c.vs, c)
 }
 
@@ -366,7 +366,7 @@ func (c *Core) Flush(it iterator.Iterator, rangeDels []rangedel.Tombstone, logNu
 	}
 	c.mu.Lock()
 	c.metrics.BytesFlushed += flushed
-	c.metrics.Compression.Merge(ob.CompressionStats())
+	metric.Merge(&c.metrics.Compression, ob.CompressionStats())
 	c.mu.Unlock()
 	return nil
 }

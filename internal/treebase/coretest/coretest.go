@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"pebblesdb/internal/base"
+	"pebblesdb/internal/compress"
 	"pebblesdb/internal/memtable"
 	"pebblesdb/internal/obs"
 	"pebblesdb/internal/treebase"
@@ -127,6 +128,8 @@ func newConfig() *base.Config {
 		BitDecrement:        1,
 		MaxSSTablesPerGuard: 3,
 		NumLevels:           5,
+		// The suite's level thresholds are counted in stored bytes.
+		Compression: compress.None,
 	}
 	cfg.EnsureDefaults()
 	return cfg

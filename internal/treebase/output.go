@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 
 	"pebblesdb/internal/base"
+	"pebblesdb/internal/metric"
 	"pebblesdb/internal/rangedel"
 	"pebblesdb/internal/sstable"
 	"pebblesdb/internal/vfs"
@@ -142,14 +143,14 @@ func (o *OutputBuilder) Cut() error {
 		RangeDelStart: info.RangeDelStart,
 		RangeDelEnd:   info.RangeDelEnd,
 	})
-	o.stats.Merge(info.Compression)
+	metric.Merge(&o.stats, &info.Compression)
 	o.cur, o.curFile = nil, nil
 	return nil
 }
 
 // CompressionStats returns the accumulated data-block codec accounting of
 // every table finished so far.
-func (o *OutputBuilder) CompressionStats() sstable.CompressionStats { return o.stats }
+func (o *OutputBuilder) CompressionStats() *sstable.CompressionStats { return &o.stats }
 
 // Finish cuts any open table and returns the metadata of all tables
 // written. The caller must call ReleasePending after installing (or
@@ -204,101 +205,51 @@ func (o *OutputBuilder) setErr(err error) error {
 // Metrics aggregates tree-level statistics reported up through the engine.
 type Metrics struct {
 	// Compactions counts completed compaction units.
-	Compactions int64
+	Compactions int64 `metric:"pebblesdb_compactions_total" help:"Completed compactions."`
 	// TrivialMoves counts leveled-tree metadata-only moves.
-	TrivialMoves int64
+	TrivialMoves int64 `metric:"pebblesdb_compaction_trivial_moves_total" help:"Metadata-only file moves (leveled)."`
 	// InPlaceMerges counts FLSM last-level (and second-to-last) rewrites.
-	InPlaceMerges int64
+	InPlaceMerges int64 `metric:"pebblesdb_compaction_inplace_total" help:"In-place guard merges (FLSM last-level rewrites)."`
 	// SeekCompactions counts compactions triggered by seek thresholds.
-	SeekCompactions int64
+	SeekCompactions int64 `metric:"pebblesdb_compaction_seek_total" help:"Seek-triggered compactions."`
 	// BytesCompactedIn / BytesCompactedOut are compaction read/write IO.
-	BytesCompactedIn  int64
-	BytesCompactedOut int64
+	BytesCompactedIn  int64 `metric:"pebblesdb_compaction_in_bytes_total" help:"Bytes read by compactions."`
+	BytesCompactedOut int64 `metric:"pebblesdb_compaction_out_bytes_total" help:"Bytes written by compactions."`
 	// BytesFlushed is memtable-flush write IO.
-	BytesFlushed int64
+	BytesFlushed int64 `metric:"pebblesdb_flushed_bytes_total" help:"Bytes written by flushes."`
 	// LevelFiles / LevelBytes describe the current version.
-	LevelFiles []int
-	LevelBytes []int64
+	LevelFiles []int   `metric:"pebblesdb_level_tables" label:"level" help:"Live sstables per level."`
+	LevelBytes []int64 `metric:"pebblesdb_level_bytes" label:"level" help:"Live sstable bytes per level."`
 	// GuardsPerLevel counts committed guards (FLSM only).
-	GuardsPerLevel []int
+	GuardsPerLevel []int `metric:"pebblesdb_level_guards" label:"level" help:"FLSM guards per level."`
 	// EmptyGuards counts committed guards with no files (FLSM only).
-	EmptyGuards int
+	EmptyGuards int `metric:"pebblesdb_empty_guards" help:"FLSM guards holding no sstable."`
 	// TableFileSizes lists the sizes of all live sstables (Table 5.1).
-	TableFileSizes []uint64
+	TableFileSizes []uint64 `metric:"-" merge:"concat" help:"one sample per live table is unbounded; level_tables and level_bytes carry the totals"`
 	// CompactionUnits counts units claimed by the parallel compaction
 	// scheduler (flsm: guard groups; leveled: input+target file sets).
-	CompactionUnits int64
+	CompactionUnits int64 `metric:"pebblesdb_compaction_units_total" help:"Compaction units claimed by the parallel scheduler."`
 	// UnitsInflight is the point-in-time number of running units.
-	UnitsInflight int64
+	UnitsInflight int64 `metric:"pebblesdb_compaction_units_inflight" help:"Compaction units running now."`
 	// PeakUnitsInflight is the high-water mark of concurrently running
-	// units within one tree; Merge takes the max, so an aggregate reports
+	// units within one tree; merging takes the max, so an aggregate reports
 	// the most parallel any single shard ever was.
-	PeakUnitsInflight int64
+	PeakUnitsInflight int64 `metric:"pebblesdb_compaction_peak_parallelism" merge:"max" help:"Peak concurrently-running compaction units."`
 	// PeakLevelUnits[l] is the high-water mark of concurrent units whose
 	// *source* is level l. PeakLevelUnits[l] > 1 for some l >= 1 is the
 	// FLSM paper's structural claim realized: disjoint guards of one level
 	// compacting simultaneously.
-	PeakLevelUnits []int
+	PeakLevelUnits []int `metric:"pebblesdb_compaction_peak_level_parallelism" label:"level" merge:"max" help:"Peak concurrent compaction units per source level."`
 	// ClaimConflicts counts picker passes that found pending work but
 	// could claim none of it (every unit held by a running peer);
 	// ClaimStallNanos is the time workers spent in that state before the
 	// next successful claim.
-	ClaimConflicts  int64
-	ClaimStallNanos int64
+	ClaimConflicts  int64 `metric:"pebblesdb_compaction_claim_conflicts_total" help:"Times a worker found work pending but fully claimed."`
+	ClaimStallNanos int64 `metric:"pebblesdb_compaction_claim_stall_nanos_total" help:"Wall time workers waited for claimable work."`
 	// Compression accounts the write-side block codec across flushes and
 	// compactions: logical (pre-compression) vs physical data-block bytes,
 	// block counts, and encoder time.
 	Compression sstable.CompressionStats
-}
-
-// Merge accumulates o into m, counter-wise: per-level slices are summed
-// element-wise (growing m's to cover o's levels), table sizes are
-// concatenated, and everything else adds. Aggregating the shards of a
-// multi-engine server goes through here.
-func (m *Metrics) Merge(o Metrics) {
-	m.Compactions += o.Compactions
-	m.TrivialMoves += o.TrivialMoves
-	m.InPlaceMerges += o.InPlaceMerges
-	m.SeekCompactions += o.SeekCompactions
-	m.BytesCompactedIn += o.BytesCompactedIn
-	m.BytesCompactedOut += o.BytesCompactedOut
-	m.BytesFlushed += o.BytesFlushed
-	for len(m.LevelFiles) < len(o.LevelFiles) {
-		m.LevelFiles = append(m.LevelFiles, 0)
-	}
-	for i, n := range o.LevelFiles {
-		m.LevelFiles[i] += n
-	}
-	for len(m.LevelBytes) < len(o.LevelBytes) {
-		m.LevelBytes = append(m.LevelBytes, 0)
-	}
-	for i, b := range o.LevelBytes {
-		m.LevelBytes[i] += b
-	}
-	for len(m.GuardsPerLevel) < len(o.GuardsPerLevel) {
-		m.GuardsPerLevel = append(m.GuardsPerLevel, 0)
-	}
-	for i, g := range o.GuardsPerLevel {
-		m.GuardsPerLevel[i] += g
-	}
-	m.EmptyGuards += o.EmptyGuards
-	m.TableFileSizes = append(m.TableFileSizes, o.TableFileSizes...)
-	m.CompactionUnits += o.CompactionUnits
-	m.UnitsInflight += o.UnitsInflight
-	if o.PeakUnitsInflight > m.PeakUnitsInflight {
-		m.PeakUnitsInflight = o.PeakUnitsInflight
-	}
-	for len(m.PeakLevelUnits) < len(o.PeakLevelUnits) {
-		m.PeakLevelUnits = append(m.PeakLevelUnits, 0)
-	}
-	for i, u := range o.PeakLevelUnits {
-		if u > m.PeakLevelUnits[i] {
-			m.PeakLevelUnits[i] = u
-		}
-	}
-	m.ClaimConflicts += o.ClaimConflicts
-	m.ClaimStallNanos += o.ClaimStallNanos
-	m.Compression.Merge(o.Compression)
 }
 
 // MaxLevelParallelism is the largest per-source-level unit high-water mark

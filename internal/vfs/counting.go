@@ -10,6 +10,7 @@ import (
 // all write IO: sstables, logs, and manifests).
 type IOCategory int
 
+// The label lists in IOStats' tags name the categories in this order.
 const (
 	// CatTable is sstable IO.
 	CatTable IOCategory = iota
@@ -36,8 +37,8 @@ func categorize(name string) IOCategory {
 
 // IOStats is a snapshot of byte counters taken from a CountingFS.
 type IOStats struct {
-	BytesWritten [numCategories]int64
-	BytesRead    [numCategories]int64
+	BytesWritten [numCategories]int64 `metric:"pebblesdb_io_written_bytes_total" label:"category=table,log,manifest,other" help:"Bytes written per file category."`
+	BytesRead    [numCategories]int64 `metric:"pebblesdb_io_read_bytes_total" label:"category=table,log,manifest,other" help:"Bytes read per file category."`
 }
 
 // TotalWritten is the sum of bytes written across all categories.
@@ -64,17 +65,6 @@ func (s IOStats) Sub(o IOStats) IOStats {
 	for i := 0; i < int(numCategories); i++ {
 		r.BytesWritten[i] = s.BytesWritten[i] - o.BytesWritten[i]
 		r.BytesRead[i] = s.BytesRead[i] - o.BytesRead[i]
-	}
-	return r
-}
-
-// Add returns s + o, counter-wise; used to aggregate across stores (e.g.
-// the shards of one server process).
-func (s IOStats) Add(o IOStats) IOStats {
-	var r IOStats
-	for i := 0; i < int(numCategories); i++ {
-		r.BytesWritten[i] = s.BytesWritten[i] + o.BytesWritten[i]
-		r.BytesRead[i] = s.BytesRead[i] + o.BytesRead[i]
 	}
 	return r
 }
@@ -117,11 +107,11 @@ func (c *CountingFS) Open(name string) (File, error) {
 	return &countingFile{File: f, fs: c, cat: categorize(name)}, nil
 }
 
-func (c *CountingFS) Remove(name string) error             { return c.inner.Remove(name) }
-func (c *CountingFS) Rename(o, n string) error             { return c.inner.Rename(o, n) }
-func (c *CountingFS) MkdirAll(dir string) error            { return c.inner.MkdirAll(dir) }
-func (c *CountingFS) List(dir string) ([]string, error)    { return c.inner.List(dir) }
-func (c *CountingFS) Stat(name string) (int64, error)      { return c.inner.Stat(name) }
+func (c *CountingFS) Remove(name string) error          { return c.inner.Remove(name) }
+func (c *CountingFS) Rename(o, n string) error          { return c.inner.Rename(o, n) }
+func (c *CountingFS) MkdirAll(dir string) error         { return c.inner.MkdirAll(dir) }
+func (c *CountingFS) List(dir string) ([]string, error) { return c.inner.List(dir) }
+func (c *CountingFS) Stat(name string) (int64, error)   { return c.inner.Stat(name) }
 
 type countingFile struct {
 	File

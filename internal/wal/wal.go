@@ -64,7 +64,7 @@ type Writer struct {
 	// SyncCounter, when non-nil, is incremented once per physical fsync;
 	// the engine points it at its syncs-per-commit metric. Set it before
 	// the first SyncWait.
-	SyncCounter *atomic.Int64
+	SyncCounter *int64
 
 	// Listener, when non-nil, receives an EventWALSyncStall for every
 	// physical fsync slower than SyncStallThreshold. Set it (like
@@ -195,7 +195,7 @@ func (w *Writer) SyncWait() error {
 			start := time.Now()
 			err := w.f.Sync()
 			if w.SyncCounter != nil {
-				w.SyncCounter.Add(1)
+				atomic.AddInt64(w.SyncCounter, 1)
 			}
 			if w.Listener != nil {
 				th := w.SyncStallThreshold

@@ -168,7 +168,7 @@ func TestSyncWaitAmortizes(t *testing.T) {
 	raw, _ := fs.Create("log")
 	f := &countingSyncFile{File: raw}
 	w := NewWriter(f)
-	var counted atomic.Int64
+	var counted int64
 	w.SyncCounter = &counted
 
 	const callers = 16
@@ -196,8 +196,8 @@ func TestSyncWaitAmortizes(t *testing.T) {
 	wg.Wait()
 
 	total := int64(callers * 10)
-	if f.syncs.Load() != counted.Load() {
-		t.Fatalf("SyncCounter %d != physical syncs %d", counted.Load(), f.syncs.Load())
+	if f.syncs.Load() != counted {
+		t.Fatalf("SyncCounter %d != physical syncs %d", counted, f.syncs.Load())
 	}
 	if got := f.syncs.Load(); got >= total {
 		t.Fatalf("no amortization: %d fsyncs for %d SyncWait calls", got, total)

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pebblesdb/internal/engine"
+	"pebblesdb/internal/metric"
 	"pebblesdb/internal/vfs"
 )
 
@@ -17,20 +18,20 @@ type Metrics struct {
 	IO vfs.IOStats
 	// UserBytesWritten is the total key+value payload the application has
 	// written; the denominator of write amplification.
-	UserBytesWritten int64
+	UserBytesWritten int64 `metric:"pebblesdb_user_written_bytes_total" help:"Application key+value payload written."`
 }
 
 // Merge accumulates o into m, yielding the combined metrics of both
 // stores — how a sharded server (cmd/dbserver) reports M engines as one
-// snapshot. Counters and histograms add; ratio-style numbers
-// (WriteAmplification and the engine.Metrics methods) derive from the
-// summed counters afterwards, so each shard contributes in proportion to
-// its traffic instead of each shard's ratio counting once.
-func (m *Metrics) Merge(o Metrics) {
-	m.Metrics.Merge(o.Metrics)
-	m.IO = m.IO.Add(o.IO)
-	m.UserBytesWritten += o.UserBytesWritten
-}
+// snapshot. Each field merges by the rule it is declared with
+// (internal/metric): counters, gauges and per-level vectors add, the
+// commit-wait histogram adds bucket-wise (summing percentiles would
+// double-count the distribution's mass), high-water marks and LastSeq take
+// the max, ReadOnly ORs and the table-size list concatenates. Ratio-style
+// numbers (WriteAmplification and the engine.Metrics methods) derive from
+// the summed counters afterwards, so each shard contributes in proportion
+// to its traffic instead of each shard's ratio counting once.
+func (m *Metrics) Merge(o Metrics) { metric.Merge(m, &o) }
 
 // WriteAmplification is total write IO divided by user data written
 // (Fig 1.1). Returns 0 before any writes.
@@ -98,10 +99,10 @@ func (m Metrics) String() string {
 		if c == 0 {
 			continue
 		}
-		if i < len(engine.CommitWaitBuckets) {
-			fmt.Fprintf(&b, "  <=%v %d", engine.CommitWaitBuckets[i], c)
+		if i < len(metric.Buckets) {
+			fmt.Fprintf(&b, "  <=%v %d", metric.Buckets[i], c)
 		} else {
-			fmt.Fprintf(&b, "  >%v %d", engine.CommitWaitBuckets[len(engine.CommitWaitBuckets)-1], c)
+			fmt.Fprintf(&b, "  >%v %d", metric.Buckets[len(metric.Buckets)-1], c)
 		}
 	}
 	if commits > 0 {

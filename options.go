@@ -1,44 +1,33 @@
 package pebblesdb
 
 import (
-	"time"
-
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/compress"
 	"pebblesdb/internal/engine"
-	"pebblesdb/internal/obs"
 	"pebblesdb/internal/vfs"
 )
 
 // Compression selects the sstable data-block codec.
-type Compression int
+type Compression = compress.Kind
 
 const (
-	// CompressionDefault uses the store default, Snappy: per-block
-	// compression is a default-on throughput optimization in every
-	// production LSM (LevelDB, RocksDB, Pebble) — it cuts write IO during
-	// flush/compaction and read IO on cold lookups.
-	CompressionDefault Compression = iota
+	// CompressionDefault uses the store default, Snappy.
+	CompressionDefault = compress.Default
 	// CompressionNone stores blocks raw.
-	CompressionNone
+	CompressionNone = compress.None
 	// CompressionSnappy compresses data blocks with the pure-Go Snappy
 	// codec when a block shrinks by at least 12.5%.
-	CompressionSnappy
+	CompressionSnappy = compress.Snappy
 )
 
-// String returns the display name of the codec the value selects. It
-// follows kind(), so reporting always matches behavior — including for
-// out-of-range values, which behave as the default.
-func (c Compression) String() string { return c.kind().String() }
-
 // Engine selects the on-storage data structure.
-type Engine int
+type Engine = engine.Kind
 
 const (
 	// EngineFLSM is the fragmented log-structured merge tree (PebblesDB).
-	EngineFLSM Engine = iota
+	EngineFLSM = engine.KindFLSM
 	// EngineLeveled is the classic leveled LSM (LevelDB lineage).
-	EngineLeveled
+	EngineLeveled = engine.KindLeveled
 )
 
 // Preset names the store configurations used throughout the paper's
@@ -83,9 +72,12 @@ func (p Preset) String() string {
 	return "Unknown"
 }
 
-// Options configures a store. The zero value is not valid; start from a
-// Preset's Options and adjust.
+// Options configures a store: the tunables of base.Config, which it embeds
+// so that the engine reads the very struct the caller filled in, plus where
+// the store lives. Start from a Preset's Options and adjust.
 type Options struct {
+	base.Config
+
 	// Engine selects FLSM or leveled storage.
 	Engine Engine
 
@@ -93,90 +85,6 @@ type Options struct {
 	// filesystem (deterministic benchmarking, tests). The directory name
 	// becomes a namespace within that filesystem.
 	InMemory bool
-
-	// MemtableSize is the flush threshold in bytes.
-	MemtableSize int
-	// L0CompactionTrigger / L0SlowdownTrigger / L0StopTrigger control
-	// level-0 behaviour (§5.1).
-	L0CompactionTrigger int
-	L0SlowdownTrigger   int
-	L0StopTrigger       int
-	// NumLevels is the level count including L0.
-	NumLevels int
-	// LevelBaseBytes / LevelMultiplier size the level capacities.
-	LevelBaseBytes  int64
-	LevelMultiplier int
-	// TargetFileSize bounds leveled-compaction outputs.
-	TargetFileSize int64
-	// BlockSize is the sstable block size (uncompressed).
-	BlockSize int
-	// Compression selects the sstable data-block codec; the zero value
-	// (CompressionDefault) is Snappy.
-	Compression Compression
-	// BloomBitsPerKey sizes sstable bloom filters; negative disables them.
-	BloomBitsPerKey int
-	// PrefixBloomLength, when positive (1..255), adds a second bloom filter
-	// to every new sstable over the distinct first-PrefixBloomLength-byte
-	// prefixes of its user keys. Iterators opened with IterOptions.Prefix
-	// of exactly this length skip sstables whose filter rules the prefix
-	// out before any data-block IO — cheap pruning inside FLSM guards,
-	// whose sstables overlap by design. 0 disables; existing tables (and
-	// those written while disabled) stay readable either way.
-	PrefixBloomLength int
-	// BlockCacheSize / TableCacheSize bound cache memory (Fig 5.2b).
-	BlockCacheSize int64
-	TableCacheSize int
-
-	// TopLevelBits / BitDecrement control guard probability (§4.4).
-	TopLevelBits int
-	BitDecrement int
-	// MaxSSTablesPerGuard caps sstables per guard (§3.5); 1 = LSM-like.
-	MaxSSTablesPerGuard int
-	// SeekCompactionThreshold triggers guard/file compaction after this
-	// many seeks (§4.2); negative disables.
-	SeekCompactionThreshold int
-	// SizeRatioPct triggers aggressive level compaction (§4.2); negative
-	// disables.
-	SizeRatioPct int
-	// ParallelSeeks enables concurrent last-level sstable positioning
-	// (§4.2).
-	ParallelSeeks bool
-	// MaxCompactionConcurrency is the background compaction thread count.
-	MaxCompactionConcurrency int
-	// CompactionUnitGuards is the minimum number of guard groups one FLSM
-	// compaction unit claims when draining an over-threshold level; the
-	// level's groups split into about MaxCompactionConcurrency units, but
-	// never smaller than this floor. 0 selects the default (4).
-	CompactionUnitGuards int
-	// WALSync makes every commit durable before it returns, as if each
-	// carried WriteOptions{Sync: true}; concurrent commits still share
-	// amortized fsyncs.
-	WALSync bool
-	// MaxBgRetries is how many times a failed background flush or
-	// compaction is retried (with capped exponential backoff) before the
-	// store degrades to read-only; corruption never retries. 0 selects the
-	// default (3), negative disables retries.
-	MaxBgRetries int
-	// BgRetryDelay is the initial backoff between background retries,
-	// doubling per attempt up to one second. 0 selects the default (50ms).
-	BgRetryDelay time.Duration
-
-	// EventListener, when non-nil, receives structured begin/end events for
-	// background activity: flushes, compactions, WAL rotations, sync
-	// stalls, manifest rotations, write stalls, background errors,
-	// read-only degradation and Resume. Callbacks run synchronously on
-	// engine goroutines — keep them fast and non-blocking. Independent of
-	// the listener, the store always retains the most recent events in an
-	// in-memory flight recorder (DB.RecentEvents).
-	EventListener obs.Listener
-	// SlowOpThreshold, when positive, logs a structured line (via
-	// SlowOpLogger) for every commit slower than the threshold, broken
-	// down by stage: write-stall time, WAL sync, memtable apply, and
-	// residual queueing wait. 0 disables slow-op logging.
-	SlowOpThreshold time.Duration
-	// SlowOpLogger receives slow-op lines; nil falls back to the standard
-	// library logger.
-	SlowOpLogger obs.Logger
 
 	// fs overrides the filesystem (tests).
 	fs vfs.FS
@@ -238,41 +146,18 @@ type IterOptions struct {
 	Snapshot *Snapshot
 }
 
-// kind maps the public Compression to the internal codec selector.
-// Values outside the defined constants behave as CompressionDefault.
-func (c Compression) kind() compress.Kind {
-	if c == CompressionNone {
-		return compress.None
-	}
-	return compress.Snappy
-}
-
 // sharedMemFS backs every InMemory store in the process, namespaced by
 // directory, so reopening an in-memory store by path works.
 var sharedMemFS = vfs.NewMem()
 
-// Options expands the preset into a concrete Options value.
+// Options expands the preset into a concrete Options value: the defaults
+// of the paper's configuration (base.Config.EnsureDefaults) with the
+// preset's differences on top.
 func (p Preset) Options() *Options {
-	o := &Options{
-		MemtableSize:             4 << 20,
-		L0CompactionTrigger:      4,
-		L0SlowdownTrigger:        8,
-		L0StopTrigger:            12,
-		NumLevels:                7,
-		LevelBaseBytes:           10 << 20,
-		LevelMultiplier:          10,
-		TargetFileSize:           2 << 20,
-		BloomBitsPerKey:          10,
-		MaxCompactionConcurrency: 3,
-	}
+	o := &Options{}
+	o.EnsureDefaults()
 	switch p {
 	case PresetPebblesDB, PresetPebblesDB1:
-		o.Engine = EngineFLSM
-		o.MaxSSTablesPerGuard = 4
-		o.TopLevelBits = 22
-		o.BitDecrement = 2
-		o.SeekCompactionThreshold = 10
-		o.SizeRatioPct = 25
 		o.ParallelSeeks = true
 		if p == PresetPebblesDB1 {
 			o.MaxSSTablesPerGuard = 1
@@ -349,49 +234,13 @@ func (o *Options) WithFS(fs vfs.FS) *Options {
 	return o
 }
 
-// toConfig translates public options into the internal configuration.
-func (o *Options) toConfig() (*base.Config, engine.Kind, vfs.FS) {
-	cfg := &base.Config{
-		MemtableSize:             o.MemtableSize,
-		L0CompactionTrigger:      o.L0CompactionTrigger,
-		L0SlowdownTrigger:        o.L0SlowdownTrigger,
-		L0StopTrigger:            o.L0StopTrigger,
-		NumLevels:                o.NumLevels,
-		LevelBaseBytes:           o.LevelBaseBytes,
-		LevelMultiplier:          o.LevelMultiplier,
-		TargetFileSize:           o.TargetFileSize,
-		BlockSize:                o.BlockSize,
-		Compression:              o.Compression.kind(),
-		BloomBitsPerKey:          o.BloomBitsPerKey,
-		PrefixBloomLength:        o.PrefixBloomLength,
-		BlockCacheSize:           o.BlockCacheSize,
-		TableCacheSize:           o.TableCacheSize,
-		TopLevelBits:             o.TopLevelBits,
-		BitDecrement:             o.BitDecrement,
-		MaxSSTablesPerGuard:      o.MaxSSTablesPerGuard,
-		SeekCompactionThreshold:  o.SeekCompactionThreshold,
-		SizeRatioPct:             o.SizeRatioPct,
-		ParallelSeeks:            o.ParallelSeeks,
-		MaxCompactionConcurrency: o.MaxCompactionConcurrency,
-		CompactionUnitGuards:     o.CompactionUnitGuards,
-		WALSync:                  o.WALSync,
-		BgErrorRetries:           o.MaxBgRetries,
-		BgErrorRetryDelay:        o.BgRetryDelay,
-		EventListener:            o.EventListener,
-		SlowOpThreshold:          o.SlowOpThreshold,
-		SlowOpLogger:             o.SlowOpLogger,
+// filesystem resolves where the store lives.
+func (o *Options) filesystem() vfs.FS {
+	switch {
+	case o.fs != nil:
+		return o.fs
+	case o.InMemory:
+		return sharedMemFS
 	}
-	kind := engine.KindFLSM
-	if o.Engine == EngineLeveled {
-		kind = engine.KindLeveled
-	}
-	fs := o.fs
-	if fs == nil {
-		if o.InMemory {
-			fs = sharedMemFS
-		} else {
-			fs = vfs.Default
-		}
-	}
-	return cfg, kind, fs
+	return vfs.Default
 }

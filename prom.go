@@ -4,115 +4,19 @@ import (
 	"fmt"
 	"io"
 
-	"pebblesdb/internal/engine"
+	"pebblesdb/internal/metric"
 )
 
 // WritePrometheus renders the metrics in the Prometheus text exposition
-// format (version 0.0.4): one HELP/TYPE header per family, counters with a
-// _total suffix, the commit-wait histogram as cumulative le-labelled
-// buckets with _sum and _count. A sharded server merges per-shard Metrics
-// first and exposes the result as one scrape target.
+// format (version 0.0.4). Every family is a field of Metrics rendered from
+// its own declaration (internal/metric): counters with a _total suffix,
+// per-level and per-category families labelled, the commit-wait histogram
+// as cumulative le-labelled buckets with _sum and _count. Only write
+// amplification, a ratio of two of those counters, is added here. A sharded
+// server merges per-shard Metrics first and exposes the result as one
+// scrape target.
 func (m Metrics) WritePrometheus(w io.Writer) {
-	c := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	g := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-
-	// Per-level structure.
-	fmt.Fprintf(w, "# HELP pebblesdb_level_tables Live sstables per level.\n# TYPE pebblesdb_level_tables gauge\n")
-	for l, n := range m.Tree.LevelFiles {
-		fmt.Fprintf(w, "pebblesdb_level_tables{level=\"%d\"} %d\n", l, n)
-	}
-	fmt.Fprintf(w, "# HELP pebblesdb_level_bytes Live sstable bytes per level.\n# TYPE pebblesdb_level_bytes gauge\n")
-	for l, n := range m.Tree.LevelBytes {
-		fmt.Fprintf(w, "pebblesdb_level_bytes{level=\"%d\"} %d\n", l, n)
-	}
-	if len(m.Tree.GuardsPerLevel) > 0 {
-		fmt.Fprintf(w, "# HELP pebblesdb_level_guards FLSM guards per level.\n# TYPE pebblesdb_level_guards gauge\n")
-		for l, n := range m.Tree.GuardsPerLevel {
-			fmt.Fprintf(w, "pebblesdb_level_guards{level=\"%d\"} %d\n", l, n)
-		}
-	}
-
-	// Background work.
-	c("pebblesdb_flushes_total", "Memtable flushes.", m.Flushes)
-	c("pebblesdb_flushed_bytes_total", "Bytes written by flushes.", m.Tree.BytesFlushed)
-	c("pebblesdb_compactions_total", "Completed compactions.", m.Tree.Compactions)
-	c("pebblesdb_compaction_inplace_total", "In-place guard merges (FLSM last-level rewrites).", m.Tree.InPlaceMerges)
-	c("pebblesdb_compaction_trivial_moves_total", "Metadata-only file moves (leveled).", m.Tree.TrivialMoves)
-	c("pebblesdb_compaction_seek_total", "Seek-triggered compactions.", m.Tree.SeekCompactions)
-	c("pebblesdb_compaction_in_bytes_total", "Bytes read by compactions.", m.Tree.BytesCompactedIn)
-	c("pebblesdb_compaction_out_bytes_total", "Bytes written by compactions.", m.Tree.BytesCompactedOut)
-	c("pebblesdb_compaction_units_total", "Compaction units claimed by the parallel scheduler.", m.Tree.CompactionUnits)
-	g("pebblesdb_compaction_peak_parallelism", "Peak concurrently-running compaction units.", m.Tree.PeakUnitsInflight)
-	c("pebblesdb_compaction_claim_conflicts_total", "Times a worker found work pending but fully claimed.", m.Tree.ClaimConflicts)
-	c("pebblesdb_compaction_claim_stall_nanos_total", "Wall time workers waited for claimable work.", m.Tree.ClaimStallNanos)
-
-	// Write stalls.
-	c("pebblesdb_stall_slowdown_writes_total", "Writes delayed by the L0 slowdown trigger.", m.SlowdownWrites)
-	c("pebblesdb_stall_stopped_writes_total", "Writes blocked by the L0 stop trigger.", m.StoppedWrites)
-	c("pebblesdb_stall_memtable_waits_total", "Writes that waited for a memtable flush.", m.MemtableWaits)
-	c("pebblesdb_stall_nanos_total", "Wall time writers spent stalled.", m.StallNanos)
-
-	// Commit pipeline and WAL.
-	c("pebblesdb_wal_bytes_total", "Bytes appended to the write-ahead log.", m.WALBytes)
-	c("pebblesdb_wal_syncs_total", "Physical WAL fsyncs.", m.WALSyncs)
-	c("pebblesdb_sync_commits_total", "Commits that requested durability.", m.SyncCommits)
-	c("pebblesdb_commit_groups_total", "Commit groups formed by leaders.", m.CommitGroups)
-	c("pebblesdb_commit_batches_total", "Batches scheduled across commit groups.", m.CommitBatches)
-
-	// Commit-wait histogram: cumulative buckets, seconds.
-	fmt.Fprintf(w, "# HELP pebblesdb_commit_wait_seconds Commit latency.\n# TYPE pebblesdb_commit_wait_seconds histogram\n")
-	var cum int64
-	for i, n := range m.CommitWaitHist {
-		cum += n
-		if i < len(engine.CommitWaitBuckets) {
-			fmt.Fprintf(w, "pebblesdb_commit_wait_seconds_bucket{le=\"%g\"} %d\n",
-				engine.CommitWaitBuckets[i].Seconds(), cum)
-		} else {
-			fmt.Fprintf(w, "pebblesdb_commit_wait_seconds_bucket{le=\"+Inf\"} %d\n", cum)
-		}
-	}
-	fmt.Fprintf(w, "pebblesdb_commit_wait_seconds_sum %g\n", float64(m.CommitWaitNanos)/1e9)
-	fmt.Fprintf(w, "pebblesdb_commit_wait_seconds_count %d\n", cum)
-
-	// Operations and read path.
-	c("pebblesdb_gets_total", "Point reads.", m.Gets)
-	c("pebblesdb_writes_total", "Write operations.", m.Writes)
-	c("pebblesdb_iterators_total", "Iterators opened.", m.Iterators)
-	c("pebblesdb_get_tables_probed_total", "Sstables searched on the Get path.", m.GetTablesProbed)
-	c("pebblesdb_get_bloom_negatives_total", "Tables excluded by bloom filters on Gets.", m.GetBloomNegatives)
-	c("pebblesdb_get_bloom_false_positives_total", "Bloom passes that found nothing.", m.GetBloomFalsePositives)
-	c("pebblesdb_get_block_cache_hits_total", "Block-cache hits on Gets.", m.GetBlockCacheHits)
-	c("pebblesdb_get_block_cache_misses_total", "Block-cache misses on Gets.", m.GetBlockCacheMisses)
-	c("pebblesdb_iter_tables_opened_total", "Sstable iterators opened by scans.", m.IterTablesOpened)
-	c("pebblesdb_iter_prefix_skips_total", "Sstables skipped by prefix bloom filters.", m.IterPrefixSkips)
-
-	// Memory and health.
-	g("pebblesdb_memtable_bytes", "Live memtable footprint.", m.MemtableBytes)
-	var ro int64
-	if m.ReadOnly {
-		ro = 1
-	}
-	g("pebblesdb_read_only", "1 when the store is degraded to read-only by a background error.", ro)
-	c("pebblesdb_bg_retryable_errors_total", "Retryable background-error degradations.", m.BgRetryableErrors)
-	c("pebblesdb_bg_permanent_errors_total", "Permanent background-error degradations.", m.BgPermanentErrors)
-	c("pebblesdb_bg_retries_total", "Retried background operations.", m.BgRetries)
-	c("pebblesdb_resumes_total", "Successful Resume calls.", m.Resumes)
-
-	// IO accounting per file category, plus write amplification.
-	cats := [...]string{"table", "log", "manifest", "other"}
-	fmt.Fprintf(w, "# HELP pebblesdb_io_written_bytes_total Bytes written per file category.\n# TYPE pebblesdb_io_written_bytes_total counter\n")
-	for i, name := range cats {
-		fmt.Fprintf(w, "pebblesdb_io_written_bytes_total{category=\"%s\"} %d\n", name, m.IO.BytesWritten[i])
-	}
-	fmt.Fprintf(w, "# HELP pebblesdb_io_read_bytes_total Bytes read per file category.\n# TYPE pebblesdb_io_read_bytes_total counter\n")
-	for i, name := range cats {
-		fmt.Fprintf(w, "pebblesdb_io_read_bytes_total{category=\"%s\"} %d\n", name, m.IO.BytesRead[i])
-	}
-	c("pebblesdb_user_written_bytes_total", "Application key+value payload written.", m.UserBytesWritten)
+	metric.WritePrometheus(w, &m)
 	fmt.Fprintf(w, "# HELP pebblesdb_write_amplification Total write IO / user bytes written.\n# TYPE pebblesdb_write_amplification gauge\npebblesdb_write_amplification %g\n",
 		m.WriteAmplification())
 }
