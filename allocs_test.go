@@ -246,3 +246,75 @@ func BenchmarkGetTo(b *testing.B) {
 		}
 	}
 }
+
+// TestColdBlockGetAllocs pins what a Get costs when every block it needs
+// misses the block cache but the tables' metadata is resident — the state
+// of a store much larger than its cache. What is left allocates for the
+// block alone: its decoded payload and the cache's reference to it. Opening
+// a table, a read buffer per block or a list node per cache insert would
+// all push it over.
+func TestColdBlockGetAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const n = 20_000
+	for _, eng := range []struct {
+		name   string
+		engine pebblesdb.Engine
+	}{{"flsm", pebblesdb.EngineFLSM}, {"leveled", pebblesdb.EngineLeveled}} {
+		t.Run(eng.name, func(t *testing.T) {
+			o := pebblesdb.PresetPebblesDB.Options()
+			o.Engine = eng.engine
+			harness.Scale(o, 16)
+			o.BlockCacheSize = 1 // holds no block
+			o.WithFS(vfs.NewMem())
+			db, err := pebblesdb.Open("coldblocks", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if err := harness.FillRandom(db, n, n, 128, 1); err != nil {
+				t.Fatal(err)
+			}
+			// Compact, so that no background unit writes a table — a first
+			// touch — under the measurement.
+			if err := db.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+			// FillRandom leaves gaps: take the first 64 keys that exist.
+			var keys [][]byte
+			for i := uint64(0); len(keys) < 64 && i < n; i += 97 {
+				k := harness.KeyAt(nil, i)
+				if _, ok, err := db.Get(k, nil); err != nil {
+					t.Fatal(err)
+				} else if ok {
+					keys = append(keys, k)
+				}
+			}
+			buf := make([]byte, 0, 256)
+			get := func() {
+				for _, k := range keys {
+					v, ok, err := db.GetTo(k, buf, nil)
+					if err != nil || !ok {
+						t.Fatalf("GetTo(%s): ok=%v err=%v", k, ok, err)
+					}
+					buf = v[:0]
+				}
+			}
+			get() // first touch of every table the keys reach
+			before := db.Metrics().Cache
+			allocs := testing.AllocsPerRun(20, get) / float64(len(keys))
+			after := db.Metrics().Cache
+			if after.Misses != before.Misses || after.BlocksDecompressed == before.BlocksDecompressed {
+				t.Fatalf("want cold blocks under warm tables, got %d metadata reads and %d blocks inflated during the measured Gets",
+					after.Misses-before.Misses, after.BlocksDecompressed-before.BlocksDecompressed)
+			}
+			if allocs > 3 {
+				t.Errorf("cold-block DB.GetTo allocs/op = %.2f, want <= 3", allocs)
+			}
+		})
+	}
+}

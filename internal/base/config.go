@@ -58,9 +58,11 @@ type Config struct {
 	// (Fig 5.2b). The cache holds decompressed payloads, so capacity is
 	// charged in post-inflation bytes.
 	BlockCacheSize int64
-	// TableCacheSize is the number of open sstables (and their index
-	// blocks/bloom filters) kept cached. The paper notes the stores cache a
-	// limited number of sstable index blocks (default 1000).
+	// TableCacheSize is the number of open sstable file handles the table
+	// cache keeps, least recently read closed first (default 1000, the
+	// paper's limit on cached tables). It is a bound on file descriptors
+	// only: a table's index block and bloom filters — about a kilobyte —
+	// stay resident from its first read until the table is deleted.
 	TableCacheSize int
 
 	// --- FLSM-specific (ignored by the leveled tree) ---

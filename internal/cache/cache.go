@@ -1,22 +1,18 @@
 // Package cache provides a sharded LRU cache with byte-based capacity. It
-// backs both the block cache (decoded sstable data blocks) and, via
-// eviction callbacks, the table cache. The paper's evaluation repeatedly
-// turns on cache effects (Fig 5.1d cached datasets, Fig 5.2b low memory),
-// so capacity must be byte-exact. Charges are the caller's to choose; the
-// block cache charges the decompressed payload size (sstable format v2
-// stores blocks snappy-compressed, and hits must skip the codec), so
-// capacity bounds resident memory, not on-storage bytes.
+// backs the block cache (decoded sstable data blocks). The paper's
+// evaluation repeatedly turns on cache effects (Fig 5.1d cached datasets,
+// Fig 5.2b low memory), so capacity must be byte-exact. Charges are the
+// caller's to choose; the block cache charges the decompressed payload size
+// (sstable format v2 stores blocks snappy-compressed, and hits must skip the
+// codec), so capacity bounds resident memory, not on-storage bytes.
 package cache
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
 const numShards = 16
 
-// Key identifies a cache entry: a file number plus an offset (0 for
-// whole-file entries such as table readers).
+// Key identifies a cache entry: a file number plus the offset of a block
+// within it.
 type Key struct {
 	File uint64
 	Off  uint64
@@ -32,16 +28,30 @@ type shard struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	ll       *list.List // front = most recent
-	items    map[Key]*list.Element
-	hits     int64
-	misses   int64
+	// lru is the sentinel of the circular recency list: lru.next is the
+	// most recently used entry, lru.prev the eviction victim.
+	lru   entry
+	items map[Key]*entry
+	// free chains (through next) the entries evictions left behind, so a
+	// full cache inserts without allocating.
+	free   *entry
+	hits   int64
+	misses int64
 }
 
+// entry is a cached value and its own node in the shard's recency list.
 type entry struct {
-	key    Key
-	value  interface{}
-	charge int64
+	prev, next *entry
+	key        Key
+	value      interface{}
+	charge     int64
+}
+
+// evicted is what the eviction callback is owed once the shard lock is
+// released; the entry itself is reused at once.
+type evicted struct {
+	key   Key
+	value interface{}
 }
 
 // New returns a cache with the given total capacity in bytes. onEvict, if
@@ -54,9 +64,10 @@ func New(capacity int64, onEvict func(Key, interface{})) *Cache {
 		per = 1
 	}
 	for i := range c.shards {
-		c.shards[i].capacity = per
-		c.shards[i].ll = list.New()
-		c.shards[i].items = make(map[Key]*list.Element)
+		s := &c.shards[i]
+		s.capacity = per
+		s.lru.prev, s.lru.next = &s.lru, &s.lru
+		s.items = make(map[Key]*entry)
 	}
 	return c
 }
@@ -66,27 +77,57 @@ func (c *Cache) shard(k Key) *shard {
 	return &c.shards[h%numShards]
 }
 
+func (s *shard) unlink(e *entry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+}
+
+func (s *shard) pushFront(e *entry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// remove takes e out of the shard and onto the free list, returning what
+// the eviction callback is owed for it.
+func (s *shard) remove(e *entry) evicted {
+	ev := evicted{e.key, e.value}
+	s.unlink(e)
+	delete(s.items, e.key)
+	s.used -= e.charge
+	*e = entry{next: s.free}
+	s.free = e
+	return ev
+}
+
+// notify runs the eviction callback for evs, outside the shard lock.
+func (c *Cache) notify(evs []evicted) {
+	if c.onEvict != nil {
+		for _, ev := range evs {
+			c.onEvict(ev.key, ev.value)
+		}
+	}
+}
+
 // Get returns the cached value for k, if present.
 func (c *Cache) Get(k Key) (interface{}, bool) {
 	return c.GetHold(k, nil)
 }
 
 // GetHold is Get with a callback invoked on the value while the shard lock
-// is held. Reference-counted values (table readers) use it to acquire a
-// reference atomically with the lookup, so a concurrent eviction cannot
-// release the last reference in between.
+// is held. Reference-counted values use it to acquire a reference
+// atomically with the lookup, so a concurrent eviction cannot release the
+// last reference in between.
 func (c *Cache) GetHold(k Key, hold func(v interface{})) (interface{}, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.items[k]; ok {
-		s.ll.MoveToFront(e)
+		s.unlink(e)
+		s.pushFront(e)
 		s.hits++
-		v := e.Value.(*entry).value
 		if hold != nil {
-			hold(v)
+			hold(e.value)
 		}
-		return v, true
+		return e.value, true
 	}
 	s.misses++
 	return nil, false
@@ -96,75 +137,62 @@ func (c *Cache) GetHold(k Key, hold func(v interface{})) (interface{}, bool) {
 // entries as needed.
 func (c *Cache) Set(k Key, value interface{}, charge int64) {
 	s := c.shard(k)
-	var evicted []*entry
+	// An insert evicts about as many entries as it adds; the array keeps
+	// the usual handful off the heap.
+	var buf [4]evicted
+	evs := buf[:0]
 	s.mu.Lock()
 	if e, ok := s.items[k]; ok {
-		old := e.Value.(*entry)
-		s.used -= old.charge
-		evicted = append(evicted, old)
-		e.Value = &entry{key: k, value: value, charge: charge}
-		s.used += charge
-		s.ll.MoveToFront(e)
+		evs = append(evs, evicted{e.key, e.value})
+		s.used += charge - e.charge
+		e.value, e.charge = value, charge
+		s.unlink(e)
+		s.pushFront(e)
 	} else {
-		e := s.ll.PushFront(&entry{key: k, value: value, charge: charge})
+		e := s.free
+		if e != nil {
+			s.free = e.next
+		} else {
+			e = &entry{}
+		}
+		e.key, e.value, e.charge = k, value, charge
+		s.pushFront(e)
 		s.items[k] = e
 		s.used += charge
 	}
-	for s.used > s.capacity && s.ll.Len() > 0 {
-		back := s.ll.Back()
-		ent := back.Value.(*entry)
-		s.ll.Remove(back)
-		delete(s.items, ent.key)
-		s.used -= ent.charge
-		evicted = append(evicted, ent)
+	for s.used > s.capacity && s.lru.prev != &s.lru {
+		evs = append(evs, s.remove(s.lru.prev))
 	}
 	s.mu.Unlock()
-	if c.onEvict != nil {
-		for _, ent := range evicted {
-			c.onEvict(ent.key, ent.value)
-		}
-	}
+	c.notify(evs)
 }
 
 // Delete removes k if present, invoking the eviction callback.
 func (c *Cache) Delete(k Key) {
 	s := c.shard(k)
+	var buf [1]evicted
+	evs := buf[:0]
 	s.mu.Lock()
-	e, ok := s.items[k]
-	var ent *entry
-	if ok {
-		ent = e.Value.(*entry)
-		s.ll.Remove(e)
-		delete(s.items, k)
-		s.used -= ent.charge
+	if e, ok := s.items[k]; ok {
+		evs = append(evs, s.remove(e))
 	}
 	s.mu.Unlock()
-	if ok && c.onEvict != nil {
-		c.onEvict(ent.key, ent.value)
-	}
+	c.notify(evs)
 }
 
 // DeleteFile removes every entry whose Key.File matches fn.
 func (c *Cache) DeleteFile(fn uint64) {
 	for i := range c.shards {
 		s := &c.shards[i]
-		var evicted []*entry
+		var evs []evicted
 		s.mu.Lock()
 		for k, e := range s.items {
 			if k.File == fn {
-				ent := e.Value.(*entry)
-				s.ll.Remove(e)
-				delete(s.items, k)
-				s.used -= ent.charge
-				evicted = append(evicted, ent)
+				evs = append(evs, s.remove(e))
 			}
 		}
 		s.mu.Unlock()
-		if c.onEvict != nil {
-			for _, ent := range evicted {
-				c.onEvict(ent.key, ent.value)
-			}
-		}
+		c.notify(evs)
 	}
 }
 
@@ -175,7 +203,7 @@ func (c *Cache) Range(fn func(k Key, v interface{})) {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k, e := range s.items {
-			fn(k, e.Value.(*entry).value)
+			fn(k, e.value)
 		}
 		s.mu.Unlock()
 	}
@@ -185,20 +213,13 @@ func (c *Cache) Range(fn func(k Key, v interface{})) {
 func (c *Cache) Clear() {
 	for i := range c.shards {
 		s := &c.shards[i]
-		var evicted []*entry
+		var evs []evicted
 		s.mu.Lock()
-		for k, e := range s.items {
-			evicted = append(evicted, e.Value.(*entry))
-			delete(s.items, k)
+		for _, e := range s.items {
+			evs = append(evs, s.remove(e))
 		}
-		s.ll.Init()
-		s.used = 0
 		s.mu.Unlock()
-		if c.onEvict != nil {
-			for _, ent := range evicted {
-				c.onEvict(ent.key, ent.value)
-			}
-		}
+		c.notify(evs)
 	}
 }
 
@@ -218,7 +239,7 @@ func (c *Cache) Stats() Stats {
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.UsedBytes += s.used
-		st.Entries += s.ll.Len()
+		st.Entries += len(s.items)
 		s.mu.Unlock()
 	}
 	return st

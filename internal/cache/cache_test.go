@@ -145,3 +145,19 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkSetEvict is the block cache's miss path: a full cache takes a
+// block and drops its least recently used one.
+func BenchmarkSetEvict(b *testing.B) {
+	const blockSize = 4 << 10
+	c := New(1<<20, nil)
+	block := make([]byte, blockSize)
+	for i := 0; i < 1024; i++ {
+		c.Set(Key{File: 1, Off: uint64(i) * blockSize}, block, blockSize)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Set(Key{File: 2, Off: uint64(i) * blockSize}, block, blockSize)
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,7 +18,6 @@ import (
 	"pebblesdb/internal/crc"
 	"pebblesdb/internal/iterator"
 	"pebblesdb/internal/rangedel"
-	"pebblesdb/internal/vfs"
 )
 
 // The formats earlier writers emitted, all still readable. v1: 4-byte block
@@ -42,6 +42,23 @@ const (
 	blockTrailerLenV1 = 4 // crc32(payload)
 )
 
+// footerFormats is every footer a writer has emitted. A footer is its block
+// handles (16 bytes each, in the order filter, index, range-del, prefix
+// filter), then from v2 on a format-version byte padded to 8, then the magic
+// that names the format.
+var footerFormats = [...]struct {
+	magic      uint64
+	version    int
+	length     int // whole footer, magic included
+	handles    int
+	versionOff int // of the format-version byte; -1 when there is none
+}{
+	{tableMagicV4, formatV4, footerLenV4, 4, 64},
+	{tableMagicV3, formatV3, footerLenV3, 3, 48},
+	{tableMagicV2, formatV2, footerLenV2, 2, 32},
+	{tableMagicV1, formatV1, footerLenV1, 2, -1},
+}
+
 // ErrCorrupt indicates a structurally invalid table or checksum failure.
 var ErrCorrupt = errors.New("sstable: corrupt table")
 
@@ -63,13 +80,21 @@ type CodecStats struct {
 // instead of one per block.
 const ReadaheadSize = 256 << 10
 
+// File is what a Reader needs of its table file: positioned reads, and a
+// Close once the last reference is gone. The table cache passes one that
+// holds an open handle only while a read needs it.
+type File interface {
+	io.ReaderAt
+	io.Closer
+}
+
 // Reader provides random access to an sstable. The index block and bloom
 // filter stay resident for the Reader's lifetime (the paper stores guards
 // and bloom filters in memory, §3.7); data blocks go through the optional
 // shared block cache, which stores the *decompressed* payload so cache
 // hits never pay the codec.
 type Reader struct {
-	f       vfs.File
+	f       File
 	fileNum base.FileNum
 	size    int64
 	version int // formatV1 .. formatV4
@@ -93,12 +118,28 @@ type Reader struct {
 	// refs counts users of the Reader: the table cache holds one
 	// reference, and every caller of tablecache.Find holds another until
 	// it calls Unref. The file closes when the count reaches zero, so
-	// cache eviction never yanks a table out from under a reader.
+	// dropping a table from the cache never yanks it out from under a
+	// reader.
 	refs atomic.Int32
 }
 
-// Ref acquires a reference.
+// Ref acquires a reference; the caller already holds one.
 func (r *Reader) Ref() { r.refs.Add(1) }
+
+// TryRef acquires a reference unless the last one is already gone. It is
+// for a holder of the bare pointer (the table cache's lock-free lookup),
+// which may find the Reader after a concurrent Evict released it.
+func (r *Reader) TryRef() bool {
+	for {
+		n := r.refs.Load()
+		if n == 0 {
+			return false
+		}
+		if r.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
 
 // Unref releases a reference, closing the file on the last one.
 func (r *Reader) Unref() error {
@@ -111,75 +152,42 @@ func (r *Reader) Unref() error {
 // Open reads the table's footer, index and filter. The Reader owns f and
 // closes it on Close. codec, when non-nil, receives decompression counters
 // shared across readers.
-func Open(f vfs.File, size int64, fileNum base.FileNum, blockCache *cache.Cache, codec *CodecStats) (*Reader, error) {
+func Open(f File, size int64, fileNum base.FileNum, blockCache *cache.Cache, codec *CodecStats) (*Reader, error) {
 	if size < footerLenV1 {
 		return nil, fmt.Errorf("%w: file too small (%d bytes)", ErrCorrupt, size)
 	}
-	var magicBuf [8]byte
-	if _, err := f.ReadAt(magicBuf[:], size-8); err != nil {
+	// One read covers the longest footer; the magic in its last 8 bytes
+	// says how much of it is this table's.
+	var tail [footerLenV4]byte
+	n := min(size, footerLenV4)
+	if err := fullReadAt(f, tail[footerLenV4-n:], size-n); err != nil {
 		return nil, err
 	}
 	r := &Reader{f: f, fileNum: fileNum, size: size, blocks: blockCache, codec: codec}
 	r.refs.Store(1)
 
-	var filterH, indexH, rangeDelH, prefixH blockHandle
-	switch binary.LittleEndian.Uint64(magicBuf[:]) {
-	case tableMagicV4:
-		if size < footerLenV4 {
-			return nil, fmt.Errorf("%w: v4 file too small (%d bytes)", ErrCorrupt, size)
+	magic := binary.LittleEndian.Uint64(tail[footerLenV4-8:])
+	var handles [4]blockHandle
+	for _, ff := range footerFormats {
+		if ff.magic != magic {
+			continue
 		}
-		var footer [footerLenV4]byte
-		if _, err := f.ReadAt(footer[:], size-footerLenV4); err != nil {
-			return nil, err
+		if size < int64(ff.length) {
+			return nil, fmt.Errorf("%w: v%d file too small (%d bytes)", ErrCorrupt, ff.version, size)
 		}
-		if v := footer[64]; v != formatV4 {
-			return nil, fmt.Errorf("%w: unknown format version %d", ErrCorrupt, v)
+		footer := tail[footerLenV4-ff.length:]
+		if ff.versionOff >= 0 && int(footer[ff.versionOff]) != ff.version {
+			return nil, fmt.Errorf("%w: unknown format version %d", ErrCorrupt, footer[ff.versionOff])
 		}
-		r.version = formatV4
-		filterH = blockHandle{binary.LittleEndian.Uint64(footer[0:]), binary.LittleEndian.Uint64(footer[8:])}
-		indexH = blockHandle{binary.LittleEndian.Uint64(footer[16:]), binary.LittleEndian.Uint64(footer[24:])}
-		rangeDelH = blockHandle{binary.LittleEndian.Uint64(footer[32:]), binary.LittleEndian.Uint64(footer[40:])}
-		prefixH = blockHandle{binary.LittleEndian.Uint64(footer[48:]), binary.LittleEndian.Uint64(footer[56:])}
-	case tableMagicV3:
-		if size < footerLenV3 {
-			return nil, fmt.Errorf("%w: v3 file too small (%d bytes)", ErrCorrupt, size)
+		r.version = ff.version
+		for i := range handles[:ff.handles] {
+			handles[i] = blockHandle{binary.LittleEndian.Uint64(footer[16*i:]), binary.LittleEndian.Uint64(footer[16*i+8:])}
 		}
-		var footer [footerLenV3]byte
-		if _, err := f.ReadAt(footer[:], size-footerLenV3); err != nil {
-			return nil, err
-		}
-		if v := footer[48]; v != formatV3 {
-			return nil, fmt.Errorf("%w: unknown format version %d", ErrCorrupt, v)
-		}
-		r.version = formatV3
-		filterH = blockHandle{binary.LittleEndian.Uint64(footer[0:]), binary.LittleEndian.Uint64(footer[8:])}
-		indexH = blockHandle{binary.LittleEndian.Uint64(footer[16:]), binary.LittleEndian.Uint64(footer[24:])}
-		rangeDelH = blockHandle{binary.LittleEndian.Uint64(footer[32:]), binary.LittleEndian.Uint64(footer[40:])}
-	case tableMagicV2:
-		if size < footerLenV2 {
-			return nil, fmt.Errorf("%w: v2 file too small (%d bytes)", ErrCorrupt, size)
-		}
-		var footer [footerLenV2]byte
-		if _, err := f.ReadAt(footer[:], size-footerLenV2); err != nil {
-			return nil, err
-		}
-		if v := footer[32]; v != formatV2 {
-			return nil, fmt.Errorf("%w: unknown format version %d", ErrCorrupt, v)
-		}
-		r.version = formatV2
-		filterH = blockHandle{binary.LittleEndian.Uint64(footer[0:]), binary.LittleEndian.Uint64(footer[8:])}
-		indexH = blockHandle{binary.LittleEndian.Uint64(footer[16:]), binary.LittleEndian.Uint64(footer[24:])}
-	case tableMagicV1:
-		var footer [footerLenV1]byte
-		if _, err := f.ReadAt(footer[:], size-footerLenV1); err != nil {
-			return nil, err
-		}
-		r.version = formatV1
-		filterH = blockHandle{binary.LittleEndian.Uint64(footer[0:]), binary.LittleEndian.Uint64(footer[8:])}
-		indexH = blockHandle{binary.LittleEndian.Uint64(footer[16:]), binary.LittleEndian.Uint64(footer[24:])}
-	default:
+	}
+	if r.version == 0 {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
+	filterH, indexH, rangeDelH, prefixH := handles[0], handles[1], handles[2], handles[3]
 
 	idx, err := r.readBlockUncached(indexH, nil)
 	if err != nil {
@@ -253,15 +261,26 @@ func (r *Reader) trailerLen() uint64 {
 	return blockTrailerLenV2
 }
 
+// readBufPool holds the buffers blocks are read into. A compressed block's
+// stored bytes are dead once it is inflated, so they never need a buffer of
+// their own.
+var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // readBlockUncached reads, verifies and decompresses the block at h,
 // bypassing the cache. ra, when non-nil, supplies the bytes through a
-// readahead buffer instead of a per-block ReadAt.
+// readahead buffer instead of a per-block ReadAt. The result is the
+// caller's: a stored-raw payload is copied out of the pooled read buffer.
 func (r *Reader) readBlockUncached(h blockHandle, ra *readahead) ([]byte, error) {
 	trailer := r.trailerLen()
 	if h.offset+h.length+trailer > uint64(r.size) {
 		return nil, fmt.Errorf("%w: block handle out of range", ErrCorrupt)
 	}
-	buf := make([]byte, h.length+trailer)
+	bp := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(bp)
+	if n := int(h.length + trailer); cap(*bp) < n {
+		*bp = make([]byte, n)
+	}
+	buf := (*bp)[:h.length+trailer]
 	if ra != nil {
 		if err := ra.readAt(buf, int64(h.offset)); err != nil {
 			return nil, err
@@ -276,7 +295,7 @@ func (r *Reader) readBlockUncached(h blockHandle, ra *readahead) ([]byte, error)
 		if crc.Value(payload) != want {
 			return nil, fmt.Errorf("%w: block checksum mismatch at offset %d", ErrCorrupt, h.offset)
 		}
-		return payload, nil
+		return bytes.Clone(payload), nil
 	}
 
 	typ := buf[h.length]
@@ -286,7 +305,7 @@ func (r *Reader) readBlockUncached(h blockHandle, ra *readahead) ([]byte, error)
 	}
 	switch typ {
 	case blockTypeNone:
-		return payload, nil
+		return bytes.Clone(payload), nil
 	case blockTypeSnappy:
 		start := time.Now()
 		decoded, err := compress.Decode(nil, payload)
@@ -336,7 +355,7 @@ func (r *Reader) readBlock(h blockHandle, ra *readahead, stats *GetStats) ([]byt
 // forward. Reads outside the window (backward iteration after a reposition,
 // oversized blocks) fall through untouched.
 type readahead struct {
-	f    vfs.File
+	f    io.ReaderAt
 	size int64
 	buf  []byte
 	off  int64 // file offset of buf[0]
@@ -371,7 +390,7 @@ func (ra *readahead) readAt(p []byte, off int64) error {
 
 // fullReadAt is ReadAt tolerating the io.EOF that a read ending exactly at
 // the file end may legally return alongside full data.
-func fullReadAt(f vfs.File, p []byte, off int64) error {
+func fullReadAt(f io.ReaderAt, p []byte, off int64) error {
 	n, err := f.ReadAt(p, off)
 	if err == io.EOF && n == len(p) {
 		return nil

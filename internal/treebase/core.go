@@ -177,9 +177,13 @@ type Core struct {
 
 	// mu guards the layout's state (claims, guard candidates, seek
 	// budgets), the current view and the core's counters below.
-	mu      sync.Mutex
-	view    View
-	metrics Metrics
+	mu   sync.Mutex
+	view View
+	// rangeDels lists the tables of view that carry range tombstones —
+	// almost always none — so an iterator collects tombstones without
+	// walking the version. Replaced with the view, never mutated.
+	rangeDels []*base.FileMetadata
+	metrics   Metrics
 	// units / levelUnits count running units (total / per source level).
 	units      int
 	levelUnits []int
@@ -297,8 +301,39 @@ func (c *Core) applyLocked(edit *manifest.VersionEdit) error {
 	v, err := c.layout.Apply(edit)
 	if err == nil {
 		c.view = v
+		c.rangeDels = applyRangeDels(c.rangeDels, edit)
 	}
 	return err
+}
+
+// applyRangeDels returns the tombstone-carrying tables of the version that
+// edit makes of the one that had cur. The usual edit touches no such table
+// and gets cur back.
+func applyRangeDels(cur []*base.FileMetadata, edit *manifest.VersionEdit) []*base.FileMetadata {
+	adds := false
+	for i := range edit.NewFiles {
+		adds = adds || edit.NewFiles[i].Meta.NumRangeDels > 0
+	}
+	if len(cur) == 0 && !adds {
+		return cur
+	}
+	// A moved table is deleted at one level and added at another.
+	gone := make(map[base.FileNum]bool, len(edit.DeletedFiles))
+	for _, d := range edit.DeletedFiles {
+		gone[d.FileNum] = true
+	}
+	var next []*base.FileMetadata
+	for _, f := range cur {
+		if !gone[f.FileNum] {
+			next = append(next, f)
+		}
+	}
+	for i := range edit.NewFiles {
+		if m := edit.NewFiles[i].Meta; m.NumRangeDels > 0 {
+			next = append(next, &m)
+		}
+	}
+	return next
 }
 
 // L0Count returns the number of level-0 files (write stalls).
@@ -559,7 +594,7 @@ func (c *Core) Dump(w io.Writer) {
 	}
 }
 
-// Close releases cached readers and the manifest.
+// Close releases the resident table readers and the manifest.
 func (c *Core) Close() error {
 	c.tc.Close()
 	return c.vs.Close()

@@ -43,6 +43,7 @@ func runReads(t *testing.T, open OpenFunc, policy SeekPolicy) {
 	})
 	t.Run("WarmSeekDoesNotAllocate", func(t *testing.T) { testWarmSeekAllocs(t, open, policy) })
 	t.Run("PinThenLoad", func(t *testing.T) { testPinThenLoad(t, open) })
+	t.Run("TwoHandles", func(t *testing.T) { testTwoHandles(t, open) })
 	t.Run("IterErrors", func(t *testing.T) {
 		for _, compacted := range []bool{false, true} {
 			t.Run(fmt.Sprintf("compacted=%v", compacted), func(t *testing.T) { testIterErrors(t, open, compacted) })
@@ -510,10 +511,11 @@ func testPinThenLoad(t *testing.T, open OpenFunc) {
 	}
 }
 
-// handleFS counts the read handles a tree holds open.
+// handleFS counts the read handles a tree holds open, and the most it held
+// at once.
 type handleFS struct {
 	vfs.FS
-	open atomic.Int64
+	open, peak atomic.Int64
 }
 
 func (fs *handleFS) Open(name string) (vfs.File, error) {
@@ -521,7 +523,9 @@ func (fs *handleFS) Open(name string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs.open.Add(1)
+	n := fs.open.Add(1)
+	for p := fs.peak.Load(); n > p && !fs.peak.CompareAndSwap(p, n); p = fs.peak.Load() {
+	}
 	return &handle{File: f, fs: fs}, nil
 }
 
@@ -533,6 +537,49 @@ type handle struct {
 func (h *handle) Close() error {
 	h.fs.open.Add(-1)
 	return h.File.Close()
+}
+
+// testTwoHandles serves the model's Gets and scans — range tombstones,
+// bounds, prefixes — from a store of twenty-odd tables through two file
+// handles and a block cache that holds nothing: TableCacheSize bounds the
+// files open, not the tables a read may consult.
+func testTwoHandles(t *testing.T, open OpenFunc) {
+	hfs := &handleFS{FS: vfs.NewMem()}
+	s := openStore(t, open, hfs, func(cfg *base.Config) {
+		cfg.PrefixBloomLength = 7
+		cfg.TableCacheSize = 2
+		cfg.BlockCacheSize = 1
+		cfg.TargetFileSize = 2 << 10 // a leveled tree, too, keeps many tables
+	})
+	h := &history{points: map[string][]pointVersion{}}
+	for round := 0; round < 12; round++ {
+		s.flushHistory(h, 300, fmt.Sprintf("r%d", round), round%3 == 2)
+		if round%4 == 1 {
+			if _, err := s.c.CompactOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tables := 0
+	for _, n := range s.c.Metrics().LevelFiles {
+		tables += n
+	}
+	if tables < 20 {
+		t.Fatalf("store holds %d tables, want at least 20", tables)
+	}
+	s.checkReads(h, fmt.Sprintf("%d tables over two handles", tables))
+	// Resident are the live tables and those compactions read and replaced:
+	// the suite has no sweeper to evict them.
+	if cm := s.c.CacheMetrics(); cm.OpenTables < tables || cm.OpenHandles > 2 || hfs.peak.Load() > 2 {
+		t.Fatalf("%d tables: %d resident, %d handles open now, %d at the peak; want all resident over at most 2 handles",
+			tables, cm.OpenTables, cm.OpenHandles, hfs.peak.Load())
+	}
+	if err := s.c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := hfs.open.Load(); n != 0 {
+		t.Fatalf("%d table handles open after Close", n)
+	}
 }
 
 // testIterErrors fails a table open under a running scan, and under

@@ -172,18 +172,16 @@ func (c *Core) chargesMiss(level int) bool {
 // whose prefix bloom filter rules it out; tombstone collection ignores the
 // filter, so a skipped table's range deletions are still honored. File
 // bounds include tombstone spans, so bounds pruning cannot lose a tombstone
-// that could mask an in-bounds key.
+// that could mask an in-bounds key. The tables that carry tombstones come
+// from the list kept beside the view, not from a walk of it.
 func (c *Core) NewIters(req IterRequest, dst []iterator.Iterator) ([]iterator.Iterator, []rangedel.Tombstone, error) {
-	v := c.pin()
+	c.mu.Lock()
+	v, rdTables := c.view, c.rangeDels
+	c.mu.Unlock()
 	iters := dst
-	var rds []rangedel.Tombstone
-	var err error
 	for _, f := range v.L0() {
 		if !req.Bounds.Overlaps(f) {
 			continue
-		}
-		if rds, err = c.appendRangeDels(rds, f); err != nil {
-			return closeIters(iters, err)
 		}
 		it, err := c.openIter(&req, f)
 		if err != nil {
@@ -200,19 +198,19 @@ func (c *Core) NewIters(req IterRequest, dst []iterator.Iterator) ([]iterator.It
 		}
 		parallel := c.cfg.ParallelSeeks && lv == c.cfg.NumLevels-1
 		iters = append(iters, &levelIter{c: c, v: v, level: lv, lo: lo, hi: hi, idx: lo - 1, parallel: parallel, req: req})
-		for i := lo; i < hi; i++ {
-			_, files := v.Group(lv, i)
-			for _, f := range files {
-				// The clean-table check comes first: it rejects nearly
-				// every file without comparing keys.
-				if f.NumRangeDels == 0 || !req.Bounds.Overlaps(f) {
-					continue
-				}
-				if rds, err = c.appendRangeDels(rds, f); err != nil {
-					return closeIters(iters, err)
-				}
-			}
+	}
+	var rds []rangedel.Tombstone
+	for _, f := range rdTables {
+		if !req.Bounds.Overlaps(f) {
+			continue
 		}
+		// The resident list answers: no block IO here.
+		r, err := c.tc.Find(f.FileNum, f.Size)
+		if err != nil {
+			return closeIters(iters, err)
+		}
+		rds = append(rds, r.RangeDels().Raw()...)
+		r.Unref()
 	}
 	return iters, rds, nil
 }
@@ -241,21 +239,4 @@ func (c *Core) openIter(req *IterRequest, f *base.FileMetadata) (iterator.Iterat
 	}
 	req.CountOpen()
 	return GetTableIter(r), nil
-}
-
-// appendRangeDels appends f's range tombstones to rds. Tables flagged
-// clean in their metadata — the overwhelming majority — are skipped without
-// opening; flagged tables hand back their resident list, so no block IO
-// happens here either.
-func (c *Core) appendRangeDels(rds []rangedel.Tombstone, f *base.FileMetadata) ([]rangedel.Tombstone, error) {
-	if f.NumRangeDels == 0 {
-		return rds, nil
-	}
-	r, err := c.tc.Find(f.FileNum, f.Size)
-	if err != nil {
-		return rds, err
-	}
-	rds = append(rds, r.RangeDels().Raw()...)
-	r.Unref()
-	return rds, nil
 }

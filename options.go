@@ -185,10 +185,11 @@ func (p Preset) Options() *Options {
 // magnitude of avoidable IO. Tuned splits the budget roughly like the
 // production fix that motivated it — half block cache, a quarter
 // memtable (capped at 256 MB so flushes stay incremental), the rest left
-// for table-cache metadata and per-connection state — and opens up the
-// background machinery to match (compaction trigger 4, stop 20, four
-// concurrent compactions, 1024 cached tables). Fractions of the budget
-// below the preset's own values never shrink them. Returns o.
+// for table metadata (resident for every live table, about a kilobyte
+// each) and per-connection state — and opens up the background machinery
+// to match (compaction trigger 4, stop 20, four concurrent compactions,
+// 1024 open table file handles). Fractions of the budget below the preset's
+// own values never shrink them. Returns o.
 func (o *Options) Tuned(targetMemoryBytes int64) *Options {
 	if targetMemoryBytes <= 0 {
 		return o
