@@ -250,9 +250,9 @@ func BenchmarkGetTo(b *testing.B) {
 // TestColdBlockGetAllocs pins what a Get costs when every block it needs
 // misses the block cache but the tables' metadata is resident — the state
 // of a store much larger than its cache. What is left allocates for the
-// block alone: its decoded payload and the cache's reference to it. Opening
-// a table, a read buffer per block or a list node per cache insert would
-// all push it over.
+// block alone: its decoded payload, which the cache holds as the slice it
+// is. Opening a table, a read buffer per block, a list node or a boxed value
+// per cache insert would all push it over.
 func TestColdBlockGetAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
@@ -312,8 +312,8 @@ func TestColdBlockGetAllocs(t *testing.T) {
 				t.Fatalf("want cold blocks under warm tables, got %d metadata reads and %d blocks inflated during the measured Gets",
 					after.Misses-before.Misses, after.BlocksDecompressed-before.BlocksDecompressed)
 			}
-			if allocs > 3 {
-				t.Errorf("cold-block DB.GetTo allocs/op = %.2f, want <= 3", allocs)
+			if allocs > 2 {
+				t.Errorf("cold-block DB.GetTo allocs/op = %.2f, want <= 2", allocs)
 			}
 		})
 	}

@@ -50,17 +50,6 @@ var (
 	retentionPerKey = flag.Bool("retention_perkey", false, "drop retention windows with per-key deletes instead of DeleteRange")
 )
 
-// jsonLatency is per-workload latency in microseconds, from the harness's
-// log-scale histogram (bucket resolution ~19%).
-type jsonLatency struct {
-	MeanMicros float64 `json:"mean_us"`
-	P50Micros  float64 `json:"p50_us"`
-	P90Micros  float64 `json:"p90_us"`
-	P99Micros  float64 `json:"p99_us"`
-	P999Micros float64 `json:"p999_us"`
-	MaxMicros  float64 `json:"max_us"`
-}
-
 type jsonWorkload struct {
 	Name       string  `json:"name"`
 	Ops        int64   `json:"ops"`
@@ -73,8 +62,8 @@ type jsonWorkload struct {
 	// ops — it includes background flush/compaction work, so read it as a
 	// trend line, not a per-call truth (the AllocsPerRun regression tests
 	// pin those).
-	AllocsPerOp float64      `json:"allocs_per_op"`
-	Latency     *jsonLatency `json:"latency,omitempty"`
+	AllocsPerOp float64              `json:"allocs_per_op"`
+	Latency     *harness.LatencyJSON `json:"latency,omitempty"`
 
 	// Retention workload accounting (zero elsewhere): windows dropped, the
 	// user bytes those windows had ingested (the reclamation target), and
@@ -113,40 +102,9 @@ type jsonReport struct {
 	IterTableSkipRatio    float64 `json:"iter_table_skip_ratio"`
 }
 
-func latencyJSON(rec *harness.LatencyRecorder) *jsonLatency {
-	if rec == nil || rec.Count() == 0 {
-		return nil
-	}
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return &jsonLatency{
-		MeanMicros: us(rec.Mean()),
-		P50Micros:  us(rec.Percentile(0.50)),
-		P90Micros:  us(rec.Percentile(0.90)),
-		P99Micros:  us(rec.Percentile(0.99)),
-		P999Micros: us(rec.Percentile(0.999)),
-		MaxMicros:  us(rec.Max()),
-	}
-}
-
-func presetByName(name string) (pebblesdb.Preset, bool) {
-	switch strings.ToLower(name) {
-	case "pebblesdb":
-		return pebblesdb.PresetPebblesDB, true
-	case "hyperleveldb":
-		return pebblesdb.PresetHyperLevelDB, true
-	case "leveldb":
-		return pebblesdb.PresetLevelDB, true
-	case "rocksdb":
-		return pebblesdb.PresetRocksDB, true
-	case "pebblesdb1", "pebblesdb-1":
-		return pebblesdb.PresetPebblesDB1, true
-	}
-	return 0, false
-}
-
 func main() {
 	flag.Parse()
-	preset, ok := presetByName(*store)
+	preset, ok := harness.PresetByName(*store)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown store %q\n", *store)
 		os.Exit(2)
@@ -312,7 +270,7 @@ func main() {
 			os.Exit(1)
 		}
 		allocsPerOp := float64(msAfter.Mallocs-msBefore.Mallocs) / float64(res.Ops)
-		lat := latencyJSON(rec)
+		lat := rec.JSON()
 		w := jsonWorkload{
 			Name:        bench,
 			Ops:         res.Ops,

@@ -50,16 +50,6 @@ var (
 	obsPoll   = flag.Duration("obs_poll", time.Second, "poll interval for -obs")
 )
 
-type jsonLatency struct {
-	Ops        int64   `json:"ops"`
-	MeanMicros float64 `json:"mean_us"`
-	P50Micros  float64 `json:"p50_us"`
-	P90Micros  float64 `json:"p90_us"`
-	P99Micros  float64 `json:"p99_us"`
-	P999Micros float64 `json:"p999_us"`
-	MaxMicros  float64 `json:"max_us"`
-}
-
 type jsonReport struct {
 	Addr       string `json:"addr"`
 	Conns      int    `json:"conns"`
@@ -74,12 +64,12 @@ type jsonReport struct {
 	GoVersion  string `json:"go_version"`
 	DurationNS int64  `json:"duration_ns"`
 
-	KOpsPerSec float64      `json:"kops_per_sec"`
-	Reads      *jsonLatency `json:"reads,omitempty"`
-	Writes     *jsonLatency `json:"writes,omitempty"`
-	Scans      *jsonLatency `json:"scans,omitempty"`
-	NotFound   int64        `json:"not_found"`
-	Errors     int64        `json:"errors"`
+	KOpsPerSec float64              `json:"kops_per_sec"`
+	Reads      *harness.LatencyJSON `json:"reads,omitempty"`
+	Writes     *harness.LatencyJSON `json:"writes,omitempty"`
+	Scans      *harness.LatencyJSON `json:"scans,omitempty"`
+	NotFound   int64                `json:"not_found"`
+	Errors     int64                `json:"errors"`
 
 	DroppedTenants   int     `json:"dropped_tenants,omitempty"`
 	DropMillis       float64 `json:"drop_ms,omitempty"`
@@ -189,7 +179,7 @@ func pollMetrics(url string, every time.Duration, stop <-chan struct{}) <-chan [
 // wait, and histogram-derived p50/p99 (bucket upper bounds). The client
 // write mean minus the server commit mean is the overhead added outside the
 // engine: framing, network, and server-side queueing.
-func serverLatencySummary(samples []promSample, clientWrites *jsonLatency) *jsonServerLatency {
+func serverLatencySummary(samples []promSample, clientWrites *harness.LatencyJSON) *jsonServerLatency {
 	if len(samples) < 2 {
 		return nil
 	}
@@ -231,22 +221,6 @@ func serverLatencySummary(samples []promSample, clientWrites *jsonLatency) *json
 		out.ClientMinusServerMicros = clientWrites.MeanMicros - out.ServerCommitMeanMicros
 	}
 	return out
-}
-
-func latencyJSON(rec *harness.LatencyRecorder) *jsonLatency {
-	if rec == nil || rec.Count() == 0 {
-		return nil
-	}
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return &jsonLatency{
-		Ops:        rec.Count(),
-		MeanMicros: us(rec.Mean()),
-		P50Micros:  us(rec.Percentile(0.50)),
-		P90Micros:  us(rec.Percentile(0.90)),
-		P99Micros:  us(rec.Percentile(0.99)),
-		P999Micros: us(rec.Percentile(0.999)),
-		MaxMicros:  us(rec.Max()),
-	}
 }
 
 // opKind tags an in-flight request so its response lands in the right
@@ -460,9 +434,9 @@ func main() {
 		GoVersion:  runtime.Version(),
 		DurationNS: elapsed.Nanoseconds(),
 		KOpsPerSec: float64(total) / elapsed.Seconds() / 1e3,
-		Reads:      latencyJSON(&reads),
-		Writes:     latencyJSON(&writes),
-		Scans:      latencyJSON(&scans),
+		Reads:      reads.JSON(),
+		Writes:     writes.JSON(),
+		Scans:      scans.JSON(),
 	}
 	for _, c := range ctrs {
 		rep.NotFound += c.notFound
@@ -490,7 +464,7 @@ func main() {
 
 	fmt.Printf("dbloadgen: %d ops over %d conns (window %d) in %.2fs = %.1f KOps/s\n",
 		total, *conns, *window, elapsed.Seconds(), rep.KOpsPerSec)
-	class := func(name string, l *jsonLatency) {
+	class := func(name string, l *harness.LatencyJSON) {
 		if l == nil {
 			return
 		}

@@ -17,7 +17,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
@@ -40,22 +39,6 @@ var (
 	slowOp = flag.Duration("slowop", 0, "log RPCs and commits slower than this threshold with a stage breakdown (0 = disabled)")
 )
 
-func presetByName(name string) (pebblesdb.Preset, bool) {
-	switch strings.ToLower(name) {
-	case "pebblesdb":
-		return pebblesdb.PresetPebblesDB, true
-	case "hyperleveldb":
-		return pebblesdb.PresetHyperLevelDB, true
-	case "leveldb":
-		return pebblesdb.PresetLevelDB, true
-	case "rocksdb":
-		return pebblesdb.PresetRocksDB, true
-	case "pebblesdb1", "pebblesdb-1":
-		return pebblesdb.PresetPebblesDB1, true
-	}
-	return 0, false
-}
-
 func main() {
 	flag.Parse()
 	logf := func(format string, args ...any) {
@@ -63,7 +46,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	preset, ok := presetByName(*store)
+	preset, ok := harness.PresetByName(*store)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown store %q\n", *store)
 		os.Exit(2)

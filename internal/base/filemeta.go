@@ -47,9 +47,6 @@ func (m *FileMetadata) LargestUserKey() []byte { return UserKey(m.Largest) }
 // below LargestUserKey.
 func (m *FileMetadata) LargestExclusive() bool { return IsRangeDelSentinel(m.Largest) }
 
-// HasRangeDels reports whether the table carries range tombstones.
-func (m *FileMetadata) HasRangeDels() bool { return m.NumRangeDels > 0 }
-
 // RangeDelSpanContains reports whether ukey lies within the file's
 // tombstone span [RangeDelStart, RangeDelEnd) — the cheap pre-filter before
 // opening the table's resident tombstone list.

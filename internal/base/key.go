@@ -123,6 +123,12 @@ func Trailer(ikey []byte) uint64 {
 // InternalCompare orders internal keys: ascending by user key, then
 // descending by trailer (newer sequence numbers first).
 func InternalCompare(a, b []byte) int {
+	// A key too short to hold a trailer can only be corrupt disk bytes. It
+	// gets an order, not a panic: the comparison runs inside a block seek,
+	// and the decoder that reaches the entry reports the corruption.
+	if len(a) < TrailerLen || len(b) < TrailerLen {
+		return bytes.Compare(a, b)
+	}
 	au, bu := UserKey(a), UserKey(b)
 	if c := bytes.Compare(au, bu); c != 0 {
 		return c

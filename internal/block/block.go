@@ -189,7 +189,9 @@ func (i *Iter) decodeAt(off int, prevKey []byte) int {
 		return -1
 	}
 	h := n0 + n1 + n2
-	if uint64(len(p)-h) < unshared+vlen || uint64(len(prevKey)) < shared {
+	// Compared without adding: the two lengths are disk bytes and their sum
+	// can wrap.
+	if rest := uint64(len(p) - h); unshared > rest || vlen > rest-unshared || uint64(len(prevKey)) < shared {
 		return -1
 	}
 	i.key = append(i.key[:0], prevKey[:shared]...)
@@ -284,7 +286,12 @@ func (i *Iter) Prev() {
 	}
 	target := i.off
 	off := i.restart(lo)
-	next := i.decodeAt(off, nil)
+	// A restart array out of order can name no entry before this one; without
+	// the check Prev would stand still and its caller loop for ever.
+	next := -1
+	if off < target {
+		next = i.decodeAt(off, nil)
+	}
 	if next < 0 {
 		i.corrupt()
 		return

@@ -2,6 +2,7 @@ package block
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -162,4 +163,53 @@ func TestEstimatedSizeMonotonic(t *testing.T) {
 			prev = sz
 		}
 	}
+}
+
+// FuzzBlockIter drives every positioning call over arbitrary bytes: a block
+// reaches Init behind a checksum, but a checksum only proves the bytes are
+// the ones written. Nothing may panic or loop, and a cursor that stops on
+// bad bytes must report ErrCorrupt.
+func FuzzBlockIter(f *testing.F) {
+	b := NewBuilder(4)
+	for i := 0; i < 20; i++ {
+		b.Add([]byte(fmt.Sprintf("key%04d", i)), []byte(fmt.Sprintf("v%d", i)))
+	}
+	f.Add(append([]byte(nil), b.Finish()...), []byte("key0010"))
+	f.Add(NewBuilder(1).Finish(), []byte("a"))
+	f.Add([]byte{}, []byte{})
+	// One entry whose unshared and value lengths sum past 2^64.
+	f.Add([]byte{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 2, 'a', 'b', 0, 0, 0, 0, 1, 0, 0, 0}, []byte("a"))
+	f.Fuzz(func(t *testing.T, data, target []byte) {
+		var it Iter
+		if err := it.Init(data, bytes.Compare); err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Init: %v", err)
+			}
+			return
+		}
+		// A valid block holds fewer entries than bytes; a cursor still
+		// moving after that many steps is going in circles.
+		steps := 0
+		step := func() {
+			if steps++; steps > 4*len(data)+8 {
+				t.Fatal("cursor does not terminate")
+			}
+			_, _ = it.Key(), it.Value()
+		}
+		for it.First(); it.Valid(); it.Next() {
+			step()
+		}
+		for it.Last(); it.Valid(); it.Prev() {
+			step()
+		}
+		for it.SeekGE(target); it.Valid(); it.Next() {
+			step()
+		}
+		for it.SeekLT(target); it.Valid(); it.Prev() {
+			step()
+		}
+		if err := it.Error(); err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Error: %v", err)
+		}
+	})
 }

@@ -77,10 +77,6 @@ func (f Filter) MayContain(key []byte) bool {
 	return true
 }
 
-// ApproximateMemory returns the in-memory footprint of the filter in bytes;
-// used by the Table 5.4 memory-consumption experiment.
-func (f Filter) ApproximateMemory() int { return len(f) }
-
 // EncodeInto appends the filter with a length prefix to dst.
 func EncodeInto(dst []byte, f Filter) []byte {
 	var lenBuf [binary.MaxVarintLen64]byte

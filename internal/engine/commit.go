@@ -36,11 +36,6 @@ type commitRequest struct {
 	mem    *memtable.Memtable // nil when the commit failed before scheduling
 	endSeq base.SeqNum
 	group  *commitGroup
-	// solo is set when the request was scheduled as a group of one: with
-	// no concurrent appliers, guard ingestion runs inline (the mutex is
-	// uncontended and guard selection stays deterministically in step
-	// with the writes, as in the serial write path).
-	solo bool
 	// stallNanos is the group's makeRoomForWrite duration, recorded by
 	// the leader for the slow-op log. Only filled when SlowOpThreshold is
 	// set; ordered by the scheduled release store.
@@ -199,7 +194,7 @@ func (e *Engine) Apply(b *batch.Batch, sync bool) error {
 		if slow {
 			t0 = time.Now()
 		}
-		if err := e.applyBatch(req); err != nil {
+		if err := e.applyBatch(req.b, req.mem); err != nil {
 			req.err = err
 			applyErr = true
 		}
@@ -305,7 +300,7 @@ var commitRequestPool = sync.Pool{New: func() any { return &commitRequest{} }}
 func newCommitRequest(b *batch.Batch, sync bool) *commitRequest {
 	req := commitRequestPool.Get().(*commitRequest)
 	req.b, req.sync = b, sync
-	req.err, req.mem, req.endSeq, req.group, req.solo = nil, nil, 0, nil, false
+	req.err, req.mem, req.endSeq, req.group = nil, nil, 0, nil
 	req.stallNanos = 0
 	req.scheduled.Store(false)
 	req.applied.Store(false)
@@ -315,7 +310,7 @@ func newCommitRequest(b *batch.Batch, sync bool) *commitRequest {
 
 // commitSerialLocked is the zero-concurrency commit: commitMu is held, the
 // queue is empty and no scheduled commit is unpublished, so room check,
-// sequencing, WAL append, memtable application, inline guard ingestion,
+// sequencing, WAL append, memtable application with its guard ingestion,
 // publication and (for sync) the fsync all run serially — the pre-pipeline
 // write path, kept byte-for-byte in behavior for single-writer workloads.
 // Rotation needs commitMu, so the memtable and WAL cannot change under us,
@@ -344,18 +339,7 @@ func (e *Engine) commitSerialLocked(b *batch.Batch, sync bool, st *commitStages)
 	if slow {
 		t0 = time.Now()
 	}
-	err := b.Iterate(func(kind base.Kind, ukey, value []byte, s base.SeqNum) error {
-		if kind == base.KindRangeDelete {
-			e.mem.DeleteRange(ukey, value, s)
-			return nil
-		}
-		e.mem.Set(ukey, s, kind, value)
-		if e.tree.WantGuard(ukey) {
-			e.tree.Ingest(ukey)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := e.applyBatch(b, e.mem); err != nil {
 		e.setBgErr(err)
 		return err
 	}
@@ -429,11 +413,9 @@ func (e *Engine) leadCommitLocked(group []*commitRequest) (*commitGroup, *wal.Wr
 	if g != nil {
 		w.Ref()
 	}
-	solo := len(group) == 1
 	for _, r := range group {
 		r.group = g
 		r.mem = mem
-		r.solo = solo
 		r.stallNanos = stallNanos
 		r.b.SetSeqNum(base.SeqNum(e.logSeq + 1))
 		e.logSeq += uint64(r.b.Count())
@@ -476,37 +458,26 @@ func (e *Engine) leadCommitLocked(group []*commitRequest) (*commitGroup, *wal.Wr
 	return g, w
 }
 
-// applyBatch inserts the request's batch into its pinned memtable and
-// routes guard candidates to the tree: inline for solo groups (no
-// concurrent appliers to contend with), via the ingest sidecar otherwise.
-func (e *Engine) applyBatch(req *commitRequest) error {
-	var guardKeys [][]byte
-	err := req.b.Iterate(func(kind base.Kind, ukey, value []byte, s base.SeqNum) error {
+// applyBatch inserts b into mem and ingests its guard candidates inline.
+// It is the one memtable-apply loop, shared by the serial path and every
+// pipelined committer, so when Apply returns each guard candidate of the
+// batch is in the tree: guards exist before a flush or compaction can
+// consume the data they came from, with nothing to drain at rotation.
+// Almost every key stops at WantGuard, a pure hash test. An applier holding
+// a memtable writer reservation may take Core.mu, because the core never
+// calls back into the engine under it.
+func (e *Engine) applyBatch(b *batch.Batch, mem *memtable.Memtable) error {
+	return b.Iterate(func(kind base.Kind, ukey, value []byte, s base.SeqNum) error {
 		if kind == base.KindRangeDelete {
-			req.mem.DeleteRange(ukey, value, s)
+			mem.DeleteRange(ukey, value, s)
 			return nil
 		}
-		req.mem.Set(ukey, s, kind, value)
+		mem.Set(ukey, s, kind, value)
 		if e.tree.WantGuard(ukey) {
-			if req.solo {
-				e.tree.Ingest(ukey)
-			} else {
-				guardKeys = append(guardKeys, append([]byte(nil), ukey...))
-			}
+			e.tree.Ingest(ukey)
 		}
 		return nil
 	})
-	if err != nil {
-		// No setBgErr here: the caller still holds a memtable writer
-		// reservation, and setBgErr needs e.mu, which rotation holds
-		// while waiting for reservations (Apply reports it after
-		// WriterDone).
-		return err
-	}
-	if len(guardKeys) > 0 {
-		e.queueIngest(guardKeys)
-	}
-	return nil
 }
 
 // publishAndWait ratchets the publication queue and blocks until the
@@ -553,56 +524,6 @@ func (e *Engine) publishLocked() {
 		e.pendCount.Add(int64(-n))
 		e.pubCond.Broadcast()
 	}
-}
-
-// ingestQueue is the guard-ingestion sidecar: appliers drop copied guard
-// candidates here (already filtered by Core.WantGuard, so almost all keys
-// skip it) and a single background goroutine feeds them to Core.Ingest,
-// keeping the tree's mutex off the commit critical path.
-type ingestQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	keys   [][]byte
-	active bool
-}
-
-func (e *Engine) queueIngest(keys [][]byte) {
-	e.ing.mu.Lock()
-	e.ing.keys = append(e.ing.keys, keys...)
-	if !e.ing.active {
-		e.ing.active = true
-		go e.ingestWorker()
-	}
-	e.ing.mu.Unlock()
-}
-
-func (e *Engine) ingestWorker() {
-	for {
-		e.ing.mu.Lock()
-		keys := e.ing.keys
-		e.ing.keys = nil
-		if len(keys) == 0 {
-			e.ing.active = false
-			e.ing.cond.Broadcast()
-			e.ing.mu.Unlock()
-			return
-		}
-		e.ing.mu.Unlock()
-		for _, k := range keys {
-			e.tree.Ingest(k)
-		}
-	}
-}
-
-// drainIngest waits until the sidecar has consumed every queued guard
-// candidate (Flush and Close, so guard selection keeps pace with the data
-// it came from).
-func (e *Engine) drainIngest() {
-	e.ing.mu.Lock()
-	for e.ing.active || len(e.ing.keys) > 0 {
-		e.ing.cond.Wait()
-	}
-	e.ing.mu.Unlock()
 }
 
 func (e *Engine) observeCommitWait(d time.Duration) {

@@ -97,9 +97,6 @@ type Engine struct {
 	// commitMu); seq below trails it until commits publish.
 	logSeq uint64
 
-	// ing is the guard-ingestion sidecar (commit.go).
-	ing ingestQueue
-
 	// mu protects the mutable fields below and feeds cond.
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -172,7 +169,6 @@ func Open(cfg *base.Config, fs vfs.FS, dir string, kind Kind) (*Engine, error) {
 	e := &Engine{cfg: cfg, fs: fs, dir: dir, snaps: make(map[base.SeqNum]int), stats: new(Counters)}
 	e.cond = sync.NewCond(&e.mu)
 	e.stallClear = make(chan struct{})
-	e.ing.cond = sync.NewCond(&e.ing.mu)
 	e.pubCond = sync.NewCond(&e.pendMu)
 
 	// Tee the flight recorder in front of any user listener so every
@@ -277,23 +273,13 @@ func (e *Engine) replayWALs() (base.SeqNum, error) {
 			if err != nil {
 				return 0, fmt.Errorf("engine: replaying %s: %w", path, err)
 			}
-			err = b.Iterate(func(kind base.Kind, ukey, value []byte, seq base.SeqNum) error {
-				if kind == base.KindRangeDelete {
-					// Replayed range tombstone: ukey is the start, the
-					// exclusive end travels in the value. Range bounds are
-					// not inserted keys, so no guard ingestion.
-					e.mem.DeleteRange(ukey, value, seq)
-				} else {
-					e.mem.Set(ukey, seq, kind, value)
-					e.tree.Ingest(ukey)
-				}
-				if seq > maxSeq {
-					maxSeq = seq
-				}
-				return nil
-			})
-			if err != nil {
+			// Replayed like a live commit: into the memtable, guard
+			// candidates into the tree.
+			if err := e.applyBatch(b, e.mem); err != nil {
 				return 0, err
+			}
+			if last := b.SeqNum() + base.SeqNum(b.Count()) - 1; b.Count() > 0 && last > maxSeq {
+				maxSeq = last
 			}
 		}
 	}
@@ -590,7 +576,6 @@ func (e *Engine) Resume() error {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
 	e.mem.QuiesceWriters()
-	e.drainIngest()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -708,9 +693,8 @@ func (e *Engine) Close() error {
 	defer e.commitMu.Unlock()
 
 	// With commitMu held no new commits can be scheduled; wait for the
-	// in-flight appliers and the guard sidecar to drain.
+	// in-flight appliers to drain.
 	e.mem.QuiesceWriters()
-	e.drainIngest()
 
 	e.mu.Lock()
 	if e.closed {

@@ -122,13 +122,11 @@ func (e *Engine) rotateMemtableLocked() error {
 	if err := e.startNewWAL(); err != nil {
 		return err
 	}
+	// Appliers ingest their guard candidates before they release their
+	// reservation, so once the writers are quiesced the guards selected
+	// from this memtable's keys exist before any compaction can consume
+	// them.
 	e.mem.QuiesceWriters()
-	// Bound guard-ingestion lag to one memtable: the sidecar is empty
-	// whenever a memtable freezes, so the guards selected from its keys
-	// exist before any compaction can consume them. (The ingest worker
-	// only needs the tree mutex, which is never held across engine
-	// callbacks, so draining under commitMu+mu cannot deadlock.)
-	e.drainIngest()
 	e.imm = e.mem
 	e.mem = memtable.New()
 	e.flushing = true
@@ -178,10 +176,8 @@ func (e *Engine) Flush() error {
 	defer e.commitMu.Unlock()
 	// No new commits can be scheduled while commitMu is held (rotation and
 	// scheduling both require it, so e.mem is stable here); wait out the
-	// in-flight appliers and the guard sidecar so the flushed table and
-	// its guards match.
+	// in-flight appliers so the flushed table and its guards match.
 	e.mem.QuiesceWriters()
-	e.drainIngest()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

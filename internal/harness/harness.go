@@ -39,6 +39,23 @@ func DefaultStores() []Spec {
 	}
 }
 
+// PresetByName resolves a -store flag value (case-insensitive) to a preset.
+func PresetByName(name string) (pebblesdb.Preset, bool) {
+	switch strings.ToLower(name) {
+	case "pebblesdb":
+		return pebblesdb.PresetPebblesDB, true
+	case "hyperleveldb":
+		return pebblesdb.PresetHyperLevelDB, true
+	case "leveldb":
+		return pebblesdb.PresetLevelDB, true
+	case "rocksdb":
+		return pebblesdb.PresetRocksDB, true
+	case "pebblesdb1", "pebblesdb-1":
+		return pebblesdb.PresetPebblesDB1, true
+	}
+	return 0, false
+}
+
 // ParseBytes parses a human byte size like "512MiB", "4gb" or "1048576"
 // (suffixes are powers of two either way). CLI flags in cmd/ share it.
 func ParseBytes(s string) (int64, error) {

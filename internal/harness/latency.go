@@ -129,3 +129,32 @@ func recOf(recs []*LatencyRecorder) *LatencyRecorder {
 	}
 	return nil
 }
+
+// LatencyJSON is one recorder's summary in microseconds, the "latency"
+// object of the JSON that dbbench and dbloadgen write.
+type LatencyJSON struct {
+	Ops        int64   `json:"ops"`
+	MeanMicros float64 `json:"mean_us"`
+	P50Micros  float64 `json:"p50_us"`
+	P90Micros  float64 `json:"p90_us"`
+	P99Micros  float64 `json:"p99_us"`
+	P999Micros float64 `json:"p999_us"`
+	MaxMicros  float64 `json:"max_us"`
+}
+
+// JSON summarizes the recorder, or returns nil when it holds no sample.
+func (r *LatencyRecorder) JSON() *LatencyJSON {
+	if r == nil || r.Count() == 0 {
+		return nil
+	}
+	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+	return &LatencyJSON{
+		Ops:        r.Count(),
+		MeanMicros: us(r.Mean()),
+		P50Micros:  us(r.Percentile(0.50)),
+		P90Micros:  us(r.Percentile(0.90)),
+		P99Micros:  us(r.Percentile(0.99)),
+		P999Micros: us(r.Percentile(0.999)),
+		MaxMicros:  us(r.Max()),
+	}
+}

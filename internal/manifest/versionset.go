@@ -254,11 +254,6 @@ func (vs *VersionSet) NewFileNum() base.FileNum {
 	return base.FileNum(vs.nextFileNum.Add(1) - 1)
 }
 
-// PeekFileNum returns the next file number without allocating it.
-func (vs *VersionSet) PeekFileNum() base.FileNum {
-	return base.FileNum(vs.nextFileNum.Load())
-}
-
 // LogAndApply persists edit. snapshotFn, when non-nil, is consulted if the
 // manifest has grown past the rotation threshold: it must return a snapshot
 // edit of the full current state (already including edit's changes) to seed

@@ -93,9 +93,6 @@ func New(shards []*pebblesdb.DB, opts *Options) *Server {
 	}
 }
 
-// NumShards returns the shard count.
-func (s *Server) NumShards() int { return len(s.shards) }
-
 // Serve accepts connections on ln until the listener fails or the server
 // closes. It returns nil on a clean shutdown.
 func (s *Server) Serve(ln net.Listener) error {

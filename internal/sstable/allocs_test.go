@@ -35,7 +35,7 @@ func buildAllocTable(t *testing.T, n int) *Reader {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := Open(rf, int64(info.Size), 1, cache.New(32<<20, nil), nil)
+	r, err := Open(rf, int64(info.Size), 1, cache.New(32<<20), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,76 +31,12 @@ func compressibleEntries(n int) []kv {
 	return entries
 }
 
-// TestV1FixtureReadable opens a table written by the format-v1 code
-// (testdata/v1-format.sst, generated before the v2 change landed) and
-// verifies every entry plus point lookups: old stores stay readable after
-// upgrading.
-func TestV1FixtureReadable(t *testing.T) {
-	const path = "testdata/v1-format.sst"
-	size, err := vfs.Default.Stat(path)
-	if err != nil {
-		t.Fatalf("fixture missing: %v", err)
-	}
-	f, err := vfs.Default.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Open(f, size, 1, cache.New(1<<20, nil), nil)
-	if err != nil {
-		t.Fatalf("open v1 fixture: %v", err)
-	}
-	defer r.Close()
-
-	if r.FormatVersion() != formatV1 {
-		t.Fatalf("fixture detected as format %d, want %d", r.FormatVersion(), formatV1)
-	}
-
-	// The generator wrote keyNNNNN -> value-NNNNN-MMMMM for N in [0,500).
-	it := r.NewIter()
-	defer it.Close()
-	i := 0
-	for it.First(); it.Valid(); it.Next() {
-		wantKey := fmt.Sprintf("key%05d", i)
-		wantVal := fmt.Sprintf("value-%05d-%05d", i, i*7)
-		if string(base.UserKey(it.Key())) != wantKey {
-			t.Fatalf("entry %d: key %q, want %q", i, base.UserKey(it.Key()), wantKey)
-		}
-		if string(it.Value()) != wantVal {
-			t.Fatalf("entry %d: value %q, want %q", i, it.Value(), wantVal)
-		}
-		i++
-	}
-	if err := it.Error(); err != nil {
-		t.Fatal(err)
-	}
-	if i != 500 {
-		t.Fatalf("iterated %d entries, want 500", i)
-	}
-
-	// Point lookups exercise the v1 block-read path through Get.
-	for _, n := range []int{0, 123, 499} {
-		search := base.MakeSearchKey(nil, []byte(fmt.Sprintf("key%05d", n)), base.MaxSeqNum)
-		_, v, ok, err := r.Get(search)
-		if err != nil || !ok {
-			t.Fatalf("get key%05d: ok=%v err=%v", n, ok, err)
-		}
-		if want := fmt.Sprintf("value-%05d-%05d", n, n*7); string(v) != want {
-			t.Fatalf("get key%05d: %q, want %q", n, v, want)
-		}
-	}
-
-	if !r.MayContain([]byte("key00042")) {
-		t.Fatal("v1 bloom filter lost a present key")
-	}
-}
-
-// TestOldFormatFixturesReadable opens one table of each format the writer
-// no longer emits (testdata/v2-format.sst and v3-format.sst, written by the
-// last commit whose writer chose among three footers): 500 snappy-compressed
-// entries each, the v3 table with two overlapping range tombstones. The
-// reader paths for those footers have no other source of input now.
-func TestOldFormatFixturesReadable(t *testing.T) {
-	for _, version := range []int{formatV2, formatV3} {
+// TestRetiredFormatsRejected opens one table of each format builds before
+// PR 14 wrote (testdata/v{1,2,3}-format.sst, 500 entries each): they are no
+// longer a supported input, and Open must say which format it refused rather
+// than misparse a shorter footer.
+func TestRetiredFormatsRejected(t *testing.T) {
+	for version := 1; version <= 3; version++ {
 		path := fmt.Sprintf("testdata/v%d-format.sst", version)
 		size, err := vfs.Default.Stat(path)
 		if err != nil {
@@ -110,54 +46,16 @@ func TestOldFormatFixturesReadable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var codec CodecStats
-		r, err := Open(f, size, 1, nil, &codec)
-		if err != nil {
-			t.Fatalf("open %s: %v", path, err)
+		r, err := Open(f, size, 1, nil, nil)
+		if err == nil {
+			r.Close()
+			t.Fatalf("%s opened", path)
 		}
-		if r.FormatVersion() != version {
-			t.Fatalf("%s detected as format %d", path, r.FormatVersion())
+		f.Close()
+		want := fmt.Sprintf("table format v%d, written by a build before PR 14", version)
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: got %v, want ErrCorrupt naming %q", path, err, want)
 		}
-		it := r.NewIter()
-		i := 0
-		for it.First(); it.Valid(); it.Next() {
-			wantKey := fmt.Sprintf("key%05d", i)
-			wantVal := strings.Repeat(fmt.Sprintf("value-%05d-%05d-", i, i*7), 4)
-			if string(base.UserKey(it.Key())) != wantKey || string(it.Value()) != wantVal {
-				t.Fatalf("%s entry %d: %q -> %q", path, i, base.UserKey(it.Key()), it.Value())
-			}
-			i++
-		}
-		if err := it.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if i != 500 || codec.BlocksDecompressed.Load() == 0 {
-			t.Fatalf("%s: iterated %d entries, %d blocks inflated; want 500 from compressed blocks",
-				path, i, codec.BlocksDecompressed.Load())
-		}
-		search := base.MakeSearchKey(nil, []byte("key00123"), base.MaxSeqNum)
-		if _, v, ok, err := r.Get(search); err != nil || !ok || !strings.HasPrefix(string(v), "value-00123-") {
-			t.Fatalf("%s get key00123: %q ok=%v err=%v", path, v, ok, err)
-		}
-		if !r.MayContain([]byte("key00042")) || !r.MayContainPrefix([]byte("nope")) {
-			t.Fatalf("%s: key filter lost a present key, or a missing prefix filter said no", path)
-		}
-		rd := r.RangeDels()
-		if version == formatV2 {
-			if rd != nil {
-				t.Fatalf("%s reports range tombstones", path)
-			}
-		} else {
-			// [key00100,key00200)@600 and [key00150,key00300)@700.
-			for key, want := range map[string]base.SeqNum{
-				"key00099": 0, "key00100": 600, "key00149": 600, "key00150": 700, "key00299": 700, "key00300": 0,
-			} {
-				if got := rd.CoverSeq([]byte(key), base.MaxSeqNum); got != want {
-					t.Errorf("%s CoverSeq(%s) = %d, want %d", path, key, got, want)
-				}
-			}
-		}
-		r.Close()
 	}
 }
 
@@ -184,9 +82,9 @@ func buildSingleBlockSnappyTable(t *testing.T, fs vfs.FS, name string) (data []b
 
 	// No filter => the index block directly follows the data block, so the
 	// footer's index offset gives the data block extent.
-	footer := data[len(data)-footerLenV4:]
+	footer := data[len(data)-footerLen:]
 	indexOff := binary.LittleEndian.Uint64(footer[16:])
-	return data, indexOff - blockTrailerLenV2
+	return data, indexOff - blockTrailerLen
 }
 
 func openRaw(t *testing.T, data []byte) (*Reader, error) {
@@ -206,9 +104,10 @@ func scanAll(r *Reader) error {
 	return it.Close()
 }
 
-// TestCorruptCompressedBlock covers the three failure layers of a v2
+// TestCorruptCompressedBlock covers the three failure layers of a
 // compressed block: a bit flip caught by the checksum, a checksum-valid
-// stream the codec rejects, and an unknown block-type tag.
+// stream the codec rejects, and an unknown block-type tag; then the footer,
+// which no checksum covers.
 func TestCorruptCompressedBlock(t *testing.T) {
 	fs := vfs.NewMem()
 	data, payloadLen := buildSingleBlockSnappyTable(t, fs, "good.sst")
@@ -266,9 +165,21 @@ func TestCorruptCompressedBlock(t *testing.T) {
 		}
 	})
 
+	// offset+length wraps to 10: a bounds check that adds before it compares
+	// passes it and Open dies slicing the file.
+	t.Run("index-handle-wraps", func(t *testing.T) {
+		img := append([]byte(nil), data...)
+		footer := img[len(img)-footerLen:]
+		binary.LittleEndian.PutUint64(footer[16:], 1<<64-10)
+		binary.LittleEndian.PutUint64(footer[24:], 20)
+		if _, err := openRaw(t, img); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("got %v, want ErrCorrupt", err)
+		}
+	})
+
 	t.Run("unknown-footer-version", func(t *testing.T) {
 		img := append([]byte(nil), data...)
-		img[len(img)-footerLenV4+64] = 9
+		img[len(img)-footerLen+64] = 9
 		if _, err := openRaw(t, img); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
 		}
@@ -348,7 +259,7 @@ func TestCacheChargesDecompressedBytes(t *testing.T) {
 		t.Fatalf("table not compressed enough for the test: %+v", cs)
 	}
 
-	c := cache.New(64<<20, nil)
+	c := cache.New(64 << 20)
 	var codec CodecStats
 	f, _ := fs.Open("t.sst")
 	size, _ := fs.Stat("t.sst")
@@ -387,7 +298,7 @@ func TestSequentialIterMatchesRandom(t *testing.T) {
 		BlockSize:   1 << 10,
 		Compression: compress.Snappy,
 	})
-	c := cache.New(64<<20, nil)
+	c := cache.New(64 << 20)
 	r := openTable(t, fs, "t.sst", c)
 	defer r.Close()
 

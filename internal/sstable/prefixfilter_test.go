@@ -34,9 +34,6 @@ func TestPrefixFilterRoundTrip(t *testing.T) {
 	r := openTable(t, fs, "t.sst", nil)
 	defer r.Close()
 
-	if r.FormatVersion() != formatV4 {
-		t.Fatalf("format = v%d, want v4", r.FormatVersion())
-	}
 	if r.PrefixFilterLength() != 8 {
 		t.Fatalf("prefix length = %d, want 8", r.PrefixFilterLength())
 	}
@@ -89,9 +86,6 @@ func TestPrefixFilterDisabled(t *testing.T) {
 	buildTable(t, fs, "t.sst", prefixEntries(4, 4), WriterOptions{BloomBitsPerKey: 10})
 	r := openTable(t, fs, "t.sst", nil)
 	defer r.Close()
-	if r.FormatVersion() != formatV4 {
-		t.Fatalf("format = v%d, want v4", r.FormatVersion())
-	}
 	if r.PrefixFilterLength() != 0 {
 		t.Fatalf("prefix length = %d, want 0", r.PrefixFilterLength())
 	}
@@ -111,9 +105,6 @@ func TestPrefixFilterShortKeys(t *testing.T) {
 	buildTable(t, fs, "t.sst", entries, WriterOptions{BloomBitsPerKey: 10, PrefixBloomLength: 8})
 	r := openTable(t, fs, "t.sst", nil)
 	defer r.Close()
-	if r.FormatVersion() != formatV4 {
-		t.Fatalf("format = v%d, want v4", r.FormatVersion())
-	}
 	if !r.MayContainPrefix([]byte("abcdefgh")) {
 		t.Fatal("false negative for present prefix")
 	}

@@ -50,9 +50,6 @@ func TestRangeDelRoundTrip(t *testing.T) {
 	})
 	defer r.Close()
 
-	if r.FormatVersion() != formatV4 {
-		t.Fatalf("format %d, want v4", r.FormatVersion())
-	}
 	if info.NumRangeDels == 0 {
 		t.Fatal("no fragments recorded")
 	}

@@ -20,47 +20,31 @@ import (
 	"pebblesdb/internal/rangedel"
 )
 
-// The formats earlier writers emitted, all still readable. v1: 4-byte block
-// trailer holding only the crc32 of the payload, blocks always raw, 40-byte
-// footer (filter and index handles) ending in magicV1. v2: the current
-// 5-byte trailer, 48-byte footer with a format-version byte, ending in
-// magicV2. v3: v2 plus a range-del block handle in a 64-byte footer ending
-// in magicV3. testdata/v{1,2,3}-format.sst pin one table of each.
-const (
-	footerLenV1 = 40
-	footerLenV2 = 48
-	footerLenV3 = 64
-
-	tableMagicV1 = 0x8773537fdb4eac2e
-	tableMagicV2 = 0xf09f95ccdb4eac2e
-	tableMagicV3 = 0xf09f97bbdb4eac2e
-
-	formatV1 = 1
-	formatV2 = 2
-	formatV3 = 3
-
-	blockTrailerLenV1 = 4 // crc32(payload)
-)
-
-// footerFormats is every footer a writer has emitted. A footer is its block
-// handles (16 bytes each, in the order filter, index, range-del, prefix
-// filter), then from v2 on a format-version byte padded to 8, then the magic
-// that names the format.
-var footerFormats = [...]struct {
-	magic      uint64
-	version    int
-	length     int // whole footer, magic included
-	handles    int
-	versionOff int // of the format-version byte; -1 when there is none
-}{
-	{tableMagicV4, formatV4, footerLenV4, 4, 64},
-	{tableMagicV3, formatV3, footerLenV3, 3, 48},
-	{tableMagicV2, formatV2, footerLenV2, 2, 32},
-	{tableMagicV1, formatV1, footerLenV1, 2, -1},
+// retiredMagics are the footer magics of the formats builds before PR 14
+// wrote (4-byte crc-only block trailer; 40-, 48- and 64-byte footers). Open
+// knows them only to say which format it is refusing.
+var retiredMagics = map[uint64]int{
+	0x8773537fdb4eac2e: 1,
+	0xf09f95ccdb4eac2e: 2,
+	0xf09f97bbdb4eac2e: 3,
 }
 
 // ErrCorrupt indicates a structurally invalid table or checksum failure.
 var ErrCorrupt = errors.New("sstable: corrupt table")
+
+// errShortKey reports an entry whose key cannot hold the 8-byte trailer.
+// The cursors refuse it because everything above them splits keys without
+// looking (base.UserKey panics).
+var errShortKey = fmt.Errorf("%w: entry key shorter than its trailer", ErrCorrupt)
+
+// corrupt relabels a block-level decoding error as ErrCorrupt, the one
+// sentinel callers of this package test for. Nil stays nil.
+func corrupt(err error) error {
+	if err == nil {
+		return nil
+	}
+	return fmt.Errorf("%w: %v", ErrCorrupt, err)
+}
 
 // CodecStats aggregates the read-side codec work across every Reader that
 // shares it (one instance per table cache). Cache hits on decompressed
@@ -97,20 +81,19 @@ type Reader struct {
 	f       File
 	fileNum base.FileNum
 	size    int64
-	version int // formatV1 .. formatV4
 	index   []byte
 	filter  bloom.Filter
 	blocks  *cache.Cache // shared block cache; may be nil
 	codec   *CodecStats  // shared decompression counters; may be nil
 
-	// prefixFilter/prefixLen hold the resident v4 prefix bloom filter: a
+	// prefixFilter/prefixLen hold the resident prefix bloom filter: a
 	// filter over the distinct first-prefixLen-byte user-key prefixes in the
-	// table. nil/0 for tables without one (all pre-v4 formats).
+	// table. nil/0 for tables without one.
 	prefixFilter bloom.Filter
 	prefixLen    int
 
 	// rangeDels is the resident, pre-built tombstone list decoded from the
-	// v3 range-del block; nil for tables without tombstones. Like the index
+	// range-del block; nil for tables without tombstones. Like the index
 	// and filter it stays in memory for the Reader's lifetime, so visibility
 	// checks on the point-read path are a lock-free binary search.
 	rangeDels *rangedel.List
@@ -153,39 +136,33 @@ func (r *Reader) Unref() error {
 // closes it on Close. codec, when non-nil, receives decompression counters
 // shared across readers.
 func Open(f File, size int64, fileNum base.FileNum, blockCache *cache.Cache, codec *CodecStats) (*Reader, error) {
-	if size < footerLenV1 {
+	if size < 8 {
 		return nil, fmt.Errorf("%w: file too small (%d bytes)", ErrCorrupt, size)
 	}
-	// One read covers the longest footer; the magic in its last 8 bytes
-	// says how much of it is this table's.
-	var tail [footerLenV4]byte
-	n := min(size, footerLenV4)
-	if err := fullReadAt(f, tail[footerLenV4-n:], size-n); err != nil {
+	// The magic in the last 8 bytes is judged first, so a table of a retired
+	// format, whose footer is shorter, is named rather than called short.
+	var footer [footerLen]byte
+	n := min(size, footerLen)
+	if err := fullReadAt(f, footer[footerLen-n:], size-n); err != nil {
 		return nil, err
+	}
+	if magic := binary.LittleEndian.Uint64(footer[footerLen-8:]); magic != tableMagic {
+		if v, ok := retiredMagics[magic]; ok {
+			return nil, fmt.Errorf("%w: table format v%d, written by a build before PR 14, is no longer read", ErrCorrupt, v)
+		}
+		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if size < footerLen {
+		return nil, fmt.Errorf("%w: file too small (%d bytes)", ErrCorrupt, size)
+	}
+	if footer[64] != formatVersion {
+		return nil, fmt.Errorf("%w: unknown format version %d", ErrCorrupt, footer[64])
 	}
 	r := &Reader{f: f, fileNum: fileNum, size: size, blocks: blockCache, codec: codec}
 	r.refs.Store(1)
-
-	magic := binary.LittleEndian.Uint64(tail[footerLenV4-8:])
 	var handles [4]blockHandle
-	for _, ff := range footerFormats {
-		if ff.magic != magic {
-			continue
-		}
-		if size < int64(ff.length) {
-			return nil, fmt.Errorf("%w: v%d file too small (%d bytes)", ErrCorrupt, ff.version, size)
-		}
-		footer := tail[footerLenV4-ff.length:]
-		if ff.versionOff >= 0 && int(footer[ff.versionOff]) != ff.version {
-			return nil, fmt.Errorf("%w: unknown format version %d", ErrCorrupt, footer[ff.versionOff])
-		}
-		r.version = ff.version
-		for i := range handles[:ff.handles] {
-			handles[i] = blockHandle{binary.LittleEndian.Uint64(footer[16*i:]), binary.LittleEndian.Uint64(footer[16*i+8:])}
-		}
-	}
-	if r.version == 0 {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	for i := range handles {
+		handles[i] = blockHandle{binary.LittleEndian.Uint64(footer[16*i:]), binary.LittleEndian.Uint64(footer[16*i+8:])}
 	}
 	filterH, indexH, rangeDelH, prefixH := handles[0], handles[1], handles[2], handles[3]
 
@@ -241,7 +218,7 @@ func Open(f File, size int64, fileNum base.FileNum, blockCache *cache.Cache, cod
 			})
 		}
 		if err := it.Error(); err != nil {
-			return nil, err
+			return nil, corrupt(err)
 		}
 		l.Build()
 		r.rangeDels = l
@@ -253,14 +230,6 @@ func Open(f File, size int64, fileNum base.FileNum, blockCache *cache.Cache, cod
 // the table has none. The list is immutable and safe for concurrent use.
 func (r *Reader) RangeDels() *rangedel.List { return r.rangeDels }
 
-// trailerLen returns the block trailer length for the table's format.
-func (r *Reader) trailerLen() uint64 {
-	if r.version == formatV1 {
-		return blockTrailerLenV1
-	}
-	return blockTrailerLenV2
-}
-
 // readBufPool holds the buffers blocks are read into. A compressed block's
 // stored bytes are dead once it is inflated, so they never need a buffer of
 // their own.
@@ -271,16 +240,17 @@ var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // readahead buffer instead of a per-block ReadAt. The result is the
 // caller's: a stored-raw payload is copied out of the pooled read buffer.
 func (r *Reader) readBlockUncached(h blockHandle, ra *readahead) ([]byte, error) {
-	trailer := r.trailerLen()
-	if h.offset+h.length+trailer > uint64(r.size) {
+	// Compared without adding: h is disk bytes no checksum covers (a footer
+	// or an index entry), and offset+length can wrap past zero.
+	if room := uint64(r.size) - blockTrailerLen; h.length > room || h.offset > room-h.length {
 		return nil, fmt.Errorf("%w: block handle out of range", ErrCorrupt)
 	}
 	bp := readBufPool.Get().(*[]byte)
 	defer readBufPool.Put(bp)
-	if n := int(h.length + trailer); cap(*bp) < n {
+	if n := int(h.length + blockTrailerLen); cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
-	buf := (*bp)[:h.length+trailer]
+	buf := (*bp)[:h.length+blockTrailerLen]
 	if ra != nil {
 		if err := ra.readAt(buf, int64(h.offset)); err != nil {
 			return nil, err
@@ -289,14 +259,6 @@ func (r *Reader) readBlockUncached(h blockHandle, ra *readahead) ([]byte, error)
 		return nil, err
 	}
 	payload := buf[:h.length]
-
-	if r.version == formatV1 {
-		want := binary.LittleEndian.Uint32(buf[h.length:])
-		if crc.Value(payload) != want {
-			return nil, fmt.Errorf("%w: block checksum mismatch at offset %d", ErrCorrupt, h.offset)
-		}
-		return bytes.Clone(payload), nil
-	}
 
 	typ := buf[h.length]
 	want := binary.LittleEndian.Uint32(buf[h.length+1:])
@@ -334,7 +296,7 @@ func (r *Reader) readBlock(h blockHandle, ra *readahead, stats *GetStats) ([]byt
 			if stats != nil {
 				stats.BlockHits++
 			}
-			return v.([]byte), nil
+			return v, nil
 		}
 	}
 	if stats != nil {
@@ -407,7 +369,7 @@ func (r *Reader) MayContain(ukey []byte) bool {
 	return r.filter.MayContain(ukey)
 }
 
-// MayContainPrefix consults the table's prefix bloom filter (format v4): a
+// MayContainPrefix consults the table's prefix bloom filter: a
 // false return guarantees no user key in the table starts with pfx. True
 // when the table has no prefix filter or was built for a different prefix
 // length — the filter only answers for exactly the length it was built over.
@@ -431,9 +393,6 @@ func (r *Reader) IndexMemory() int { return len(r.index) }
 
 // FileNum returns the table's file number.
 func (r *Reader) FileNum() base.FileNum { return r.fileNum }
-
-// FormatVersion returns the table's on-storage format (1 to 4).
-func (r *Reader) FormatVersion() int { return r.version }
 
 func decodeHandle(v []byte) (blockHandle, bool) {
 	off, n := binary.Uvarint(v)
@@ -462,7 +421,7 @@ func (r *Reader) GetScratched(search []byte, s *GetScratch) (value []byte, seq b
 	// >= search points at the only block that can contain the search key.
 	s.index.SeekGE(search)
 	if err := s.index.Error(); err != nil {
-		return nil, 0, 0, false, err
+		return nil, 0, 0, false, corrupt(err)
 	}
 	if !s.index.Valid() {
 		return nil, 0, 0, r.noteMiss(s), nil
@@ -476,18 +435,20 @@ func (r *Reader) GetScratched(search []byte, s *GetScratch) (value []byte, seq b
 		return nil, 0, 0, false, err
 	}
 	if err := s.data.Init(payload, base.InternalCompare); err != nil {
-		return nil, 0, 0, false, err
+		return nil, 0, 0, false, corrupt(err)
 	}
 	s.data.SeekGE(search)
 	if err := s.data.Error(); err != nil {
-		return nil, 0, 0, false, err
+		return nil, 0, 0, false, corrupt(err)
 	}
 	if !s.data.Valid() {
 		return nil, 0, 0, r.noteMiss(s), nil
 	}
-	ikey := s.data.Key()
-	gotU, seq, kind, ok := base.DecodeInternalKey(ikey)
-	if !ok || !bytes.Equal(gotU, base.UserKey(search)) {
+	gotU, seq, kind, ok := base.DecodeInternalKey(s.data.Key())
+	if !ok {
+		return nil, 0, 0, false, errShortKey
+	}
+	if !bytes.Equal(gotU, base.UserKey(search)) {
 		return nil, 0, 0, r.noteMiss(s), nil
 	}
 	return s.data.Value(), seq, kind, true, nil
@@ -596,7 +557,7 @@ func (t *TableIter) loadBlock() bool {
 		return false
 	}
 	if err := t.data.Init(payload, base.InternalCompare); err != nil {
-		t.err = err
+		t.err = corrupt(err)
 		return false
 	}
 	t.dataOK = true
@@ -684,7 +645,7 @@ func (t *TableIter) Prev() {
 func (t *TableIter) skipForwardIfExhausted() {
 	for t.dataOK && !t.data.Valid() {
 		if err := t.data.Error(); err != nil {
-			t.err = err
+			t.err = corrupt(err)
 			return
 		}
 		t.index.Next()
@@ -693,6 +654,15 @@ func (t *TableIter) skipForwardIfExhausted() {
 		}
 		t.data.First()
 	}
+	t.checkKey()
+}
+
+// checkKey runs after every move: an entry the cursor lands on is about to
+// be handed up as an internal key.
+func (t *TableIter) checkKey() {
+	if t.dataOK && t.data.Valid() && len(t.data.Key()) < base.TrailerLen {
+		t.err = errShortKey
+	}
 }
 
 // skipBackwardIfExhausted steps to the previous data block when the
@@ -700,7 +670,7 @@ func (t *TableIter) skipForwardIfExhausted() {
 func (t *TableIter) skipBackwardIfExhausted() {
 	for t.dataOK && !t.data.Valid() {
 		if err := t.data.Error(); err != nil {
-			t.err = err
+			t.err = corrupt(err)
 			return
 		}
 		t.index.Prev()
@@ -709,6 +679,7 @@ func (t *TableIter) skipBackwardIfExhausted() {
 		}
 		t.data.Last()
 	}
+	t.checkKey()
 }
 
 func (t *TableIter) Valid() bool {
@@ -722,7 +693,7 @@ func (t *TableIter) Error() error {
 	if t.err != nil {
 		return t.err
 	}
-	return t.index.Error()
+	return corrupt(t.index.Error())
 }
 
 func (t *TableIter) Close() error { return t.Error() }

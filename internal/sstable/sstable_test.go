@@ -220,7 +220,7 @@ func TestBlockCacheUsed(t *testing.T) {
 	fs := vfs.NewMem()
 	entries := sortedEntries(3000, 6)
 	buildTable(t, fs, "t.sst", entries, WriterOptions{BlockSize: 512, BloomBitsPerKey: 10})
-	c := cache.New(1<<20, nil)
+	c := cache.New(1 << 20)
 	r := openTable(t, fs, "t.sst", c)
 	defer r.Close()
 
@@ -324,7 +324,7 @@ func BenchmarkTableGet(b *testing.B) {
 	bf.Close()
 	f, _ := fs.Open("bench.sst")
 	size, _ := fs.Stat("bench.sst")
-	r, err := Open(f, size, 1, cache.New(64<<20, nil), nil)
+	r, err := Open(f, size, 1, cache.New(64<<20), nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,10 +4,10 @@
 // LevelDB table concept intact — guards are a layer above sstables — so
 // this package is shared untouched by the FLSM and leveled trees.
 //
-// The writer emits one format, v4: a 5-byte block trailer — a 1-byte
+// There is one format, v4, written and read: a 5-byte block trailer — a 1-byte
 // block-type tag (none/snappy) followed by the crc32 of payload+type — and
 // an 80-byte footer of four block handles (key filter, index, range-del
-// block, prefix filter), a format-version byte and magicV4. A handle of
+// block, prefix filter), a format-version byte and the magic. A handle of
 // length zero means the block is absent: a table without range tombstones
 // has no range-del block, a store without Options.PrefixBloomLength no
 // prefix filter. Data blocks are compressed when the codec saves at least
@@ -19,11 +19,8 @@
 // user-key prefixes, which prefix iterators consult to skip tables whose
 // key range overlaps the scan but whose contents cannot match.
 //
-// The formats earlier versions of the writer emitted stay readable and are
-// described, with their constants, beside the code that reads them
-// (reader.go): v1 (4-byte trailer, always raw, 40-byte footer), v2 (the
-// trailer above, 48-byte footer), v3 (v2 plus the range-del handle,
-// 64-byte footer).
+// Tables of the formats v1 to v3 (builds before PR 14) are rejected at Open
+// by their magic.
 package sstable
 
 import (
@@ -41,17 +38,17 @@ import (
 )
 
 const (
-	footerLenV4  = 80
-	tableMagicV4 = 0xf09f94aedb4eac2e
-	formatV4     = 4
+	footerLen     = 80
+	tableMagic    = 0xf09f94aedb4eac2e
+	formatVersion = 4
 
-	blockTrailerLenV2 = 5 // type byte + crc32(payload ++ type)
+	blockTrailerLen = 5 // type byte + crc32(payload ++ type)
 
 	// blockRestartInterval is the number of keys between restart points in
 	// a data block.
 	blockRestartInterval = 16
 
-	// blockTypeNone / blockTypeSnappy are the v2 trailer type tags
+	// blockTypeNone / blockTypeSnappy are the trailer type tags
 	// (LevelDB-compatible values).
 	blockTypeNone   = 0
 	blockTypeSnappy = 1
@@ -232,19 +229,19 @@ func (w *Writer) writeDataBlock(payload []byte) (blockHandle, error) {
 	return w.writeRawBlock(stored, typ)
 }
 
-// writeRawBlock writes an already-encoded payload with its v2 trailer.
+// writeRawBlock writes an already-encoded payload with its trailer.
 func (w *Writer) writeRawBlock(payload []byte, typ byte) (blockHandle, error) {
 	h := blockHandle{offset: w.offset, length: uint64(len(payload))}
 	if _, err := w.f.Write(payload); err != nil {
 		return h, err
 	}
-	var tr [blockTrailerLenV2]byte
+	var tr [blockTrailerLen]byte
 	tr[0] = typ
 	binary.LittleEndian.PutUint32(tr[1:], crc.ValueExtended(payload, tr[:1]))
 	if _, err := w.f.Write(tr[:]); err != nil {
 		return h, err
 	}
-	w.offset += uint64(len(payload)) + blockTrailerLenV2
+	w.offset += uint64(len(payload)) + blockTrailerLen
 	return h, nil
 }
 
@@ -371,17 +368,17 @@ func (w *Writer) Finish() (TableInfo, error) {
 
 	// Footer: the four handles (zero for an absent block), format version,
 	// magic.
-	var footer [footerLenV4]byte
+	var footer [footerLen]byte
 	for i, h := range []blockHandle{filterHandle, indexHandle, rangeDelHandle, prefixHandle} {
 		binary.LittleEndian.PutUint64(footer[16*i:], h.offset)
 		binary.LittleEndian.PutUint64(footer[16*i+8:], h.length)
 	}
-	footer[64] = formatV4
-	binary.LittleEndian.PutUint64(footer[72:], tableMagicV4)
+	footer[64] = formatVersion
+	binary.LittleEndian.PutUint64(footer[72:], tableMagic)
 	if _, err := w.f.Write(footer[:]); err != nil {
 		return TableInfo{}, err
 	}
-	w.offset += footerLenV4
+	w.offset += footerLen
 
 	info.Size = w.offset
 	info.Compression = w.stats

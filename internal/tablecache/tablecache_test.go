@@ -216,7 +216,7 @@ func TestWarmFindTouchesNoFile(t *testing.T) {
 func TestHandlesBoundedUnderConcurrentColdReads(t *testing.T) {
 	fs := &countFS{FS: vfs.NewMem()}
 	sizes := makeTables(t, fs, 64, 10)
-	tc := New(fs, "db", 4, cache.New(1, nil))
+	tc := New(fs, "db", 4, cache.New(1))
 	search := base.MakeSearchKey(nil, []byte("key000003"), base.MaxSeqNum)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -232,7 +232,7 @@ func Open(kind Kind, cfg *base.Config, fs vfs.FS, dir string, host Host, layout 
 	c.misses, _ = layout.(MissCharger)
 	c.metrics.PeakLevelUnits = make([]int, cfg.NumLevels)
 	c.logCond = sync.NewCond(&c.logMu)
-	c.tc = tablecache.New(fs, dir, cfg.TableCacheSize, cache.New(cfg.BlockCacheSize, nil))
+	c.tc = tablecache.New(fs, dir, cfg.TableCacheSize, cache.New(cfg.BlockCacheSize))
 
 	if manifest.Exists(fs, dir) {
 		vs, err := manifest.Load(fs, dir, c.applyLocked)

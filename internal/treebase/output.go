@@ -100,9 +100,6 @@ func (o *OutputBuilder) AddRangeDels(ts []rangedel.Tombstone) error {
 	return nil
 }
 
-// HasOpen reports whether a table is currently being written.
-func (o *OutputBuilder) HasOpen() bool { return o.cur != nil }
-
 // CurrentSize returns the estimated size of the open table.
 func (o *OutputBuilder) CurrentSize() uint64 {
 	if o.cur == nil {

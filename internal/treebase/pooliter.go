@@ -19,9 +19,9 @@ type pooledTableIter struct {
 var tableIterPool = sync.Pool{New: func() interface{} { return &pooledTableIter{} }}
 
 // GetTableIter returns a pooled iterator over r that releases the caller's
-// table-cache reference on Close. It is the scan-path counterpart to
-// NewTableIter; compactions keep NewSequentialTableIter (their iterators
-// live long enough that pooling buys nothing).
+// table-cache reference on Close. It is the scan-path table iterator;
+// compactions keep NewSequentialTableIter (their iterators live long enough
+// that pooling buys nothing).
 func GetTableIter(r *sstable.Reader) iterator.Iterator {
 	t := tableIterPool.Get().(*pooledTableIter)
 	if err := t.Init(r); err != nil {

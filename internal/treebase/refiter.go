@@ -5,21 +5,21 @@ import (
 	"pebblesdb/internal/sstable"
 )
 
-// tableIterWithRef ties an sstable iterator's lifetime to the table-cache
-// reference that backs it: Close releases the reference.
+// tableIterWithRef ties a sequential sstable iterator's lifetime to the
+// table-cache reference that backs it: Close releases the reference.
 type tableIterWithRef struct {
 	iterator.Iterator
 	r *sstable.Reader
 }
 
 // NewTableIter returns an iterator over r that releases the caller's
-// table-cache reference on Close.
-func NewTableIter(r *sstable.Reader) iterator.Iterator {
-	return &tableIterWithRef{Iterator: r.NewIter(), r: r}
-}
+// table-cache reference on Close. It is GetTableIter under the name bench/
+// (frozen) calls.
+func NewTableIter(r *sstable.Reader) iterator.Iterator { return GetTableIter(r) }
 
-// NewSequentialTableIter is NewTableIter in sequential-read mode: the
-// iterator prefetches ~256KiB chunks and skips block-cache population.
+// NewSequentialTableIter is the sequential-read table iterator: it
+// prefetches ~256KiB chunks and skips block-cache population, and like
+// GetTableIter it releases the caller's table-cache reference on Close.
 // Compaction inputs use it — they read every block exactly once.
 func NewSequentialTableIter(r *sstable.Reader) iterator.Iterator {
 	return &tableIterWithRef{Iterator: r.NewSequentialIter(), r: r}

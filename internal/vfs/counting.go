@@ -73,13 +73,23 @@ func (s IOStats) Sub(o IOStats) IOStats {
 // classified by file kind. It is the measurement instrument behind all
 // write-amplification numbers in EXPERIMENTS.md.
 type CountingFS struct {
-	inner        FS
+	interposer
 	bytesWritten [numCategories]atomic.Int64
 	bytesRead    [numCategories]atomic.Int64
 }
 
 // NewCounting wraps fs with byte accounting.
-func NewCounting(fs FS) *CountingFS { return &CountingFS{inner: fs} }
+func NewCounting(fs FS) *CountingFS {
+	c := &CountingFS{}
+	c.interposer = interposer{inner: fs, moved: func(op Op, cat IOCategory, n int) {
+		if op == OpWrite {
+			c.bytesWritten[cat].Add(int64(n))
+		} else {
+			c.bytesRead[cat].Add(int64(n))
+		}
+	}}
+	return c
+}
 
 // Stats returns a snapshot of the counters.
 func (c *CountingFS) Stats() IOStats {
@@ -89,44 +99,4 @@ func (c *CountingFS) Stats() IOStats {
 		s.BytesRead[i] = c.bytesRead[i].Load()
 	}
 	return s
-}
-
-func (c *CountingFS) Create(name string) (File, error) {
-	f, err := c.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &countingFile{File: f, fs: c, cat: categorize(name)}, nil
-}
-
-func (c *CountingFS) Open(name string) (File, error) {
-	f, err := c.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return &countingFile{File: f, fs: c, cat: categorize(name)}, nil
-}
-
-func (c *CountingFS) Remove(name string) error          { return c.inner.Remove(name) }
-func (c *CountingFS) Rename(o, n string) error          { return c.inner.Rename(o, n) }
-func (c *CountingFS) MkdirAll(dir string) error         { return c.inner.MkdirAll(dir) }
-func (c *CountingFS) List(dir string) ([]string, error) { return c.inner.List(dir) }
-func (c *CountingFS) Stat(name string) (int64, error)   { return c.inner.Stat(name) }
-
-type countingFile struct {
-	File
-	fs  *CountingFS
-	cat IOCategory
-}
-
-func (f *countingFile) Write(p []byte) (int, error) {
-	n, err := f.File.Write(p)
-	f.fs.bytesWritten[f.cat].Add(int64(n))
-	return n, err
-}
-
-func (f *countingFile) ReadAt(p []byte, off int64) (int, error) {
-	n, err := f.File.ReadAt(p, off)
-	f.fs.bytesRead[f.cat].Add(int64(n))
-	return n, err
 }

@@ -6,41 +6,6 @@ import (
 	"sync/atomic"
 )
 
-// Op classifies filesystem operations for fault injection. Values are bits
-// so an injection point can target any combination of classes.
-type Op uint32
-
-const (
-	// OpCreate is FS.Create.
-	OpCreate Op = 1 << iota
-	// OpOpen is FS.Open.
-	OpOpen
-	// OpRead is File.ReadAt.
-	OpRead
-	// OpWrite is File.Write.
-	OpWrite
-	// OpSync is File.Sync.
-	OpSync
-	// OpRename is FS.Rename.
-	OpRename
-	// OpRemove is FS.Remove.
-	OpRemove
-	// OpMkdir is FS.MkdirAll.
-	OpMkdir
-	// OpList is FS.List.
-	OpList
-	// OpStat is FS.Stat.
-	OpStat
-
-	// OpAll matches every operation.
-	OpAll = OpCreate | OpOpen | OpRead | OpWrite | OpSync | OpRename |
-		OpRemove | OpMkdir | OpList | OpStat
-	// OpWriteClass matches the operations that allocate storage — the set a
-	// full disk fails. Remove and the read-side ops stay working, which is
-	// what makes ENOSPC recoverable in place.
-	OpWriteClass = OpCreate | OpWrite | OpSync | OpRename | OpMkdir
-)
-
 // ErrInjected is the default error returned by an armed injection point.
 var ErrInjected = errors.New("errfs: injected error")
 
@@ -61,10 +26,12 @@ var ErrNoSpace = errors.New("errfs: no space left on device")
 // Every operation (FS-level and File-level) increments one global counter,
 // so a workload can be run once against a healthy ErrFS to learn its
 // operation count and then re-run with each index armed in turn — the
-// metamorphic fault sweep. ErrFS composes with the other wrappers (it can
-// wrap or be wrapped by CrashFS, FencedFS, CountingFS).
+// metamorphic fault sweep; Close alone is uncounted and never fails. ErrFS
+// is the interposer with inject as its before-hook, so it composes with the
+// others (it can wrap or be wrapped by FencedFS and CountingFS, over a
+// MemFS that is later crashed).
 type ErrFS struct {
-	inner FS
+	interposer
 
 	ops      atomic.Int64 // operations observed so far (also the next index)
 	injected atomic.Int64
@@ -81,7 +48,9 @@ type ErrFS struct {
 
 // NewErr returns an ErrFS over inner with no faults armed.
 func NewErr(inner FS) *ErrFS {
-	return &ErrFS{inner: inner}
+	fs := &ErrFS{}
+	fs.interposer = interposer{inner: inner, before: fs.inject}
+	return fs
 }
 
 // FailAt arms the injection point: the first operation matching mask whose
@@ -115,9 +84,9 @@ func (fs *ErrFS) OpCount() int64 { return fs.ops.Load() }
 // Injected returns how many operations failed by injection.
 func (fs *ErrFS) Injected() int64 { return fs.injected.Load() }
 
-// check assigns the operation its global index and decides whether it
+// inject assigns the operation its global index and decides whether it
 // fails.
-func (fs *ErrFS) check(op Op) error {
+func (fs *ErrFS) inject(op Op) error {
 	idx := fs.ops.Add(1) - 1
 	if fs.full.Load() && op&OpWriteClass != 0 {
 		fs.injected.Add(1)
@@ -135,91 +104,3 @@ func (fs *ErrFS) check(op Op) error {
 	fs.injected.Add(1)
 	return fs.err
 }
-
-func (fs *ErrFS) Create(name string) (File, error) {
-	if err := fs.check(OpCreate); err != nil {
-		return nil, err
-	}
-	f, err := fs.inner.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return errFile{f: f, fs: fs}, nil
-}
-
-func (fs *ErrFS) Open(name string) (File, error) {
-	if err := fs.check(OpOpen); err != nil {
-		return nil, err
-	}
-	f, err := fs.inner.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	return errFile{f: f, fs: fs}, nil
-}
-
-func (fs *ErrFS) Remove(name string) error {
-	if err := fs.check(OpRemove); err != nil {
-		return err
-	}
-	return fs.inner.Remove(name)
-}
-
-func (fs *ErrFS) Rename(oldname, newname string) error {
-	if err := fs.check(OpRename); err != nil {
-		return err
-	}
-	return fs.inner.Rename(oldname, newname)
-}
-
-func (fs *ErrFS) MkdirAll(dir string) error {
-	if err := fs.check(OpMkdir); err != nil {
-		return err
-	}
-	return fs.inner.MkdirAll(dir)
-}
-
-func (fs *ErrFS) List(dir string) ([]string, error) {
-	if err := fs.check(OpList); err != nil {
-		return nil, err
-	}
-	return fs.inner.List(dir)
-}
-
-func (fs *ErrFS) Stat(name string) (int64, error) {
-	if err := fs.check(OpStat); err != nil {
-		return 0, err
-	}
-	return fs.inner.Stat(name)
-}
-
-// errFile routes data-path operations through the checker. Close is never
-// injected: resource release must always be possible, or every failure
-// test would leak handles instead of exercising error paths.
-type errFile struct {
-	f  File
-	fs *ErrFS
-}
-
-func (f errFile) Write(p []byte) (int, error) {
-	if err := f.fs.check(OpWrite); err != nil {
-		return 0, err
-	}
-	return f.f.Write(p)
-}
-
-func (f errFile) ReadAt(p []byte, off int64) (int, error) {
-	if err := f.fs.check(OpRead); err != nil {
-		return 0, err
-	}
-	return f.f.ReadAt(p, off)
-}
-
-func (f errFile) Sync() error {
-	if err := f.fs.check(OpSync); err != nil {
-		return err
-	}
-	return f.f.Sync()
-}
-
-func (f errFile) Close() error { return f.f.Close() }

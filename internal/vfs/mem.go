@@ -12,6 +12,14 @@ import (
 // MemFS is a thread-safe in-memory filesystem. It is the default substrate
 // for tests and benchmarks: deterministic, fast, and free of OS page-cache
 // effects so that byte-level IO accounting is exact.
+//
+// It also simulates power loss: Crash drops what was written but not
+// synced, files created but never synced vanish, and a rename is atomic and
+// durable once performed (the rename semantics journaling filesystems give
+// small metadata operations, which LevelDB-family stores rely on for
+// CURRENT updates). Crash-recovery tests drive the store through a
+// workload, call Crash, then reopen the store on the surviving state and
+// verify the recovered contents against what was durably acknowledged.
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string]*memNode
@@ -21,8 +29,11 @@ type MemFS struct {
 type memNode struct {
 	mu     sync.Mutex
 	data   []byte
-	synced int // bytes known durable; used by CrashFS
-	refs   int
+	synced int // bytes known durable; Crash truncates to it
+	// everSynced records whether the file survived at least one Sync or
+	// Rename; files that never did disappear entirely at Crash, matching
+	// directory entries that were never flushed.
+	everSynced bool
 }
 
 // NewMem returns an empty in-memory filesystem with a root directory.
@@ -30,6 +41,25 @@ func NewMem() *MemFS {
 	return &MemFS{
 		files: make(map[string]*memNode),
 		dirs:  map[string]bool{".": true, "/": true},
+	}
+}
+
+// NewCrash returns an empty filesystem for crash tests. It is NewMem: the
+// name says what the caller is about to do with it.
+func NewCrash() *MemFS { return NewMem() }
+
+// Crash drops all unsynced state, as if the machine lost power.
+func (fs *MemFS) Crash() {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for name, n := range fs.files {
+		n.mu.Lock()
+		if n.everSynced {
+			n.data = n.data[:n.synced]
+		} else {
+			delete(fs.files, name)
+		}
+		n.mu.Unlock()
 	}
 }
 
@@ -72,6 +102,11 @@ func (fs *MemFS) Rename(oldname, newname string) error {
 	if !ok {
 		return &os.PathError{Op: "rename", Path: oldname, Err: os.ErrNotExist}
 	}
+	// A rename is treated as durable: LevelDB-family stores sync file
+	// contents before renaming into place (CURRENT updates).
+	n.mu.Lock()
+	n.synced, n.everSynced = len(n.data), true
+	n.mu.Unlock()
 	delete(fs.files, oldname)
 	fs.files[newname] = n
 	return nil
@@ -169,6 +204,9 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 	if h.closed {
 		return 0, fmt.Errorf("vfs: read from closed file")
 	}
+	if off < 0 {
+		return 0, fmt.Errorf("vfs: read at negative offset %d", off)
+	}
 	h.node.mu.Lock()
 	defer h.node.mu.Unlock()
 	if off >= int64(len(h.node.data)) {
@@ -183,7 +221,7 @@ func (h *memHandle) ReadAt(p []byte, off int64) (int, error) {
 
 func (h *memHandle) Sync() error {
 	h.node.mu.Lock()
-	h.node.synced = len(h.node.data)
+	h.node.synced, h.node.everSynced = len(h.node.data), true
 	h.node.mu.Unlock()
 	return nil
 }

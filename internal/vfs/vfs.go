@@ -1,8 +1,10 @@
 // Package vfs abstracts the filesystem under the store. The abstraction
 // exists for three reasons that the PebblesDB reproduction depends on:
 // deterministic in-memory benchmarking (MemFS), byte-exact write-
-// amplification accounting (CountingFS), and crash-recovery testing
-// (CrashFS). The Default implementation is backed by the OS.
+// amplification accounting (CountingFS), and crash-recovery and fault
+// testing (MemFS.Crash, ErrFS, FencedFS). There are three filesystems:
+// Default is backed by the OS, MemFS by memory, and the interposer wraps
+// either to count, inject or fence.
 package vfs
 
 import (
@@ -63,9 +65,9 @@ func (osFS) Open(name string) (File, error) {
 	return osFile{f}, nil
 }
 
-func (osFS) Remove(name string) error            { return os.Remove(name) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
 func (osFS) Rename(oldname, newname string) error { return os.Rename(oldname, newname) }
-func (osFS) MkdirAll(dir string) error           { return os.MkdirAll(dir, 0o755) }
+func (osFS) MkdirAll(dir string) error            { return os.MkdirAll(dir, 0o755) }
 
 func (osFS) List(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)

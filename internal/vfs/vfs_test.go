@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"errors"
 	"io"
 	"os"
 	"testing"
@@ -45,69 +46,145 @@ func readAll(t *testing.T, fs FS, name string) string {
 	return string(buf)
 }
 
-func TestMemFSBasics(t *testing.T) {
-	fs := NewMem()
-	writeFile(t, fs, "dir/a.txt", "hello", true)
-	if got := readAll(t, fs, "dir/a.txt"); got != "hello" {
-		t.Fatalf("read back %q", got)
+// TestFSConformance holds every filesystem to the one contract the store
+// relies on — append-only files, positioned reads with io.EOF at the end,
+// rename replacing its target, immediate remove, sorted List, Stat — so a
+// new implementation or interposer hook is one more row, not a new test.
+func TestFSConformance(t *testing.T) {
+	impls := []struct {
+		name string
+		fs   func(t *testing.T) (fs FS, root string)
+	}{
+		{"mem", func(*testing.T) (FS, string) { return NewMem(), "db" }},
+		{"os", func(t *testing.T) (FS, string) { return Default, t.TempDir() }},
+		{"counting", func(*testing.T) (FS, string) { return NewCounting(NewMem()), "db" }},
+		{"err", func(*testing.T) (FS, string) { return NewErr(NewMem()), "db" }},
+		{"fenced", func(*testing.T) (FS, string) { return NewFenced(NewMem()), "db" }},
+		{"stacked", func(*testing.T) (FS, string) { return NewCounting(NewErr(NewFenced(NewCrash()))), "db" }},
 	}
-	if sz, _ := fs.Stat("dir/a.txt"); sz != 5 {
-		t.Fatalf("stat size %d", sz)
-	}
-	if err := fs.Rename("dir/a.txt", "dir/b.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Open("dir/a.txt"); err == nil {
-		t.Fatal("old name should be gone")
-	}
-	if got := readAll(t, fs, "dir/b.txt"); got != "hello" {
-		t.Fatalf("renamed read %q", got)
-	}
-	if err := fs.Remove("dir/b.txt"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("dir/b.txt"); !os.IsNotExist(err) {
-		t.Fatalf("double remove: %v", err)
+	for _, impl := range impls {
+		t.Run(impl.name, func(t *testing.T) {
+			fs, root := impl.fs(t)
+			if err := fs.MkdirAll(root); err != nil {
+				t.Fatal(err)
+			}
+			a, b := root+"/2.sst", root+"/1.sst"
+
+			// Create + append: two writes land back to back.
+			f, err := fs.Create(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, part := range []string{"ab", "cd"} {
+				if n, err := f.Write([]byte(part)); n != 2 || err != nil {
+					t.Fatalf("write %q: n=%d err=%v", part, n, err)
+				}
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := readAll(t, fs, a); got != "abcd" {
+				t.Fatalf("appended content %q", got)
+			}
+			if sz, err := fs.Stat(a); sz != 4 || err != nil {
+				t.Fatalf("stat: size=%d err=%v", sz, err)
+			}
+
+			// Read-at: inside, short at the end, and past it.
+			r, err := fs.Open(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 2)
+			if n, err := r.ReadAt(buf, 1); n != 2 || err != nil || string(buf) != "bc" {
+				t.Fatalf("read at 1: n=%d err=%v buf=%q", n, err, buf)
+			}
+			big := make([]byte, 10)
+			if n, err := r.ReadAt(big, 0); n != 4 || err != io.EOF {
+				t.Fatalf("short read: n=%d err=%v", n, err)
+			}
+			if n, err := r.ReadAt(big, 100); n != 0 || err != io.EOF {
+				t.Fatalf("read past EOF: n=%d err=%v", n, err)
+			}
+			if _, err := r.ReadAt(big, -1); err == nil || err == io.EOF {
+				t.Fatalf("read at a negative offset: err=%v", err)
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Sorted List of names, other directories left out.
+			writeFile(t, fs, b, "old", false)
+			names, err := fs.List(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 2 || names[0] != "1.sst" || names[1] != "2.sst" {
+				t.Fatalf("list: %v", names)
+			}
+
+			// Rename replaces its target; the old name is gone.
+			if err := fs.Rename(a, b); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Open(a); !os.IsNotExist(err) {
+				t.Fatalf("open of the renamed-away name: %v", err)
+			}
+			if got := readAll(t, fs, b); got != "abcd" {
+				t.Fatalf("rename target holds %q", got)
+			}
+			if names, _ := fs.List(root); len(names) != 1 || names[0] != "1.sst" {
+				t.Fatalf("list after rename: %v", names)
+			}
+
+			// Create truncates; remove is immediate and not repeatable.
+			writeFile(t, fs, b, "x", false)
+			if got := readAll(t, fs, b); got != "x" {
+				t.Fatalf("re-created file holds %q", got)
+			}
+			if err := fs.Remove(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Remove(b); !os.IsNotExist(err) {
+				t.Fatalf("double remove: %v", err)
+			}
+			if _, err := fs.Stat(b); !os.IsNotExist(err) {
+				t.Fatalf("stat of a removed file: %v", err)
+			}
+		})
 	}
 }
 
-func TestMemFSList(t *testing.T) {
-	fs := NewMem()
-	writeFile(t, fs, "db/1.sst", "x", false)
-	writeFile(t, fs, "db/2.sst", "y", false)
-	writeFile(t, fs, "other/3.sst", "z", false)
-	names, err := fs.List("db")
+// TestFenceCutsOpenFiles: after Fence every operation fails with ErrFenced,
+// including on handles opened earlier; Close alone still releases.
+func TestFenceCutsOpenFiles(t *testing.T) {
+	mem := NewMem()
+	fs := NewFenced(mem)
+	f, err := fs.Create("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != 2 || names[0] != "1.sst" || names[1] != "2.sst" {
-		t.Fatalf("list: %v", names)
+	if _, err := f.Write([]byte("abc")); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestMemFSAppendSemantics(t *testing.T) {
-	fs := NewMem()
-	f, _ := fs.Create("f")
-	f.Write([]byte("ab"))
-	f.Write([]byte("cd"))
-	f.Close()
-	if got := readAll(t, fs, "f"); got != "abcd" {
-		t.Fatalf("appended content %q", got)
+	fs.Fence()
+	_, werr := f.Write([]byte("d"))
+	_, rerr := f.ReadAt(make([]byte, 1), 0)
+	_, cerr := fs.Create("g")
+	_, lerr := fs.List(".")
+	for i, err := range []error{werr, rerr, f.Sync(), cerr, lerr, fs.Remove("f"), fs.Rename("f", "g")} {
+		if !errors.Is(err, ErrFenced) {
+			t.Fatalf("operation %d after Fence: %v", i, err)
+		}
 	}
-}
-
-func TestMemFSReadAtPastEOF(t *testing.T) {
-	fs := NewMem()
-	writeFile(t, fs, "f", "abc", false)
-	f, _ := fs.Open("f")
-	defer f.Close()
-	buf := make([]byte, 10)
-	n, err := f.ReadAt(buf, 0)
-	if n != 3 || err != io.EOF {
-		t.Fatalf("short read: n=%d err=%v", n, err)
+	if err := f.Close(); err != nil {
+		t.Fatalf("close after Fence: %v", err)
 	}
-	if _, err := f.ReadAt(buf, 100); err != io.EOF {
-		t.Fatalf("read past EOF: %v", err)
+	if got := readAll(t, mem, "f"); got != "abc" {
+		t.Fatalf("fenced write reached the file: %q", got)
 	}
 }
 
