@@ -126,6 +126,11 @@ func TestConcurrentCompactionStress(t *testing.T) {
 		if err := db.WaitIdle(); err != nil {
 			t.Fatal(err)
 		}
+		// What the scheduler left behind must be a tree a Get can trust:
+		// every guard in age order.
+		if err := db.eng.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Fold the per-writer models and compare all three replicas.

@@ -365,10 +365,12 @@ func Decode(dst, src []byte) ([]byte, error) {
 		if offset <= 0 || d < offset || length > dLen-d {
 			return nil, ErrCorrupt
 		}
-		// Byte-at-a-time: copies may overlap their own output (offset <
-		// length replicates a pattern), which bulk copy would break.
-		for end := d + length; d != end; d++ {
-			dst[d] = dst[d-offset]
+		// The copy's source is the output so far, from offset bytes back. It
+		// may run into its own output: offset < length replicates the last
+		// offset bytes as a pattern. Each pass copies all there is of the
+		// pattern, which doubles it; offset >= length is a single pass.
+		for start, end := d-offset, d+length; d < end; {
+			d += copy(dst[d:end], dst[start:d])
 		}
 	}
 	if d != dLen {

@@ -64,6 +64,27 @@ var refVectors = []struct {
 		// offset < length replicates the last byte (the overlapping case).
 		encoded: []byte{0x0c, 0x00, 'a', 0x1d, 0x01},
 	},
+	{
+		name:    "offset-1-long",
+		decoded: strings.Repeat("z", 65),
+		// literal "z", then copy2 offset=1 len=64: tag (64-1)<<2|10 = 0xfe.
+		// The pattern doubles six times: 1, 2, 4, ... 64 bytes.
+		encoded: []byte{0x41, 0x00, 'z', 0xfe, 0x01, 0x00},
+	},
+	{
+		name:    "offset-below-length",
+		decoded: "abc" + "abcabcabcab",
+		// literal "abc", then copy1 offset=3 len=11: the pattern doubles to
+		// 6 bytes and the last pass copies 2 of 12, ending inside a period.
+		encoded: []byte{0x0e, 0x08, 'a', 'b', 'c', 0x1d, 0x03},
+	},
+	{
+		name:    "offset-equals-length",
+		decoded: "hellohello",
+		// literal "hello", then copy1 offset=5 len=5: tag (5-4)<<2|01 =
+		// 0x05. The source ends where the output begins: one bulk copy.
+		encoded: []byte{0x0a, 0x10, 'h', 'e', 'l', 'l', 'o', 0x05, 0x05},
+	},
 }
 
 func TestReferenceVectors(t *testing.T) {

@@ -682,6 +682,10 @@ func (e *Engine) WaitIdle() error {
 // Dump writes the tree layout (cmd/flsmdump, Fig 3.1).
 func (e *Engine) Dump(w io.Writer) { e.tree.Dump(w) }
 
+// CheckInvariants verifies the tree's structural invariants against its
+// tables (treebase.Core.CheckInvariants): for tests and tools.
+func (e *Engine) CheckInvariants() error { return e.tree.CheckInvariants() }
+
 // Close flushes nothing (the WAL preserves the memtable), waits for
 // background work and in-flight reads, and releases resources. Gets and
 // iterators that raced past the closed check drain before the tree shuts

@@ -40,10 +40,12 @@ func testConfig() *base.Config {
 	return cfg
 }
 
-// testTree pairs a tree with its FLSM layout for white-box tests.
+// testTree pairs a tree with its FLSM layout and its filesystem for
+// white-box tests.
 type testTree struct {
 	*treebase.Core
-	l *layout
+	l  *layout
+	fs vfs.FS
 }
 
 // pinned returns the current version — the view the core reads. The
@@ -53,9 +55,9 @@ func (t *testTree) pinned() *version { return t.l.cur }
 
 func openTree(tb testing.TB, cfg *base.Config, host treebase.Host) *testTree {
 	tb.Helper()
-	tree := &testTree{l: newLayout(cfg)}
+	tree := &testTree{l: newLayout(cfg), fs: vfs.NewMem()}
 	var err error
-	tree.Core, err = treebase.Open(kind, cfg, vfs.NewMem(), "db", host, tree.l, tree.l.cur)
+	tree.Core, err = treebase.Open(kind, cfg, tree.fs, "db", host, tree.l, tree.l.cur)
 	if err != nil {
 		tb.Fatal(err)
 	}

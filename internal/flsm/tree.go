@@ -121,8 +121,9 @@ func (l *layout) Ingest(ukey []byte) {
 // ChargeSeek charges the budget of the guard an iterator seek landed on
 // (§4.2, default threshold 10 consecutive seeks); exhaustion schedules the
 // guard for compaction. A Get's misses are not budgeted (the layout is no
-// treebase.MissCharger): every sstable of a guard is examined whatever the
-// outcome. Only a guard's first charge allocates.
+// treebase.MissCharger): §4.2 counts seeks, which position every sstable of
+// a guard; a Get stops at the newest one that holds its key. Only a guard's
+// first charge allocates.
 func (l *layout) ChargeSeek(level int, gkey []byte) {
 	left := l.seeksLeft[level][string(gkey)]
 	if left == nil {

@@ -74,6 +74,14 @@ func (gl *guardedLevel) hasGuard(key []byte) bool {
 // each level is the run sentinel, guard 0, guard 1, ...: guard intervals are
 // disjoint (§3.1) and tile the key space, so the group that can hold a key
 // is also where a seek to it lands.
+//
+// A group lists its sstables oldest first, the age order View.Group
+// promises. Data only moves down and a unit takes a guard's whole file list,
+// so fragments arrive from the level above in age order and are appended;
+// apply puts the output of an in-place rewrite where its inputs were;
+// insertGuards and deleteGuard move files between groups without reordering
+// any two that share a key; and a snapshot edit lists a group in this
+// order, which replay appends back.
 type version struct {
 	l0     []*base.FileMetadata // newest first
 	levels []guardedLevel       // index 0 unused
@@ -141,6 +149,16 @@ func (v *version) clone() *version {
 
 // apply builds a new version with edit applied. Guards are inserted before
 // files so that files added in the same edit attach to the new guards.
+//
+// apply keeps the age order of a group (see version): a file added to a
+// level from which the same edit deletes files is the output of an in-place
+// rewrite and goes to the front of its group, where its inputs were — they
+// were the whole group when the unit claimed it, so anything left behind
+// them arrived from the level above while the rewrite ran and is newer.
+// Every other file is a fragment from the level above, newer than all its
+// group holds, and is appended. (The outputs of one rewrite share no key,
+// so it does not matter which of them ends up first.) The rule reads nothing
+// but the edit, so manifest replay rebuilds the same order.
 func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, error) {
 	nv := v.clone()
 
@@ -162,10 +180,12 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 		}
 		nv.deleteGuard(g.Level, g.Key)
 	}
+	rewritten := make([]bool, numLevels)
 	for _, d := range edit.DeletedFiles {
 		if !nv.removeFile(d.Level, d.FileNum) {
 			return nil, fmt.Errorf("flsm: deleted file %d not found at level %d", d.FileNum, d.Level)
 		}
+		rewritten[d.Level] = true
 	}
 	for i := range edit.NewFiles {
 		nf := &edit.NewFiles[i]
@@ -173,7 +193,7 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 			return nil, fmt.Errorf("flsm: new file at invalid level %d", nf.Level)
 		}
 		meta := nf.Meta
-		nv.addFile(nf.Level, &meta)
+		nv.addFile(nf.Level, &meta, rewritten[nf.Level])
 	}
 	sort.Slice(nv.l0, func(i, j int) bool { return nv.l0[i].FileNum > nv.l0[j].FileNum })
 	for l := range nv.levels {
@@ -225,7 +245,8 @@ func (v *version) insertGuards(level int, keys [][]byte) {
 		}
 	}
 
-	// Redistribute: every file re-attaches by its smallest user key.
+	// Redistribute: every file re-attaches by its smallest user key. Files
+	// of one group are visited in order, so they keep their age order.
 	oldSentinel := gl.sentinel
 	oldGuards := merged // reuse: collect files first, then clear
 	var files []*base.FileMetadata
@@ -248,7 +269,8 @@ func (v *version) insertGuards(level int, keys [][]byte) {
 
 // deleteGuard removes a guard, folding its files into the preceding
 // interval (§3.3: sstables of a deleted guard are re-attached to
-// neighbours; compaction-generated edits only delete empty guards).
+// neighbours; compaction-generated edits only delete empty guards). The two
+// groups share no key, so appending one to the other keeps the age order.
 func (v *version) deleteGuard(level int, key []byte) {
 	gl := &v.levels[level]
 	i := sort.Search(len(gl.guards), func(i int) bool {
@@ -299,19 +321,23 @@ func removeFromSlice(files *[]*base.FileMetadata, fn base.FileNum) bool {
 	return false
 }
 
-// addFile attaches a file to its guard at a level (or to L0).
-func (v *version) addFile(level int, f *base.FileMetadata) {
+// addFile attaches a file to its guard at a level (or to L0): behind the
+// group's files, or with front before them.
+func (v *version) addFile(level int, f *base.FileMetadata, front bool) {
 	if level == 0 {
 		v.l0 = append(v.l0, f)
 		return
 	}
 	gl := &v.levels[level]
-	idx := guard.FindGuard(gl.guards, f.SmallestUserKey())
-	if idx < 0 {
-		gl.sentinel = append(gl.sentinel, f)
-		return
+	files := &gl.sentinel
+	if idx := guard.FindGuard(gl.guards, f.SmallestUserKey()); idx >= 0 {
+		files = &gl.guards[idx].Files
 	}
-	gl.guards[idx].Files = append(gl.guards[idx].Files, f)
+	*files = append(*files, f)
+	if front {
+		copy((*files)[1:], *files)
+		(*files)[0] = f
+	}
 }
 
 // straddles reports whether any file at the level spans key (file.smallest

@@ -88,17 +88,21 @@ type MissCharger interface {
 
 // View is one immutable version of a layout's tables as the read path sees
 // it: level 0, and below it levels that are each an ordered run of groups
-// disjoint in user keys. The tables of one group may overlap each other.
-// An FLSM level is its sentinel followed by its guards; a leveled level is
-// a run of one-table groups. The core pins the current view under its lock
-// and reads it without.
+// disjoint in user keys. The tables of one group may overlap each other,
+// and are listed oldest first: every version of a user key, and every range
+// tombstone covering it, that a table holds is newer than all that the
+// tables before it hold of that key. The Get descent stops at the first
+// table, newest first, that holds its key; CheckInvariants verifies the
+// order. An FLSM level is its sentinel followed by its guards; a leveled
+// level is a run of one-table groups. The core pins the current view under
+// its lock and reads it without.
 type View interface {
 	// L0 returns the level-0 tables, newest first; they may all overlap.
 	L0() []*base.FileMetadata
 	// Groups returns the number of groups of level (>= 1).
 	Groups(level int) int
 	// Group returns group i of level: the key of the guard that holds it
-	// (nil for tables under no guard) and its tables.
+	// (nil for tables under no guard) and its tables, oldest first.
 	Group(level, i int) (guard []byte, files []*base.FileMetadata)
 	// Find returns the first group of level that ends at or after ukey —
 	// where a seek to ukey lands, Groups(level) when there is none — and

@@ -53,12 +53,18 @@ type host struct {
 	obsolete []base.FileNum
 	snapshot base.SeqNum   // non-zero: the oldest live snapshot
 	gate     chan struct{} // non-nil: units park here
+	toPark   int           // units the gate still stops; later ones pass
 	parked   chan struct{} // receives one value per parked unit
 }
 
 func (h *host) SmallestSnapshot() base.SeqNum {
 	h.mu.Lock()
 	gate, snapshot := h.gate, h.snapshot
+	if h.toPark == 0 {
+		gate = nil
+	} else {
+		h.toPark--
+	}
 	h.mu.Unlock()
 	if gate != nil {
 		h.parked <- struct{}{}
@@ -78,17 +84,21 @@ func (h *host) setSnapshot(seq base.SeqNum) {
 	h.mu.Unlock()
 }
 
-// park gates the host for n units; the returned func opens the gate.
+// park gates the host for the next n units to reach it — units after them
+// run beside the parked ones; the returned func opens the gate, once.
 func (h *host) park(n int) (release func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	gate := make(chan struct{})
-	h.gate, h.parked = gate, make(chan struct{}, n)
+	h.gate, h.toPark, h.parked = gate, n, make(chan struct{}, n)
+	var once sync.Once
 	return func() {
-		h.mu.Lock()
-		h.gate = nil
-		h.mu.Unlock()
-		close(gate)
+		once.Do(func() {
+			h.mu.Lock()
+			h.gate, h.toPark = nil, 0
+			h.mu.Unlock()
+			close(gate)
+		})
 	}
 }
 
@@ -115,8 +125,9 @@ type store struct {
 	seq  base.SeqNum
 	want map[string]string // live keys; a deleted key is absent
 
-	rotations atomic.Int64 // manifest rotations observed
-	seekUnits atomic.Int64 // seek-triggered compaction units begun
+	rotations    atomic.Int64 // manifest rotations observed
+	seekUnits    atomic.Int64 // seek-triggered compaction units begun
+	inPlaceUnits atomic.Int64 // units begun whose source is the last level
 }
 
 func newConfig() *base.Config {
@@ -146,6 +157,8 @@ func openStore(t testing.TB, open OpenFunc, fs vfs.FS, tweak ...func(*base.Confi
 			s.rotations.Add(1)
 		case e.Kind == obs.EventCompactionBegin && e.Detail == "seek":
 			s.seekUnits.Add(1)
+		case e.Kind == obs.EventCompactionBegin && e.Level == s.cfg.NumLevels-1:
+			s.inPlaceUnits.Add(1)
 		}
 	})
 	for _, fn := range tweak {
@@ -171,6 +184,17 @@ func (s *store) reopen(open OpenFunc) {
 		s.t.Fatalf("reopen: %v", err)
 	}
 	s.c = c
+	s.checkInvariants()
+}
+
+// checkInvariants verifies the tree's structure against its tables. The
+// suites call it after every step: beside each check of what the tree
+// returns (verify, checkReads) and after each reopen.
+func (s *store) checkInvariants() {
+	s.t.Helper()
+	if err := s.c.CheckInvariants(); err != nil {
+		s.t.Fatalf("invariant broken: %v\n%s", err, s.dump())
+	}
 }
 
 // flush writes n random keys tagged tag through a memtable into level 0.
@@ -231,6 +255,7 @@ func (s *store) load() {
 // verify reads every key of the model space back.
 func (s *store) verify() {
 	s.t.Helper()
+	s.checkInvariants()
 	for i := 0; i < 10000; i++ {
 		k := key(i)
 		v, found, err := s.c.Get([]byte(k), base.MaxSeqNum, nil, nil)
@@ -472,6 +497,7 @@ func testTicketOrder(t *testing.T, open OpenFunc) {
 		t.Fatal("no compaction ran beside the flushes")
 	}
 
+	s.checkInvariants()
 	before := s.dump()
 	s.reopen(open)
 	defer s.c.Close()

@@ -42,6 +42,11 @@ func runReads(t *testing.T, open OpenFunc, policy SeekPolicy) {
 		}
 	})
 	t.Run("WarmSeekDoesNotAllocate", func(t *testing.T) { testWarmSeekAllocs(t, open, policy) })
+	t.Run("RewriteBesideAppend", func(t *testing.T) {
+		for _, via := range []string{"replay", "rotation"} {
+			t.Run(via, func(t *testing.T) { testRewriteBesideAppend(t, open, via == "rotation") })
+		}
+	})
 	t.Run("PinThenLoad", func(t *testing.T) { testPinThenLoad(t, open) })
 	t.Run("TwoHandles", func(t *testing.T) { testTwoHandles(t, open) })
 	t.Run("IterErrors", func(t *testing.T) {
@@ -195,6 +200,7 @@ func (s *store) treeScan(req treebase.IterRequest, at base.SeqNum) []kv {
 // sequence in ats.
 func (s *store) checkReads(h *history, when string, ats ...base.SeqNum) {
 	s.t.Helper()
+	s.checkInvariants()
 	for _, at := range append(ats, base.MaxSeqNum) {
 		for i := 0; i < 10000; i++ {
 			k := key(i)
@@ -381,6 +387,7 @@ func testSeekPolicy(t *testing.T, open OpenFunc, policy SeekPolicy, op string) {
 	if m := s.c.Metrics(); m.SeekCompactions != want || s.seekUnits.Load() != want {
 		t.Fatalf("%d seek compactions in the metrics, %d units with Detail \"seek\" in the events, want %d", m.SeekCompactions, s.seekUnits.Load(), want)
 	}
+	s.checkInvariants()
 	for i := 0; i < 2000; i++ {
 		if _, found, err := s.c.Get([]byte(key(i)), base.MaxSeqNum, nil, nil); !found || err != nil {
 			t.Fatalf("get %s after the reads and their compaction: found=%v err=%v", key(i), found, err)
@@ -424,6 +431,144 @@ func testWarmSeekAllocs(t *testing.T, open OpenFunc, policy SeekPolicy) {
 	if avg := testing.AllocsPerRun(100, seeks); avg != 0 {
 		t.Errorf("%d warm seeks allocate %.0f times, want 0", s.cfg.SeekCompactionThreshold, avg)
 	}
+}
+
+// testRewriteBesideAppend pins the age order of a group (View) in the one
+// case where appending every new table would break it: a last-level group is
+// rewritten in place while a unit from the level above delivers a fragment
+// into it. The rewrite claimed the group before the fragment arrived, so its
+// output is older than the fragment and belongs in front of it; behind it, a
+// Get — which stops at the first table, newest first, that holds its key —
+// would return the rewritten, older version. The order must also survive
+// recovery: by replay of the edits, and with rotate by a manifest rotation,
+// whose snapshot edit lists each group as the version holds it.
+//
+// Every round writes the same keys, so all groups of the last level fill up
+// together, and level 0 and level 1 pass everything on at once: two
+// CompactOnce calls move a flush into the last level. In a leveled tree no
+// unit rewrites the last level in place and every group is one table: the
+// same steps run and the reads hold trivially.
+func testRewriteBesideAppend(t *testing.T, open OpenFunc, rotate bool) {
+	efs := vfs.NewErr(vfs.NewMem())
+	s := openStore(t, open, efs, func(cfg *base.Config) {
+		cfg.NumLevels = 3
+		cfg.L0CompactionTrigger = 1
+		cfg.LevelBaseBytes = 1
+		cfg.SizeRatioPct = -1
+	})
+	defer func() { s.c.Close() }()
+	last := s.cfg.NumLevels - 1
+	h := &history{points: map[string][]pointVersion{}}
+	round := func(r int) {
+		t.Helper()
+		mem := memtable.New()
+		for i := 0; i < 400; i++ {
+			k, v := key(i*25), fmt.Sprintf("r%d-%d", r, i)
+			s.seq++
+			mem.Set([]byte(k), s.seq, base.KindSet, []byte(v))
+			s.c.Ingest([]byte(k))
+			h.points[k] = append(h.points[k], pointVersion{seq: s.seq, value: v})
+		}
+		if err := s.c.Flush(mem.NewIter(), nil, s.c.NewFileNum(), s.seq); err != nil {
+			t.Fatal(err)
+		}
+		for lv := 0; lv < last; lv++ {
+			if did, err := s.c.CompactOnce(); !did || err != nil {
+				t.Fatalf("round %d: CompactOnce = %v, %v with level %d populated", r, did, err, lv)
+			}
+		}
+		if m := s.c.Metrics(); m.LevelFiles[0] != 0 || m.LevelFiles[1] != 0 {
+			t.Fatalf("round %d: level files %v, want everything in level %d", r, m.LevelFiles, last)
+		}
+	}
+	// Fill every last-level group to its cap, the trigger of its rewrite.
+	for r := 0; r < s.cfg.MaxSSTablesPerGuard; r++ {
+		round(r)
+	}
+	snap := s.seq
+	s.host.setSnapshot(snap) // the rewrite keeps what a read at snap sees
+	guarded := s.c.Metrics().GuardsPerLevel != nil
+
+	// Park the next unit: in a guarded tree the rewrite of the first capped
+	// group of the last level.
+	release := s.host.park(1)
+	unit := make(chan error, 1)
+	go func() {
+		_, err := s.c.CompactOnce()
+		unit <- err
+	}()
+	parked := false
+	select {
+	case <-s.host.parked:
+		parked = true
+	case err := <-unit:
+		// Nothing reached the host (a leveled tree at rest): open the gate
+		// for the units of the next round.
+		release()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if guarded && (!parked || s.inPlaceUnits.Load() != 1) {
+		release()
+		t.Fatalf("parked=%v with %d in-place units begun: want the rewrite of a last-level group held in the host", parked, s.inPlaceUnits.Load())
+	}
+	// A newer version of every key arrives from above, into the group the
+	// parked rewrite holds as well.
+	tables := s.c.Metrics().LevelFiles[last]
+	round(s.cfg.MaxSSTablesPerGuard)
+	if got := s.c.Metrics().LevelFiles[last]; guarded && (got <= tables || s.inPlaceUnits.Load() != 1) {
+		release()
+		t.Fatalf("%d tables in the last level, %d before the round, %d in-place units begun: want fragments delivered beside the one parked rewrite", got, tables, s.inPlaceUnits.Load())
+	}
+	s.checkReads(h, "rewrite parked, fragment delivered", snap)
+	if parked {
+		release()
+		if err := <-unit; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := s.c.Metrics(); guarded && m.InPlaceMerges != 1 {
+		t.Fatalf("%d in-place merges, want the one released", m.InPlaceMerges)
+	}
+	s.checkReads(h, "rewrite installed", snap)
+
+	if rotate {
+		// A flush whose manifest append fails is installed but not
+		// persisted; the next edit rotates the manifest with a snapshot of
+		// the version. The flush's last filesystem operation is that
+		// append's sync, and a flush of the same shape repeats its count.
+		tiny := func(tag string) error {
+			mem := memtable.New()
+			s.seq++
+			mem.Set([]byte(key(1)), s.seq, base.KindSet, []byte(tag))
+			h.points[key(1)] = append(h.points[key(1)], pointVersion{seq: s.seq, value: tag})
+			return s.c.Flush(mem.NewIter(), nil, s.c.NewFileNum(), s.seq)
+		}
+		start := efs.OpCount()
+		if err := tiny("count"); err != nil {
+			t.Fatal(err)
+		}
+		ops := efs.OpCount() - start
+		efs.FailAt(efs.OpCount()+ops-1, vfs.OpSync, nil, false)
+		if err := tiny("unpersisted"); !errors.Is(err, vfs.ErrInjected) {
+			t.Fatalf("flush = %v, want the injected sync failure", err)
+		}
+		rotations := s.rotations.Load()
+		if err := tiny("rotates"); err != nil {
+			t.Fatal(err)
+		}
+		if s.rotations.Load() != rotations+1 {
+			t.Fatalf("%d manifest rotations after the failed append, want 1", s.rotations.Load()-rotations)
+		}
+		s.checkReads(h, "manifest rotated", snap)
+	}
+	before := s.dump()
+	s.reopen(open)
+	if after := s.dump(); after != before {
+		t.Errorf("layout changed across reopen:\n--- closed\n%s--- reopened\n%s", before, after)
+	}
+	s.checkReads(h, "reopened", snap)
 }
 
 // testPinThenLoad is the collapse-safety rule at tree level: a Get at the
@@ -509,6 +654,7 @@ func testPinThenLoad(t *testing.T, open OpenFunc) {
 	if m := s.c.Metrics(); !t.Failed() && m.Compactions == 0 {
 		t.Fatal("no compaction ran beside the reads")
 	}
+	s.checkInvariants()
 }
 
 // handleFS counts the read handles a tree holds open, and the most it held

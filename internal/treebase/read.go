@@ -13,12 +13,14 @@ import (
 // Get returns the newest visible version of ukey at seq — the read path of
 // §3.4, which a leveled tree shares with groups of one table: level 0
 // newest table first, then per level the one group that can hold the key,
-// every table of it examined. Range tombstones fold in as the search
-// descends: every probed table also reports the newest visible tombstone
-// covering the key, and because data only moves down the tree, once any
-// visible entry — point or covering tombstone — is found, everything deeper
-// is older, so the comparison at that moment decides the read. A covered
-// key therefore returns not-found without descending further.
+// its tables newest first. Data only moves down the tree and a group keeps
+// its tables in age order (View), so the first visible point entry the
+// descent meets is the newest one: everything in the tables behind it and
+// in the levels below is older. Range tombstones fold in on the way: every
+// table consulted also reports the newest visible tombstone covering the
+// key, from its resident list, and the comparison at the first hit decides
+// the read. A key covered in a group that holds no visible version of it
+// returns not-found without descending further.
 //
 // latest, when non-nil, is the engine's committed-sequence counter: the
 // view is pinned first and only then is the read sequence loaded from it,
@@ -86,39 +88,35 @@ func (d *descent) run(v View) (value []byte, found bool, err error) {
 	return nil, false, nil
 }
 
-// probe examines every table of one group — they overlap in both keys and
-// sequence ranges, so all must be consulted before deciding — and reports
-// done once the read is decided: the group's newest visible point entry
-// against the newest covering tombstone seen so far. Values alias immutable
-// block payloads, so tracking the best candidate needs no copies.
+// probe searches one group, newest table first, and reports done once the
+// read is decided: by the first visible point entry — the tables behind it
+// hold only older versions and older tombstones, so they are not consulted,
+// neither bloom filter nor block — against the newest covering tombstone
+// seen so far, or by such a tombstone alone when the group holds no visible
+// version. Values alias immutable block payloads.
 func (d *descent) probe(level int, files []*base.FileMetadata) (value []byte, found, done bool, err error) {
-	var best base.SeqNum
-	var kind base.Kind
-	hit := false
-	for _, f := range files {
-		val, fseq, k, cov, ok, probed, err := d.c.probeFile(f, d.ukey, d.seq, d.s)
+	for i := len(files) - 1; i >= 0; i-- {
+		f := files[i]
+		val, fseq, kind, cov, hit, probed, err := d.c.probeFile(f, d.ukey, d.seq, d.s)
 		if err != nil {
 			return nil, false, true, err
 		}
 		if cov > d.cov {
 			d.cov = cov
 		}
-		if ok && (!hit || fseq > best) {
-			value, kind, best, hit = val, k, fseq, true
+		if hit {
+			if d.cov > fseq {
+				return nil, false, true, nil
+			}
+			return val, kind == base.KindSet, true, nil
 		}
-		if probed && !ok && d.miss == nil {
+		if probed && d.miss == nil {
 			d.miss, d.missLevel = f, level
 		}
 	}
-	switch {
-	case hit && d.cov <= best:
-		return value, kind == base.KindSet, true, nil
-	case hit || d.cov > 0:
-		// Older tables and deeper levels hold only lower sequence numbers:
-		// the tombstone wins over anything still unseen.
-		return nil, false, true, nil
-	}
-	return nil, false, false, nil
+	// Deeper levels hold only lower sequence numbers: a tombstone wins over
+	// anything still unseen.
+	return nil, false, d.cov > 0, nil
 }
 
 // probeFile checks one sstable for the newest visible point entry of ukey

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"pebblesdb/internal/base"
+	"pebblesdb/internal/rangedel"
+	"pebblesdb/internal/sstable"
 	"pebblesdb/internal/vfs"
 )
 
@@ -110,5 +112,75 @@ func TestGetMissCharging(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGetStopsAtFirstHit pins what a Get reads of a group of several tables,
+// which a view lists oldest first: the newest table that holds a visible
+// version of the key ends the search — the tables behind it are not probed
+// — and range tombstones count from the tables searched so far only, which
+// the age order makes the only ones that can cover the hit.
+func TestGetStopsAtFirstHit(t *testing.T) {
+	cfg := &base.Config{NumLevels: 3, BloomBitsPerKey: -1}
+	cfg.EnsureDefaults()
+	c, err := Open(Kind{Name: "test"}, cfg, vfs.NewMem(), "db", testHost{}, &testLayout{}, &stackView{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// A table of one version per key, all at seq, under an optional range
+	// tombstone [a, z) at del.
+	table := func(seq, del base.SeqNum, ukeys ...string) *base.FileMetadata {
+		ob := c.newOutputBuilder()
+		for _, k := range ukeys {
+			if err := ob.Add(testEntry{k, seq}.ikey(), []byte(fmt.Sprintf("%s@%d", k, seq))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if del != 0 {
+			if err := ob.AddRangeDels([]rangedel.Tombstone{{Start: []byte("a"), End: []byte("z"), Seq: del}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		metas, err := ob.Finish()
+		if err != nil || len(metas) != 1 {
+			t.Fatalf("building a table: %v, %d tables", err, len(metas))
+		}
+		return metas[0]
+	}
+	c.view = &stackView{levels: [][]*base.FileMetadata{
+		nil,
+		{table(1, 2, "k", "only-old", "x"), table(3, 0, "k", "x"), table(5, 6, "k", "y")},
+		{table(0, 0, "below")},
+	}}
+	for _, tc := range []struct {
+		ukey   string
+		at     base.SeqNum
+		want   string
+		probed int64
+	}{
+		{"x", base.MaxSeqNum, "", 2},     // the newest table's tombstone at 6 covers x@3
+		{"x", 5, "x@3", 2},               // ... which a read at 5 does not see; the tombstone at 2 behind the hit is not consulted
+		{"k", base.MaxSeqNum, "", 1},     // k@5 under its own table's tombstone
+		{"k", 5, "k@5", 1},               // first table searched
+		{"k", 4, "k@3", 2},               // k@5 is not visible: on to the next
+		{"k", 2, "", 3},                  // k@1 under the oldest table's tombstone at 2
+		{"k", 1, "k@1", 3},               // only the oldest table holds a version this old
+		{"only-old", 5, "", 3},           // covered at 2 by its own table
+		{"below", base.MaxSeqNum, "", 2}, // not in the group (nor within its middle table's bounds), a tombstone over it: the descent ends
+		{"below", 1, "below@0", 3},       // no visible tombstone: on to the last level
+		{"y", base.MaxSeqNum, "", 1},     // y@5 under the tombstone at 6
+	} {
+		s := sstable.AcquireGetScratch()
+		got, found, err := c.Get([]byte(tc.ukey), tc.at, nil, s)
+		probed := s.Stats.TablesProbed
+		sstable.ReleaseGetScratch(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want || found != (tc.want != "") || probed != tc.probed {
+			t.Errorf("Get(%s) at %d = %q found=%v after %d tables, want %q after %d",
+				tc.ukey, tc.at, got, found, probed, tc.want, tc.probed)
+		}
 	}
 }
