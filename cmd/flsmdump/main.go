@@ -7,6 +7,9 @@
 //
 //	flsmdump -demo
 //	flsmdump -dir=/path/to/store
+//
+// With -check it verifies the store's structural invariants instead
+// (DB.CheckInvariants) and prints ok, or the broken invariant and exits 1.
 package main
 
 import (
@@ -23,6 +26,7 @@ var (
 	dir  = flag.String("dir", "", "store directory to dump (OS filesystem)")
 	demo = flag.Bool("demo", false, "build a demonstration in-memory store and dump it")
 	keys = flag.Int("keys", 200_000, "demo: number of keys to insert")
+	chk  = flag.Bool("check", false, "check the store's structural invariants instead of dumping it")
 )
 
 func main() {
@@ -52,7 +56,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "compaction: %v\n", err)
 			os.Exit(1)
 		}
-		db.Dump(os.Stdout)
+		show(db)
 	case *dir != "":
 		db, err := pebblesdb.Open(*dir, pebblesdb.PresetPebblesDB.Options())
 		if err != nil {
@@ -60,9 +64,23 @@ func main() {
 			os.Exit(1)
 		}
 		defer db.Close()
-		db.Dump(os.Stdout)
+		show(db)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: flsmdump -demo | -dir=<store>")
+		fmt.Fprintln(os.Stderr, "usage: flsmdump [-check] -demo | -dir=<store>")
 		os.Exit(2)
 	}
+}
+
+// show dumps db, or with -check verifies it.
+func show(db *pebblesdb.DB) {
+	if !*chk {
+		db.Dump(os.Stdout)
+		return
+	}
+	if err := db.CheckInvariants(); err != nil {
+		fmt.Println(err)
+		db.Close()
+		os.Exit(1)
+	}
+	fmt.Println("ok")
 }

@@ -128,7 +128,7 @@ func TestConcurrentCompactionStress(t *testing.T) {
 		}
 		// What the scheduler left behind must be a tree a Get can trust:
 		// every guard in age order.
-		if err := db.eng.CheckInvariants(); err != nil {
+		if err := db.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -228,6 +228,13 @@ func (d *DB) WaitIdle() error {
 // guards, sstables) to w — the view in the paper's Figure 3.1.
 func (d *DB) Dump(w io.Writer) { d.eng.Dump(w) }
 
+// CheckInvariants verifies the structure Dump shows — the groups of every
+// level ordered and disjoint, every table inside its group and in age order
+// there, the compaction claims consistent — and names the first invariant
+// found broken. It reads every table of every group of more than one: a
+// check for tests and tools (cmd/flsmdump -check), not for a serving path.
+func (d *DB) CheckInvariants() error { return d.eng.CheckInvariants() }
+
 // RecentEvents returns the store's flight recorder contents: the most
 // recent background events (flushes, compactions, rotations, stalls,
 // errors), oldest first. The recorder is always on — no EventListener

@@ -1,10 +1,12 @@
 package flsm
 
 import (
+	"fmt"
 	"testing"
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/manifest"
+	"pebblesdb/internal/treebase"
 )
 
 // fabMeta fabricates file metadata for pick/claim tests: the scheduler
@@ -52,84 +54,83 @@ func applyEdit(t *testing.T, tree *testTree, edit *manifest.VersionEdit) {
 	}
 }
 
-// TestParallelUnitsSameLevelDisjoint is the scheduler-level guarantee
-// behind intra-level parallel compaction: two consecutive picks claim
-// disjoint guard groups of the same level, and releasing both units
-// restores a fully unclaimed scheduler. That the core counts two such units
-// as two (PeakLevelUnits, PeakUnitsInflight) is the core suite's
-// ParallelUnits case.
-func TestParallelUnitsSameLevelDisjoint(t *testing.T) {
+// pick takes the next unit the way the core does: what Pick returns is
+// marked held.
+func pick(t *testing.T, tree *testTree, held *treebase.Claims) *treebase.Unit {
+	t.Helper()
+	u := tree.l.Pick(false, *held)
+	if u != nil {
+		held.Mark(u)
+	}
+	return u
+}
+
+// TestConcurrentWritersShareThePartition is the FLSM half of intra-level
+// parallel compaction (the claims half is the core suite's Claims case):
+// two units draining disjoint guard groups of level 1 both write level 2,
+// cut at one shared partition, and the partition dissolves with the last
+// of them.
+func TestConcurrentWritersShareThePartition(t *testing.T) {
 	tree := openSchedTree(t)
 	defer tree.Close()
+	applyEdit(t, tree, &manifest.VersionEdit{NewGuards: []manifest.GuardEntry{{Level: 2, Key: []byte("c")}}})
 
-	c1 := tree.l.pickLocked()
-	c2 := tree.l.pickLocked()
-	if c1 == nil || c2 == nil {
-		t.Fatalf("expected two concurrent units, got %v / %v", c1, c2)
+	var held treebase.Claims
+	u1, u2 := pick(t, tree, &held), pick(t, tree, &held)
+	if u1 == nil || u2 == nil || u1.Level != 1 || u2.Level != 1 {
+		t.Fatalf("expected two concurrent units out of level 1, got %+v / %+v", u1, u2)
 	}
-	if c1.level != 1 || c2.level != 1 {
-		t.Fatalf("both units should source level 1, got %d and %d", c1.level, c2.level)
-	}
-
-	seen := map[base.FileNum]bool{}
-	for _, c := range []*compaction{c1, c2} {
-		for _, s := range c.sources {
-			for _, f := range s.files {
-				if seen[f.FileNum] {
-					t.Fatalf("file %d claimed by both units", f.FileNum)
-				}
-				seen[f.FileNum] = true
-			}
-		}
-	}
-	if len(seen) != 4 {
-		t.Fatalf("the two units should cover all 4 files, got %d", len(seen))
-	}
-
-	// Both units write into level 2 and must share one output partition.
 	if got := tree.l.inflight.writers[2]; got != 2 {
 		t.Errorf("writers[2] = %d, want 2", got)
 	}
-	if &c1.sources[0].partition != &c2.sources[0].partition &&
-		len(c1.sources[0].partition) != len(c2.sources[0].partition) {
-		t.Errorf("concurrent units into one level must share the partition set")
+	for _, u := range []*treebase.Unit{u1, u2} {
+		for _, m := range u.Merges {
+			if got := fmt.Sprintf("%q", m.Cut.Keys); got != `["c"]` {
+				t.Errorf("merge of guard %q cuts at %s, want the level's shared partition [\"c\"]", m.Guard, got)
+			}
+		}
 	}
-
-	tree.l.releaseLocked(c1, false)
-	tree.l.releaseLocked(c2, false)
-	if len(tree.l.inflight.srcGuards[1]) != 0 {
-		t.Errorf("srcGuards[1] not empty after release: %v", tree.l.inflight.srcGuards[1])
+	tree.l.Release(u1, false)
+	if tree.l.inflight.writers[2] != 1 || tree.l.inflight.partition[2] == nil {
+		t.Errorf("the partition must outlive its first writer")
 	}
+	tree.l.Release(u2, false)
 	if tree.l.inflight.writers[2] != 0 || tree.l.inflight.partition[2] != nil {
 		t.Errorf("level-2 writer state not released")
 	}
 }
 
-// TestL0UnitIsExclusive: only one unit may own L0, and while it runs the
-// level-1 groups stay independently claimable.
-func TestL0UnitIsExclusive(t *testing.T) {
-	tree := openSchedTree(t)
+// TestClaimFollowsTableAcrossGuardSplit: guards are committed by whichever
+// unit next writes a level (§3.3), also inside a group a running unit holds.
+// The tables that move under the new guard are still that unit's, so the
+// group they land in is busy: the triggers may neither count it nor hand it
+// out again.
+func TestClaimFollowsTableAcrossGuardSplit(t *testing.T) {
+	tree := openTree(t, testConfig(), &fakeHost{smallest: base.MaxSeqNum})
 	defer tree.Close()
+	// Two tables under level 1's sentinel, 96 KB against LevelBaseBytes 64 KB.
+	applyEdit(t, tree, &manifest.VersionEdit{NewFiles: []manifest.NewFileEntry{
+		{Level: 1, Meta: fabMeta(101, 48<<10, "a0", "a9")},
+		{Level: 1, Meta: fabMeta(102, 48<<10, "m0", "m9")},
+	}})
+	var held treebase.Claims
+	u1 := pick(t, tree, &held)
+	if u1 == nil || u1.Level != 1 || len(u1.Merges) != 1 || len(u1.Merges[0].Files) != 2 {
+		t.Fatalf("first unit %+v, want the sentinel of level 1 with both tables", u1)
+	}
 
-	edit := &manifest.VersionEdit{}
-	for i := 0; i < tree.l.cfg.L0CompactionTrigger; i++ {
-		edit.NewFiles = append(edit.NewFiles, manifest.NewFileEntry{
-			Level: 0, Meta: fabMeta(base.FileNum(200+i), 8<<10, "a0", "d9"),
-		})
+	// A peer commits guard k: no table straddles it, m0-m9 moves under it.
+	applyEdit(t, tree, &manifest.VersionEdit{NewGuards: []manifest.GuardEntry{{Level: 1, Key: []byte("k")}}})
+	if key, files := tree.pinned().Group(1, 1); string(key) != "k" || len(files) != 1 || files[0].FileNum != 102 {
+		t.Fatalf("guard %q holds %v, want table 102 under k", key, files)
 	}
-	applyEdit(t, tree, edit)
-
-	c1 := tree.l.pickLocked()
-	if c1 == nil || c1.level != 0 {
-		t.Fatalf("first pick should be the L0 unit, got %+v", c1)
+	if n := tree.l.Claimable(64, held); n != 0 {
+		t.Errorf("Claimable = %d with both tables of the level held, want 0", n)
 	}
-	c2 := tree.l.pickLocked()
-	if c2 == nil {
-		t.Fatal("level-1 work should remain claimable during the L0 unit")
+	if u2 := pick(t, tree, &held); u2 != nil {
+		t.Errorf("a second unit claimed guards %q..%q (%d merges) while the first holds their tables", u2.Lo, u2.Hi, len(u2.Merges))
 	}
-	if c2.level == 0 {
-		t.Fatal("second pick must not claim L0 again")
+	if n := tree.l.Claimable(64, treebase.Claims{}); n == 0 {
+		t.Errorf("Claimable = 0 against no claims: the level is over its threshold")
 	}
-	tree.l.releaseLocked(c1, false)
-	tree.l.releaseLocked(c2, false)
 }

@@ -21,10 +21,9 @@ type layout struct {
 	// uncommitted holds guard keys selected from inserted keys but not yet
 	// partitioned on storage (§3.3). uncommitted[l] is sorted.
 	uncommitted [][][]byte
-	// inflight is the unit-granularity claim state of the parallel
-	// compaction scheduler (see compaction.go): which guard groups are
-	// owned as inputs, which levels are being written into and at what
-	// shared partition.
+	// inflight is what running units share on the output side (see
+	// compaction.go): which levels are being written into and at what
+	// shared partition. What they hold as input is the core's to record.
 	inflight inflight
 	// seeksLeft[level] holds, per guard key, the seeks left before the guard
 	// is scheduled; seekPending holds guards whose budget is exhausted (§4.2
@@ -62,13 +61,17 @@ func newLayout(cfg *base.Config) *layout {
 		},
 		cur:         newVersion(cfg.NumLevels),
 		uncommitted: make([][][]byte, cfg.NumLevels),
+		inflight: inflight{
+			writers:    make([]int, cfg.NumLevels),
+			partition:  make([][][]byte, cfg.NumLevels),
+			commitKeys: make([][][]byte, cfg.NumLevels),
+		},
 		seeksLeft:   make([]map[string]*int, cfg.NumLevels),
 		seekPending: make(map[guardID]bool),
 	}
 	for lv := range l.seeksLeft {
 		l.seeksLeft[lv] = map[string]*int{}
 	}
-	l.inflight.init(cfg.NumLevels)
 	return l
 }
 

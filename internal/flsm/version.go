@@ -22,8 +22,10 @@ import (
 type guardedLevel struct {
 	sentinel []*base.FileMetadata
 	guards   []guard.Guard
-	// files counts the level's sstables; apply sets it once per version.
+	// files counts the level's sstables and size their bytes; apply sets
+	// them once per version.
 	files int
+	size  int64
 }
 
 func (gl *guardedLevel) totalBytes() int64 {
@@ -198,6 +200,7 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 	sort.Slice(nv.l0, func(i, j int) bool { return nv.l0[i].FileNum > nv.l0[j].FileNum })
 	for l := range nv.levels {
 		nv.levels[l].files = nv.levels[l].fileCount()
+		nv.levels[l].size = nv.levels[l].totalBytes()
 	}
 	return nv, nil
 }

@@ -1,7 +1,6 @@
 package leveled
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -75,19 +74,13 @@ func flushBatch(t *testing.T, tree *testTree, kvs map[string]string, seq *base.S
 	}
 }
 
-// checkDisjoint verifies the core leveled invariant: levels >= 1 hold
-// sstables with pairwise-disjoint user-key ranges, sorted by key.
+// checkDisjoint verifies the core leveled invariant — levels >= 1 hold
+// sstables with pairwise-disjoint user-key ranges, sorted by key — which is
+// what Core.CheckInvariants checks of one-table groups.
 func checkDisjoint(t *testing.T, tree *testTree) {
 	t.Helper()
-	v := tree.pinned()
-	for l := 1; l < tree.l.cfg.NumLevels; l++ {
-		files := v.files[l]
-		for i := 1; i < len(files); i++ {
-			if bytes.Compare(files[i-1].LargestUserKey(), files[i].SmallestUserKey()) >= 0 {
-				t.Fatalf("level %d: files %s and %s overlap or share user keys",
-					l, files[i-1], files[i])
-			}
-		}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

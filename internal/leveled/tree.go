@@ -16,11 +16,6 @@ type layout struct {
 	// cur is the current immutable version, the view the core reads.
 	cur        *version
 	compactPtr [][]byte // per-level round-robin cursor (user key)
-	// claimed marks files owned by running compaction units (inputs and
-	// targets); l0Busy marks the exclusive L0->L1 unit. Units with disjoint
-	// claimed sets run concurrently, even on the same level pair.
-	claimed map[base.FileNum]bool
-	l0Busy  bool
 	// seeksLeft holds the remaining seek budget of every table charged so
 	// far; seekPending maps the tables whose budget ran out to their level.
 	seeksLeft   map[base.FileNum]int
@@ -40,7 +35,6 @@ func newLayout(cfg *base.Config) *layout {
 		cfg:         cfg,
 		cur:         newVersion(cfg.NumLevels),
 		compactPtr:  make([][]byte, cfg.NumLevels),
-		claimed:     make(map[base.FileNum]bool),
 		seeksLeft:   make(map[base.FileNum]int),
 		seekPending: make(map[base.FileNum]int),
 	}

@@ -17,9 +17,11 @@ import (
 // version is an immutable snapshot of the file layout. files[0] is sorted
 // by file number descending (newest first); deeper levels are sorted by
 // smallest key and are disjoint in user-key ranges. As a treebase.View each
-// of those levels is a run of one-table groups under no guard.
+// of those levels is a run of one-table groups under no guard. size[l] is
+// the bytes level l holds.
 type version struct {
 	files [][]*base.FileMetadata
+	size  []int64
 }
 
 func (v *version) L0() []*base.FileMetadata { return v.files[0] }
@@ -64,7 +66,7 @@ func (v *version) Span(level int, b base.Bounds) (lo, hi int) {
 }
 
 func newVersion(numLevels int) *version {
-	return &version{files: make([][]*base.FileMetadata, numLevels)}
+	return &version{files: make([][]*base.FileMetadata, numLevels), size: make([]int64, numLevels)}
 }
 
 // apply builds a new version from v with edit applied.
@@ -101,6 +103,11 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 			return base.InternalCompare(fs[i].Smallest, fs[j].Smallest) < 0
 		})
 	}
+	for l, fs := range nv.files {
+		for _, f := range fs {
+			nv.size[l] += int64(f.Size)
+		}
+	}
 	return nv, nil
 }
 
@@ -112,15 +119,6 @@ func allowedSeeks(size uint64) int {
 		n = 100
 	}
 	return n
-}
-
-// levelBytes sums file sizes in a level.
-func (v *version) levelBytes(level int) int64 {
-	var t int64
-	for _, f := range v.files[level] {
-		t += int64(f.Size)
-	}
-	return t
 }
 
 // overlaps returns the files in the (sorted, disjoint) level whose user-key

@@ -2,6 +2,7 @@ package treebase
 
 import (
 	"bytes"
+	"maps"
 	"time"
 
 	"pebblesdb/internal/base"
@@ -19,7 +20,7 @@ import (
 func (c *Core) NeedsCompaction() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.layout.Claimable(1, false) > 0
+	return c.layout.Claimable(1, c.claims) > 0
 }
 
 // ClaimableUnits estimates how many compaction units workers could claim
@@ -28,16 +29,25 @@ func (c *Core) NeedsCompaction() bool {
 func (c *Core) ClaimableUnits() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.layout.Claimable(64, false)
+	return c.layout.Claimable(64, c.claims)
 }
 
-// pickLocked claims the next unit and updates the unit counters and
-// high-water marks.
+// Claimed returns the tables running units hold, each with its unit: a copy
+// of the claims, for tests and tools.
+func (c *Core) Claimed() map[base.FileNum]*Unit {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return maps.Clone(c.claims.owner)
+}
+
+// pickLocked claims the next unit — marks its tables held — and updates the
+// unit counters and high-water marks.
 func (c *Core) pickLocked(force bool) *Unit {
-	u := c.layout.Pick(force)
+	u := c.layout.Pick(force, c.claims)
 	if u == nil {
 		return nil
 	}
+	c.claims.Mark(u)
 	c.units++
 	c.levelUnits[u.Level]++
 	c.metrics.CompactionUnits++
@@ -63,7 +73,7 @@ func (c *Core) pickLocked(force bool) *Unit {
 func (c *Core) CompactOnce() (bool, error) {
 	c.mu.Lock()
 	u := c.pickLocked(false)
-	if u == nil && c.layout.Claimable(1, true) > 0 {
+	if u == nil && c.layout.Claimable(1, Claims{}) > 0 {
 		c.metrics.ClaimConflicts++
 		if c.claimStallStart.IsZero() {
 			c.claimStallStart = time.Now()
@@ -127,16 +137,10 @@ func (c *Core) runCompaction(u *Unit) error {
 	case u.Seek:
 		ev.Detail = "seek"
 	}
-	for i := range u.Merges {
-		m := &u.Merges[i]
-		ev.InputTables += len(m.Files) + len(m.Overlap)
-		for _, f := range m.Files {
-			ev.InputBytes += int64(f.Size)
-		}
-		for _, f := range m.Overlap {
-			ev.InputBytes += int64(f.Size)
-		}
-	}
+	u.tables(func(_ int, f *base.FileMetadata) {
+		ev.InputTables++
+		ev.InputBytes += int64(f.Size)
+	})
 	c.cfg.Emit(ev)
 	start := time.Now()
 	res, err := c.compactUnit(u)
@@ -163,6 +167,7 @@ func (c *Core) runCompaction(u *Unit) error {
 
 	c.mu.Lock()
 	c.layout.Release(u, err == nil)
+	c.claims.Unmark(u)
 	c.units--
 	c.levelUnits[u.Level]--
 	c.mu.Unlock()
@@ -174,15 +179,9 @@ func (c *Core) runCompaction(u *Unit) error {
 func (c *Core) compactUnit(u *Unit) (unitResult, error) {
 	var res unitResult
 	edit := &manifest.VersionEdit{NewGuards: u.Guards}
-	for i := range u.Merges {
-		m := &u.Merges[i]
-		for _, f := range m.Files {
-			edit.DeletedFiles = append(edit.DeletedFiles, manifest.DeletedFileEntry{Level: u.Level, FileNum: f.FileNum})
-		}
-		for _, f := range m.Overlap {
-			edit.DeletedFiles = append(edit.DeletedFiles, manifest.DeletedFileEntry{Level: m.Dst, FileNum: f.FileNum})
-		}
-	}
+	u.tables(func(level int, f *base.FileMetadata) {
+		edit.DeletedFiles = append(edit.DeletedFiles, manifest.DeletedFileEntry{Level: level, FileNum: f.FileNum})
+	})
 	if u.Move {
 		// The LSM fast path for non-overlapping data that FLSM deliberately
 		// forgoes (§4.5: sequential workloads). The file stays live, so it

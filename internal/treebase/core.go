@@ -29,11 +29,13 @@ import (
 // Layout is what distinguishes one tree kind from another — the part of
 // HyperLevelDB the paper changed. It answers four questions and nothing
 // else: how a version is organised and an edit applied to it; which
-// compaction units are claimable and how one is claimed and released; what
-// a claimed unit merges, where the output goes and where it is cut (the
+// compaction units its triggers make of the tables no running unit holds;
+// what such a unit merges, where the output goes and where it is cut (the
 // Unit that Pick returns); and which reads count against a seek budget (the
 // SeekCharger or MissCharger it also implements). Where a key or an iterator
 // finds its tables is not a method but data: the View that Apply hands back.
+// What running units hold is not the layout's to keep either: the core
+// passes its Claims in.
 //
 // Every method except the pure-hash WantGuard runs under the core's lock
 // and must not block; views are immutable and are read without it.
@@ -43,17 +45,18 @@ type Layout interface {
 	// the layout schedules against. On error nothing changes.
 	Apply(edit *manifest.VersionEdit) (View, error)
 
-	// Claimable counts the units a worker could claim right now, stopping
-	// at limit. With ignoreClaims it counts pending work as if nothing
-	// were claimed, which tells "no work" from "peers hold it all".
-	Claimable(limit int, ignoreClaims bool) int
-	// Pick claims the next unit by the layout's triggers, or nil. With
-	// force it claims a unit pushing the shallowest populated level down
-	// regardless of triggers, or nil once everything sits in the last
-	// level.
-	Pick(force bool) *Unit
-	// Release returns u's claims. done reports that u's edit was installed
-	// and persisted.
+	// Claimable counts the units the layout's triggers make of the tables
+	// held does not hold, stopping at limit. Against the zero Claims it
+	// counts pending work as if nothing were claimed, which tells "no work"
+	// from "peers hold it all".
+	Claimable(limit int, held Claims) int
+	// Pick returns the first of the units Claimable counts, or nil; the
+	// core marks its tables held. With force it returns a unit pushing the
+	// shallowest populated level down regardless of triggers, or nil once
+	// everything sits in the last level.
+	Pick(force bool, held Claims) *Unit
+	// Release tells the layout that u is over, just before the core lets go
+	// of its tables. done reports that u's edit was installed and persisted.
 	Release(u *Unit, done bool)
 
 	// WantGuard is the lock-free pre-filter for Ingest.
@@ -130,13 +133,78 @@ type Unit struct {
 	Merges []Merge
 	// Guards are the guards the unit's edit commits.
 	Guards []manifest.GuardEntry
-	// Claim is the layout's own record of what the unit holds.
-	Claim any
+}
+
+// Claims is the one record of what running compaction units own, and they
+// own tables: every table a unit reads — its inputs and the tables of the
+// destination its output replaces — from Pick to Release. The core keeps the
+// registry, marks a unit's tables when Pick returns it and unmarks them after
+// Release; a layout only asks. A claim follows its table: when a peer commits
+// a guard inside a group a unit holds, the tables that move under the new
+// guard are still held there, so no group of the level can be handed out
+// twice. Level 0 is the exception to "tables only": its tables overlap each
+// other, so one unit takes them all and a second must wait for its Release
+// even though tables flushed meanwhile are free — L0 says so. The zero
+// Claims holds nothing.
+type Claims struct {
+	owner map[base.FileNum]*Unit
+	l0    int // running units whose source is level 0
+}
+
+// Has reports whether a running unit holds f.
+func (h Claims) Has(f *base.FileMetadata) bool { return h.owner[f.FileNum] != nil }
+
+// Any reports whether a running unit holds any of files.
+func (h Claims) Any(files []*base.FileMetadata) bool {
+	for _, f := range files {
+		if h.owner[f.FileNum] != nil {
+			return true
+		}
+	}
+	return false
+}
+
+// L0 reports whether a unit whose source is level 0 is running.
+func (h Claims) L0() bool { return h.l0 > 0 }
+
+// Mark records u as the holder of every table it reads.
+func (h *Claims) Mark(u *Unit) {
+	if h.owner == nil {
+		h.owner = make(map[base.FileNum]*Unit)
+	}
+	u.tables(func(_ int, f *base.FileMetadata) { h.owner[f.FileNum] = u })
+	if u.Level == 0 {
+		h.l0++
+	}
+}
+
+// Unmark lets go of what Mark recorded for u.
+func (h *Claims) Unmark(u *Unit) {
+	u.tables(func(_ int, f *base.FileMetadata) { delete(h.owner, f.FileNum) })
+	if u.Level == 0 {
+		h.l0--
+	}
+}
+
+// tables visits every table u reads with the level it sits at.
+func (u *Unit) tables(fn func(level int, f *base.FileMetadata)) {
+	for i := range u.Merges {
+		m := &u.Merges[i]
+		for _, f := range m.Files {
+			fn(u.Level, f)
+		}
+		for _, f := range m.Overlap {
+			fn(m.Dst, f)
+		}
+	}
 }
 
 // Merge is one merge-sort of a unit: its inputs, where the output lands
 // and where it is cut into tables.
 type Merge struct {
+	// Guard is the key of the guard that held Files when the unit was
+	// picked, nil for tables under no guard.
+	Guard []byte
 	// Files are the inputs at the unit's source level; Overlap are the
 	// tables already in Dst that the output replaces.
 	Files   []*base.FileMetadata
@@ -179,10 +247,11 @@ type Core struct {
 	seeks  SeekCharger
 	misses MissCharger
 
-	// mu guards the layout's state (claims, guard candidates, seek
-	// budgets), the current view and the core's counters below.
-	mu   sync.Mutex
-	view View
+	// mu guards the layout's state (guard candidates, seek budgets), the
+	// current view, the claims and the core's counters below.
+	mu     sync.Mutex
+	view   View
+	claims Claims
 	// rangeDels lists the tables of view that carry range tombstones —
 	// almost always none — so an iterator collects tombstones without
 	// walking the version. Replaced with the view, never mutated.

@@ -42,6 +42,8 @@ func Run(t *testing.T, open OpenFunc, policy SeekPolicy) {
 	t.Run("PredicatesDoNotAllocate", func(t *testing.T) { testPredicateAllocs(t, open) })
 	t.Run("ClaimStall", func(t *testing.T) { testClaimStall(t, open) })
 	t.Run("ParallelUnits", func(t *testing.T) { testParallelUnits(t, open) })
+	t.Run("Claims", func(t *testing.T) { testClaims(t, open) })
+	t.Run("GuardSplit", func(t *testing.T) { testGuardSplit(t, open) })
 	runReads(t, open, policy)
 }
 
@@ -608,17 +610,12 @@ func testClaimStall(t *testing.T, open OpenFunc) {
 	}
 }
 
-// testParallelUnits parks two units of one level in flight at once and
-// checks that the core counts them as two: the unit counters and their
-// high-water marks are what the engine's pool sizing and the parallelism
-// figures in the benchmarks read.
-func testParallelUnits(t *testing.T, open OpenFunc) {
-	s := openStore(t, open, vfs.NewMem())
-	defer s.c.Close()
-	// Spread a first round of data over levels 1 and 2, then push a second
-	// round into level 1 only: level 1 ends up over its threshold above a
-	// populated level 2, so most of its units are merges (which reach the
-	// host), not trivial moves, and level 0 is empty.
+// overfillLevelOne spreads a first round of data over levels 1 and 2, then
+// pushes a second round into level 1 only: level 1 ends up over its
+// threshold above a populated level 2, so most of its units are merges
+// (which reach the host), not trivial moves, and level 0 is empty.
+func (s *store) overfillLevelOne() {
+	s.t.Helper()
 	for round, flushes := range []int{30, 40} {
 		for b := 0; b < flushes; b++ {
 			s.mustFlush(300, fmt.Sprintf("r%d", round), false)
@@ -626,7 +623,7 @@ func testParallelUnits(t *testing.T, open OpenFunc) {
 		for first := true; ; first = false {
 			did, err := s.c.CompactOnce()
 			if err != nil {
-				t.Fatal(err)
+				s.t.Fatal(err)
 			}
 			if !did || (round == 1 && first) {
 				break
@@ -635,19 +632,20 @@ func testParallelUnits(t *testing.T, open OpenFunc) {
 	}
 	m := s.c.Metrics()
 	if m.LevelFiles[0] != 0 || m.LevelFiles[2] == 0 || m.LevelBytes[1] < s.cfg.MaxBytesForLevel(1) || s.c.ClaimableUnits() < 2 {
-		t.Fatalf("level files %v, level bytes %v, %d claimable units: want an empty level 0, level 1 over %d bytes, data in level 2 and two units to claim",
+		s.t.Fatalf("level files %v, level bytes %v, %d claimable units: want an empty level 0, level 1 over %d bytes, data in level 2 and two units to claim",
 			m.LevelFiles, m.LevelBytes, s.c.ClaimableUnits(), s.cfg.MaxBytesForLevel(1))
 	}
-	if m.PeakUnitsInflight != 1 || m.PeakLevelUnits[1] != 1 {
-		t.Fatalf("peak units %d, level-1 peak %d after a serial run, want 1 and 1", m.PeakUnitsInflight, m.PeakLevelUnits[1])
-	}
+}
 
-	// Claim units one at a time until two are parked in the host. A unit
-	// that finishes first is a trivial move (leveled, into a gap of level
-	// 2): it never asks the host for the smallest snapshot.
-	release := s.host.park(2)
-	errs := make(chan error, 2)
-	for parked := 0; parked < 2; {
+// parkUnits claims units one at a time until n are parked in the host, and
+// returns the gate and the channel their workers report on. A unit that
+// finishes first is a trivial move (leveled, into a gap of the next level):
+// it never asks the host for the smallest snapshot.
+func (s *store) parkUnits(n int) (release func(), errs chan error) {
+	s.t.Helper()
+	release = s.host.park(n)
+	errs = make(chan error, n)
+	for parked := 0; parked < n; {
 		go func() {
 			did, err := s.c.CompactOnce()
 			if err == nil && !did {
@@ -661,11 +659,27 @@ func testParallelUnits(t *testing.T, open OpenFunc) {
 		case err := <-errs:
 			if err != nil {
 				release()
-				t.Fatalf("with %d units parked: %v", parked, err)
+				s.t.Fatalf("with %d units parked: %v", parked, err)
 			}
 		}
 	}
-	m = s.c.Metrics()
+	return release, errs
+}
+
+// testParallelUnits parks two units of one level in flight at once and
+// checks that the core counts them as two: the unit counters and their
+// high-water marks are what the engine's pool sizing and the parallelism
+// figures in the benchmarks read.
+func testParallelUnits(t *testing.T, open OpenFunc) {
+	s := openStore(t, open, vfs.NewMem())
+	defer s.c.Close()
+	s.overfillLevelOne()
+	if m := s.c.Metrics(); m.PeakUnitsInflight != 1 || m.PeakLevelUnits[1] != 1 {
+		t.Fatalf("peak units %d, level-1 peak %d after a serial run, want 1 and 1", m.PeakUnitsInflight, m.PeakLevelUnits[1])
+	}
+
+	release, errs := s.parkUnits(2)
+	m := s.c.Metrics()
 	if m.UnitsInflight != 2 || m.PeakUnitsInflight != 2 || m.PeakLevelUnits[1] != 2 {
 		t.Errorf("inflight=%d peak=%d level-1 peak=%d with two level-1 units running, want 2/2/2",
 			m.UnitsInflight, m.PeakUnitsInflight, m.PeakLevelUnits[1])
@@ -681,5 +695,172 @@ func testParallelUnits(t *testing.T, open OpenFunc) {
 		t.Errorf("inflight=%d peak=%d level-1 peak=%d after both finished, want 0/2/2",
 			m.UnitsInflight, m.PeakUnitsInflight, m.PeakLevelUnits[1])
 	}
+	s.verify()
+}
+
+// unitsOf groups what the core's claims hold by unit: the levels of the
+// running units, sorted.
+func unitsOf(held map[base.FileNum]*treebase.Unit) []int {
+	seen := map[*treebase.Unit]bool{}
+	var levels []int
+	for _, u := range held {
+		if !seen[u] {
+			seen[u] = true
+			levels = append(levels, u.Level)
+		}
+	}
+	sort.Ints(levels)
+	return levels
+}
+
+// testClaims reads the core's claims with three units parked, the level-0
+// unit and two of level 1: deeper levels stay claimable beside the level-0
+// unit; two units of one level hold disjoint tables (CheckInvariants: every
+// table a running unit reads is held by that unit and no other); the level-0
+// unit is exclusive — no second one starts over the tables flushed
+// meanwhile; and nothing is held once the units are released.
+func testClaims(t *testing.T, open OpenFunc) {
+	s := openStore(t, open, vfs.NewMem())
+	defer s.c.Close()
+	s.overfillLevelOne()
+	// Level 0 fills over a narrow key range, so that in a leveled tree its
+	// unit holds only a part of level 1 as targets.
+	fillL0 := func(tag string) {
+		for i := 0; i < s.cfg.L0CompactionTrigger; i++ {
+			s.flushRange(0, 500, fmt.Sprintf("%s-%d", tag, i), true)
+		}
+	}
+	fillL0("held")
+	release, errs := s.parkUnits(3)
+	defer release()
+	if got := unitsOf(s.c.Claimed()); fmt.Sprint(got) != "[0 1 1]" {
+		t.Fatalf("claims held by units of levels %v, want the level-0 unit and two of level 1", got)
+	}
+	s.checkInvariants()
+
+	fillL0("free")
+	for did := true; did; {
+		var err error
+		if did, err = s.c.CompactOnce(); err != nil {
+			t.Fatal(err)
+		}
+		s.checkInvariants()
+	}
+	m := s.c.Metrics()
+	if m.PeakLevelUnits[0] != 1 || m.LevelFiles[0] != 2*s.cfg.L0CompactionTrigger || m.ClaimConflicts == 0 {
+		t.Errorf("level-0 peak %d, %d level-0 tables, %d claim conflicts: want one level-0 unit at a time, both fills waiting and a conflict counted",
+			m.PeakLevelUnits[0], m.LevelFiles[0], m.ClaimConflicts)
+	}
+	release()
+	for i := 0; i < 3; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held := s.c.Claimed(); len(held) != 0 {
+		t.Fatalf("%d tables still held after the units finished", len(held))
+	}
+	s.verify()
+}
+
+// flushRange writes every key of [lo, hi) tagged tag into level 0; with
+// ingest the keys are offered as guards.
+func (s *store) flushRange(lo, hi int, tag string, ingest bool) {
+	s.t.Helper()
+	mem := memtable.New()
+	for i := lo; i < hi; i++ {
+		k, v := key(i), fmt.Sprintf("%s-%d", tag, i)
+		s.seq++
+		mem.Set([]byte(k), s.seq, base.KindSet, []byte(v))
+		if ingest {
+			s.c.Ingest([]byte(k))
+		}
+		s.want[k] = v
+	}
+	if err := s.c.Flush(mem.NewIter(), nil, s.c.NewFileNum(), s.seq); err != nil {
+		s.t.Fatal(err)
+	}
+}
+
+// testGuardSplit: a unit holds a group while a peer from the level above
+// commits a guard inside it (§3.3), which moves some of the held tables
+// under the new guard. The claim has to move with them: a worker that took
+// the new guard's group as free would merge a table a second time, and
+// whichever of the two units installed last would find its input gone.
+// (A leveled tree has no guards and moves its first unit without parking:
+// the same steps run and hold trivially.)
+func testGuardSplit(t *testing.T, open OpenFunc) {
+	s := openStore(t, open, vfs.NewMem(), func(cfg *base.Config) {
+		cfg.L0CompactionTrigger = 1
+		cfg.LevelBaseBytes = 1
+		cfg.SizeRatioPct = -1
+	})
+	defer func() { s.c.Close() }()
+	compactOnce := func(what string) {
+		t.Helper()
+		if did, err := s.c.CompactOnce(); !did || err != nil {
+			t.Fatalf("%s: CompactOnce = %v, %v", what, did, err)
+		}
+		s.checkInvariants()
+	}
+	// Two tables far apart under no guard of level 1: none of their keys is
+	// offered as a guard.
+	s.flushRange(0, 1000, "low", false)
+	compactOnce("low keys into level 1")
+	s.flushRange(9000, 10000, "high", false)
+	compactOnce("high keys into level 1")
+
+	// Level 1 is over its threshold: the next unit takes both and parks.
+	release := s.host.park(1)
+	defer release()
+	first := make(chan error, 1)
+	go func() {
+		_, err := s.c.CompactOnce()
+		first <- err
+	}()
+	parked := false
+	select {
+	case <-s.host.parked:
+		parked = true
+	case err := <-first:
+		if err != nil {
+			t.Fatal(err)
+		}
+		first <- nil
+	}
+	guarded := s.c.Metrics().GuardsPerLevel != nil
+	if guarded && (!parked || len(s.c.Claimed()) != 2) {
+		t.Fatalf("parked=%v holding %d tables, want the unit of both level-1 tables held in the host", parked, len(s.c.Claimed()))
+	}
+
+	// The level-0 unit of keys in between commits guards between the two
+	// tables: the high one moves under the last of them.
+	s.flushRange(4000, 6000, "mid", true)
+	compactOnce("mid keys into level 1")
+	if guarded && s.c.Metrics().GuardsPerLevel[1] == 0 {
+		t.Fatal("no guard committed in level 1 between the held tables; the test is too weak")
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for did := true; did; {
+				var err error
+				if did, err = s.c.CompactOnce(); err != nil {
+					t.Errorf("worker beside the parked unit: %v", err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.checkInvariants()
+	release()
+	if err := <-first; err != nil {
+		t.Fatalf("the parked unit: %v", err)
+	}
+	s.verify()
+	s.reopen(open)
 	s.verify()
 }

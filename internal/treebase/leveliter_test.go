@@ -45,8 +45,8 @@ func (v *testView) Span(int, base.Bounds) (int, int) { return 0, len(v.groups) }
 type testLayout struct{ charged []string }
 
 func (l *testLayout) Apply(*manifest.VersionEdit) (View, error) { return &testView{}, nil }
-func (l *testLayout) Claimable(int, bool) int                   { return 0 }
-func (l *testLayout) Pick(bool) *Unit                           { return nil }
+func (l *testLayout) Claimable(int, Claims) int                 { return 0 }
+func (l *testLayout) Pick(bool, Claims) *Unit                   { return nil }
 func (l *testLayout) Release(*Unit, bool)                       {}
 func (l *testLayout) WantGuard([]byte) bool                     { return false }
 func (l *testLayout) Ingest([]byte)                             {}
