@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"pebblesdb/internal/vfs"
 )
@@ -205,20 +206,27 @@ func TestSnapshotIteratorView(t *testing.T) {
 }
 
 // TestParallelSeeksGiveSameResults exercises the §4.2 parallel-seek path
-// against the serial path on identical data.
+// against the serial path on identical data. Seeks fan out only into a
+// last-level guard of several sstables and only while table reads wait, so
+// the tree is shallow enough for the fill to reach its last level, it is
+// left uncompacted, and reads take 100µs from the first seek on.
 func TestParallelSeeksGiveSameResults(t *testing.T) {
 	results := map[bool][]string{}
 	for _, parallel := range []bool{false, true} {
 		o := testOptions(PresetPebblesDB)
+		slow := vfs.NewSlow(vfs.NewMem(), vfs.OpRead)
+		o.WithFS(slow)
+		o.NumLevels = 4
 		o.ParallelSeeks = parallel
 		db, err := Open("db", o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		val := make([]byte, 100)
 		for i := 0; i < 20000; i++ {
-			db.Put([]byte(fmt.Sprintf("key%06d", i*31%50000)), []byte("v"))
+			db.Put([]byte(fmt.Sprintf("key%06d", i*31%50000)), val)
 		}
-		db.CompactAll()
+		slow.SetDelay(100 * time.Microsecond)
 
 		it, err := db.NewIter(nil)
 		if err != nil {
@@ -235,6 +243,9 @@ func TestParallelSeeksGiveSameResults(t *testing.T) {
 			}
 		}
 		it.Close()
+		if fanOuts := db.Metrics().IterSeekFanOuts; (fanOuts > 0) != parallel {
+			t.Fatalf("ParallelSeeks=%v: %d seeks fanned out", parallel, fanOuts)
+		}
 		db.Close()
 		results[parallel] = got
 	}

@@ -176,19 +176,24 @@ func (i *Iter) restart(j int) int {
 // Returns -1 on corruption.
 func (i *Iter) decodeAt(off int, prevKey []byte) int {
 	p := i.data[off:]
-	shared, n0 := binary.Uvarint(p)
-	if n0 <= 0 {
-		return -1
+	// shared, unshared and value length: nearly always a byte each, which
+	// is read here; binary.Uvarint takes the rest.
+	var lens [3]uint64
+	h := 0
+	for f := range lens {
+		if h < len(p) && p[h] < 0x80 {
+			lens[f] = uint64(p[h])
+			h++
+			continue
+		}
+		v, n := binary.Uvarint(p[h:])
+		if n <= 0 {
+			return -1
+		}
+		lens[f] = v
+		h += n
 	}
-	unshared, n1 := binary.Uvarint(p[n0:])
-	if n1 <= 0 {
-		return -1
-	}
-	vlen, n2 := binary.Uvarint(p[n0+n1:])
-	if n2 <= 0 {
-		return -1
-	}
-	h := n0 + n1 + n2
+	shared, unshared, vlen := lens[0], lens[1], lens[2]
 	// Compared without adding: the two lengths are disk bytes and their sum
 	// can wrap.
 	if rest := uint64(len(p) - h); unshared > rest || vlen > rest-unshared || uint64(len(prevKey)) < shared {

@@ -213,3 +213,24 @@ func FuzzBlockIter(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkIterNext walks a 4 KiB block of 24-byte keys and 128-byte values
+// (the benchmark store's shape: the value length is the one two-byte varint
+// of an entry header).
+func BenchmarkIterNext(b *testing.B) {
+	bl := NewBuilder(16)
+	val := make([]byte, 128)
+	for i := 0; bl.EstimatedSize() < 4<<10; i++ {
+		bl.Add([]byte(fmt.Sprintf("%016d\x01\x00\x00\x00\x00\x00\x00\x00", i)), val)
+	}
+	it, err := NewIter(bl.Finish(), bytes.Compare)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if it.Next(); !it.Valid() {
+			it.First()
+		}
+	}
+}

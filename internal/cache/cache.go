@@ -5,6 +5,11 @@
 // choose; the block cache charges the decompressed payload size (tables
 // store blocks snappy-compressed, and hits must skip the codec), so capacity
 // bounds resident memory, not on-storage bytes.
+//
+// A payload lives in a reference-counted Buf (buf.go). The cache holds one
+// reference per entry and hands one to every Acquire; eviction, DeleteFile
+// and replacement drop only the cache's own, so a reader keeps its block for
+// as long as it holds it and the memory is reused once nobody does.
 package cache
 
 import "sync"
@@ -18,9 +23,8 @@ type Key struct {
 	Off  uint64
 }
 
-// Cache is a fixed-capacity sharded LRU. Payloads are immutable once set, so
-// a hit hands out the cached slice itself and an eviction owes nobody a
-// callback.
+// Cache is a fixed-capacity sharded LRU. Payloads are immutable while
+// referenced, so a hit hands out the cached buffer itself.
 type Cache struct {
 	shards [numShards]shard
 }
@@ -44,7 +48,7 @@ type shard struct {
 type entry struct {
 	prev, next *entry
 	key        Key
-	value      []byte
+	value      *Buf
 	charge     int64
 }
 
@@ -80,17 +84,20 @@ func (s *shard) pushFront(e *entry) {
 	e.prev.next, e.next.prev = e, e
 }
 
-// remove takes e out of the shard and onto the free list.
+// remove takes e out of the shard and onto the free list, dropping the
+// cache's reference to its payload.
 func (s *shard) remove(e *entry) {
 	s.unlink(e)
 	delete(s.items, e.key)
 	s.used -= e.charge
+	e.value.Release()
 	*e = entry{next: s.free}
 	s.free = e
 }
 
-// Get returns the cached payload for k, if present.
-func (c *Cache) Get(k Key) ([]byte, bool) {
+// Acquire returns the payload cached under k with a reference the caller
+// must Release, or nil when there is none.
+func (c *Cache) Acquire(k Key) *Buf {
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -98,21 +105,25 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 		s.unlink(e)
 		s.pushFront(e)
 		s.hits++
-		return e.value, true
+		e.value.refs.Add(1)
+		return e.value
 	}
 	s.misses++
-	return nil, false
+	return nil
 }
 
-// Set inserts value under k with the given charge in bytes, evicting LRU
-// entries as needed.
-func (c *Cache) Set(k Key, value []byte, charge int64) {
+// Insert caches b under k with the given charge in bytes, evicting LRU
+// entries as needed. The cache takes a reference of its own; the caller
+// keeps the one it has.
+func (c *Cache) Insert(k Key, b *Buf, charge int64) {
+	b.refs.Add(1)
 	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.items[k]; ok {
 		s.used += charge - e.charge
-		e.value, e.charge = value, charge
+		e.value.Release()
+		e.value, e.charge = b, charge
 		s.unlink(e)
 		s.pushFront(e)
 	} else {
@@ -122,7 +133,7 @@ func (c *Cache) Set(k Key, value []byte, charge int64) {
 		} else {
 			e = &entry{}
 		}
-		e.key, e.value, e.charge = k, value, charge
+		e.key, e.value, e.charge = k, b, charge
 		s.pushFront(e)
 		s.items[k] = e
 		s.used += charge
@@ -130,6 +141,22 @@ func (c *Cache) Set(k Key, value []byte, charge int64) {
 	for s.used > s.capacity && s.lru.prev != &s.lru {
 		s.remove(s.lru.prev)
 	}
+}
+
+// Get and Set are Acquire and Insert over bare slices, for bench/ (frozen),
+// which times the cache with them. A Get leaves its reference to the
+// garbage collector and a Set's slice stays its caller's, so neither payload
+// is ever recycled.
+func (c *Cache) Get(k Key) ([]byte, bool) {
+	b := c.Acquire(k)
+	return b.Bytes(), b != nil
+}
+
+// Set inserts value under k with the given charge in bytes.
+func (c *Cache) Set(k Key, value []byte, charge int64) {
+	b := wrap(value)
+	c.Insert(k, b, charge)
+	b.Release()
 }
 
 // DeleteFile removes every entry whose Key.File matches fn.

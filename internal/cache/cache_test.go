@@ -3,6 +3,8 @@ package cache
 import (
 	"sync"
 	"testing"
+
+	"pebblesdb/internal/race"
 )
 
 func TestGetSetBasics(t *testing.T) {
@@ -125,5 +127,169 @@ func BenchmarkSetEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Set(Key{File: 2, Off: uint64(i) * blockSize}, block, blockSize)
+	}
+}
+
+// fill returns a buffer of n bytes from the pool, every byte v, with the
+// caller's one reference.
+func fill(n int, v byte) *Buf {
+	b := Alloc(n)
+	p := b.Bytes()
+	for i := range p {
+		p[i] = v
+	}
+	return b
+}
+
+// put caches a block of n bytes, every byte v, under k, as a read that
+// missed does: the cache is left the only holder.
+func put(c *Cache, k Key, n int, v byte) {
+	b := fill(n, v)
+	c.Insert(k, b, int64(n))
+	b.Release()
+}
+
+// holds reports whether every byte of p is v.
+func holds(p []byte, v byte) bool {
+	for _, c := range p {
+		if c != v {
+			return false
+		}
+	}
+	return len(p) > 0
+}
+
+// TestHolderOutlivesItsEntry: a reader that acquired a block keeps reading
+// the bytes it acquired after the cache has evicted the entry, replaced it
+// and deleted its file, while other goroutines push blocks of the same size
+// class through the cache — each of which is recycled (or, under the race
+// detector, poisoned) the moment nobody holds it. The reader's block may be
+// neither.
+func TestHolderOutlivesItsEntry(t *testing.T) {
+	const size = 4000
+	c := New(numShards * 2 * size)
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		churn.Add(1)
+		go func(g int) {
+			defer churn.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := Key{File: uint64(100 + g), Off: uint64(i % 64)}
+				v := byte(k.Off)
+				if b := c.Acquire(k); b != nil {
+					if !holds(b.Bytes(), v) {
+						t.Errorf("block %v read back wrong while held", k)
+					}
+					b.Release()
+					continue
+				}
+				put(c, k, size, v)
+			}
+		}(g)
+	}
+
+	k := Key{File: 1, Off: 7}
+	drop := map[string]func(){
+		"evicted": func() {
+			for i := 0; i < 8*numShards; i++ {
+				put(c, Key{File: 2, Off: uint64(i)}, size, 0xEE)
+			}
+		},
+		"replaced": func() { put(c, k, size, 0x22) },
+		"deleted":  func() { c.DeleteFile(k.File) },
+	}
+	for name, dropEntry := range drop {
+		put(c, k, size, 0x11)
+		held := c.Acquire(k)
+		if held == nil {
+			t.Fatalf("%s: the block just inserted is not cached", name)
+		}
+		dropEntry()
+		if now := c.Acquire(k); now == held {
+			t.Fatalf("%s: the entry is still there", name)
+		} else {
+			now.Release()
+		}
+		// Give the churn time to take the buffer, had it been let go.
+		for i := 0; i < 200; i++ {
+			fill(size, 0x33).Release()
+		}
+		if !holds(held.Bytes(), 0x11) {
+			t.Fatalf("%s: a held block changed under its holder", name)
+		}
+		held.Release()
+	}
+	close(stop)
+	churn.Wait()
+}
+
+// TestLastReleaseRecyclesOrPoisons pins what becomes of a buffer nobody
+// holds: the next Alloc of its size class gets it, without allocating, or —
+// under the race detector — nobody does and it reads 0xCC from then on, so
+// that a holder that kept reading shows up in any test that checks what it
+// reads.
+func TestLastReleaseRecyclesOrPoisons(t *testing.T) {
+	b := fill(4000, 0x44)
+	stale := b.Bytes() // kept past the release on purpose
+	c := New(1 << 20)
+	c.Insert(Key{File: 1}, b, 4000)
+	b.Release()
+	if !holds(stale, 0x44) {
+		t.Fatal("the cache's reference did not keep the block")
+	}
+	c.DeleteFile(1)
+	if race.Enabled {
+		if !holds(stale, 0xCC) {
+			t.Fatal("a block nobody holds was not poisoned")
+		}
+		return
+	}
+	if n := testing.AllocsPerRun(1000, func() { Alloc(4000).Release() }); n != 0 {
+		t.Fatalf("Alloc after Release: %v allocs/op, want the released buffer", n)
+	}
+	// A payload above the largest class is not pooled, in or out.
+	if n := testing.AllocsPerRun(10, func() { Alloc(numClasses*classBytes + 1).Release() }); n == 0 {
+		t.Fatal("a buffer above the largest size class came out of a pool")
+	}
+}
+
+// TestReleaseBelowZeroPanics: one Release too many is a holder's bug in
+// every build, not only where buffers are poisoned.
+func TestReleaseBelowZeroPanics(t *testing.T) {
+	b := Alloc(10 * classBytes) // a class no other test draws from
+	b.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a Release below zero went through")
+		}
+	}()
+	b.Release()
+}
+
+// TestInsertEvictDoesNotAllocate is the product path's miss: a block from
+// the pool goes into a full cache, whose eviction hands the next miss its
+// buffer.
+func TestInsertEvictDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("under the race detector released buffers are poisoned, not reused")
+	}
+	const size = 4000
+	c := New(numShards * 4 * size)
+	i := uint64(0)
+	miss := func() {
+		put(c, Key{File: 1, Off: i}, size, 0)
+		i++
+	}
+	for i < 1024 {
+		miss()
+	}
+	if n := testing.AllocsPerRun(2000, miss); n != 0 {
+		t.Fatalf("Insert into a full cache: %v allocs/op, want 0", n)
 	}
 }

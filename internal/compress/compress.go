@@ -332,7 +332,15 @@ func Decode(dst, src []byte) ([]byte, error) {
 			if length <= 0 || length > dLen-d || length > len(src)-s {
 				return nil, ErrCorrupt
 			}
-			copy(dst[d:], src[s:s+length])
+			if length <= 16 && dLen-d >= 16 && len(src)-s >= 16 {
+				// Two words beat a memmove call for the short literals
+				// between the copies of a block of small entries. What
+				// lands past length is output not yet produced.
+				binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(src[s:]))
+				binary.LittleEndian.PutUint64(dst[d+8:], binary.LittleEndian.Uint64(src[s+8:]))
+			} else {
+				copy(dst[d:], src[s:s+length])
+			}
 			d += length
 			s += length
 			continue
@@ -369,6 +377,16 @@ func Decode(dst, src []byte) ([]byte, error) {
 		// may run into its own output: offset < length replicates the last
 		// offset bytes as a pattern. Each pass copies all there is of the
 		// pattern, which doubles it; offset >= length is a single pass.
+		if length <= 16 && offset >= 8 && dLen-d >= 16 {
+			// The short copy as two words. The second load may read what
+			// the first store wrote, which is the pattern continuing; a
+			// word never overlaps its own source.
+			start := d - offset
+			binary.LittleEndian.PutUint64(dst[d:], binary.LittleEndian.Uint64(dst[start:]))
+			binary.LittleEndian.PutUint64(dst[d+8:], binary.LittleEndian.Uint64(dst[start+8:]))
+			d += length
+			continue
+		}
 		for start, end := d-offset, d+length; d < end; {
 			d += copy(dst[d:end], dst[start:d])
 		}

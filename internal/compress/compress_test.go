@@ -2,10 +2,14 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"pebblesdb/internal/block"
 )
 
 // refVectors are (decoded, encoded) pairs hand-derived from the Snappy
@@ -250,6 +254,99 @@ func BenchmarkDecodeSemiCompressible(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Decode(dst, enc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// storeShapedBlock builds a 4 KiB data block the way the benchmark of
+// record (bench/gen.go) fills a store: 16-digit decimal keys under an
+// 8-byte trailer, 128-byte values of an 8-byte header and 120 bytes cut at
+// a random offset from a pool of 128-byte pieces whose second half repeats
+// the first. Encoded, it is short literals between copies of a few dozen
+// bytes, not the kilobyte runs of the SemiCompressible pair.
+func storeShapedBlock(rng *rand.Rand) []byte {
+	pool := make([]byte, 1<<16)
+	for off := 0; off < len(pool); off += 128 {
+		rng.Read(pool[off : off+64])
+		copy(pool[off+64:off+128], pool[off:off+64])
+	}
+	b := block.NewBuilder(16)
+	key := make([]byte, 24)
+	val := make([]byte, 128)
+	for idx := rng.Intn(1 << 20); b.EstimatedSize() < 4<<10; idx += 1 + rng.Intn(4) {
+		copy(key, fmt.Sprintf("%016d", idx))
+		binary.LittleEndian.PutUint64(key[16:], uint64(idx)<<8|1)
+		binary.BigEndian.PutUint64(val, rng.Uint64())
+		copy(val[8:], pool[rng.Intn(len(pool)-128):])
+		b.Add(key, val)
+	}
+	return b.Finish()
+}
+
+// TestDecodeStoreShapedBlocks round-trips blocks whose elements are mostly
+// at or under the 16 bytes Decode moves as two words, into a buffer of
+// exactly the decoded length: a word written past the output would panic.
+func TestDecodeStoreShapedBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		src := storeShapedBlock(rng)
+		got, err := Decode(make([]byte, 0, len(src)), Encode(nil, src))
+		if err != nil || !bytes.Equal(got, src) {
+			t.Fatalf("block %d: round trip failed (%v)", i, err)
+		}
+	}
+}
+
+// BenchmarkDecodeStoreShaped is the decode a cold read of the benchmark's
+// store pays per block.
+func BenchmarkDecodeStoreShaped(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	var encs [][]byte
+	size := 0
+	for i := 0; i < 64; i++ {
+		src := storeShapedBlock(rng)
+		size += len(src)
+		encs = append(encs, Encode(nil, src))
+	}
+	dst := make([]byte, 8<<10)
+	b.SetBytes(int64(size / len(encs)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(dst[:0], encs[i%len(encs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestDecodeShortElements holds the two-word moves to the byte-by-byte
+// meaning of the format: a literal, then a copy of every short length at
+// every short offset (overlapping ones included), then a literal tail of 0
+// to 20 bytes so that the copy lands both with and without 16 bytes of
+// output left after it.
+func TestDecodeShortElements(t *testing.T) {
+	head := []byte("0123456789abcdefghijklmn")
+	for offset := 1; offset <= len(head); offset++ {
+		for length := 1; length <= 24; length++ {
+			for tail := 0; tail <= 20; tail += 4 {
+				want := append([]byte(nil), head...)
+				for i := 0; i < length; i++ {
+					want = append(want, want[len(want)-offset])
+				}
+				want = append(want, bytes.Repeat([]byte{'z'}, tail)...)
+
+				enc := binary.AppendUvarint(nil, uint64(len(want)))
+				enc = append(enc, byte(len(head)-1)<<2|tagLiteral)
+				enc = append(enc, head...)
+				enc = append(enc, byte(length-1)<<2|tagCopy2, byte(offset), 0)
+				if tail > 0 {
+					enc = append(enc, byte(tail-1)<<2|tagLiteral)
+					enc = append(enc, want[len(want)-tail:]...)
+				}
+				got, err := Decode(nil, enc)
+				if err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("offset %d length %d tail %d: got %q (%v), want %q", offset, length, tail, got, err, want)
+				}
+			}
 		}
 	}
 }

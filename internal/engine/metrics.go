@@ -90,9 +90,13 @@ type Counters struct {
 	// Scan-path accounting: IterTablesOpened counts sstable iterators
 	// opened by engine iterators (folded in at iterator Close);
 	// IterPrefixSkips counts sstables a prefix iterator skipped because
-	// their prefix bloom filter ruled the prefix out before any block IO.
+	// their prefix bloom filter ruled the prefix out before any block IO;
+	// IterSeekFanOuts counts seeks that positioned a guard's sstables on
+	// goroutines of their own (§4.2), which they do only while table reads
+	// are slow enough to be worth waiting for side by side.
 	IterTablesOpened int64 `metric:"pebblesdb_iter_tables_opened_total" help:"Sstable iterators opened by scans."`
 	IterPrefixSkips  int64 `metric:"pebblesdb_iter_prefix_skips_total" help:"Sstables skipped by prefix bloom filters."`
+	IterSeekFanOuts  int64 `metric:"pebblesdb_iter_seek_fanouts_total" help:"Seeks that positioned a guard's sstables in parallel."`
 	// Failure handling: BgRetryableErrors / BgPermanentErrors count
 	// background-error degradations by class, BgRetries counts retried
 	// background operations, Resumes counts successful Resume calls.

@@ -541,6 +541,7 @@ func (it *Iter) Close() error {
 	if st := &it.stats; st.TablesOpened != 0 || st.PrefixSkips != 0 {
 		atomic.AddInt64(&it.e.stats.IterTablesOpened, st.TablesOpened)
 		atomic.AddInt64(&it.e.stats.IterPrefixSkips, st.PrefixSkips)
+		atomic.AddInt64(&it.e.stats.IterSeekFanOuts, st.SeekFanOuts)
 	}
 	it.e.releaseOp()
 	if it.err == nil {

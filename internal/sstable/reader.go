@@ -166,7 +166,7 @@ func Open(f File, size int64, fileNum base.FileNum, blockCache *cache.Cache, cod
 	}
 	filterH, indexH, rangeDelH, prefixH := handles[0], handles[1], handles[2], handles[3]
 
-	idx, err := r.readBlockUncached(indexH, nil)
+	idx, err := r.readMetaBlock(indexH)
 	if err != nil {
 		return nil, err
 	}
@@ -179,14 +179,14 @@ func Open(f File, size int64, fileNum base.FileNum, blockCache *cache.Cache, cod
 	}
 	r.index = idx
 	if filterH.length > 0 {
-		flt, err := r.readBlockUncached(filterH, nil)
+		flt, err := r.readMetaBlock(filterH)
 		if err != nil {
 			return nil, err
 		}
 		r.filter = bloom.Filter(flt)
 	}
 	if prefixH.length > 0 {
-		blk, err := r.readBlockUncached(prefixH, nil)
+		blk, err := r.readMetaBlock(prefixH)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +197,7 @@ func Open(f File, size int64, fileNum base.FileNum, blockCache *cache.Cache, cod
 		r.prefixLen, r.prefixFilter = p, pf
 	}
 	if rangeDelH.length > 0 {
-		payload, err := r.readBlockUncached(rangeDelH, nil)
+		payload, err := r.readMetaBlock(rangeDelH)
 		if err != nil {
 			return nil, err
 		}
@@ -230,47 +230,49 @@ func Open(f File, size int64, fileNum base.FileNum, blockCache *cache.Cache, cod
 // the table has none. The list is immutable and safe for concurrent use.
 func (r *Reader) RangeDels() *rangedel.List { return r.rangeDels }
 
-// readBufPool holds the buffers blocks are read into. A compressed block's
-// stored bytes are dead once it is inflated, so they never need a buffer of
-// their own.
+// readBufPool holds the buffers blocks are read into. A block's stored
+// bytes are dead once it is inflated or copied out, so they never need a
+// buffer of their own.
 var readBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// readBlockUncached reads, verifies and decompresses the block at h,
-// bypassing the cache. ra, when non-nil, supplies the bytes through a
-// readahead buffer instead of a per-block ReadAt. The result is the
-// caller's: a stored-raw payload is copied out of the pooled read buffer.
-func (r *Reader) readBlockUncached(h blockHandle, ra *readahead) ([]byte, error) {
+// readStored reads the block at h into *bp, growing it as needed, verifies
+// the checksum and returns the stored payload, which aliases *bp, and its
+// type. ra, when non-nil, supplies the bytes through a readahead buffer
+// instead of a per-block ReadAt.
+func (r *Reader) readStored(h blockHandle, ra *readahead, bp *[]byte) (stored []byte, typ byte, err error) {
 	// Compared without adding: h is disk bytes no checksum covers (a footer
 	// or an index entry), and offset+length can wrap past zero.
 	if room := uint64(r.size) - blockTrailerLen; h.length > room || h.offset > room-h.length {
-		return nil, fmt.Errorf("%w: block handle out of range", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: block handle out of range", ErrCorrupt)
 	}
-	bp := readBufPool.Get().(*[]byte)
-	defer readBufPool.Put(bp)
 	if n := int(h.length + blockTrailerLen); cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
 	buf := (*bp)[:h.length+blockTrailerLen]
 	if ra != nil {
 		if err := ra.readAt(buf, int64(h.offset)); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	} else if _, err := r.f.ReadAt(buf, int64(h.offset)); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	payload := buf[:h.length]
-
-	typ := buf[h.length]
+	stored = buf[:h.length]
 	want := binary.LittleEndian.Uint32(buf[h.length+1:])
-	if crc.ValueExtended(payload, buf[h.length:h.length+1]) != want {
-		return nil, fmt.Errorf("%w: block checksum mismatch at offset %d", ErrCorrupt, h.offset)
+	if crc.ValueExtended(stored, buf[h.length:h.length+1]) != want {
+		return nil, 0, fmt.Errorf("%w: block checksum mismatch at offset %d", ErrCorrupt, h.offset)
 	}
+	return stored, buf[h.length], nil
+}
+
+// inflate turns a block's stored bytes into its payload, in dst when that
+// has the room.
+func (r *Reader) inflate(dst, stored []byte, typ byte, h blockHandle) ([]byte, error) {
 	switch typ {
 	case blockTypeNone:
-		return bytes.Clone(payload), nil
+		return append(dst, stored...), nil
 	case blockTypeSnappy:
 		start := time.Now()
-		decoded, err := compress.Decode(nil, payload)
+		decoded, err := compress.Decode(dst, stored)
 		if err != nil {
 			return nil, fmt.Errorf("%w: snappy block at offset %d: %v", ErrCorrupt, h.offset, err)
 		}
@@ -285,31 +287,73 @@ func (r *Reader) readBlockUncached(h blockHandle, ra *readahead) ([]byte, error)
 	}
 }
 
-// readBlock returns the decompressed payload of the block at h. Random
-// reads (ra == nil) fill the shared cache, charging the decompressed size;
-// sequential reads consult the cache but never populate it, so one-pass
-// compaction scans cannot evict the read path's working set. stats, when
-// non-nil, receives the block-cache outcome (point-read metrics).
-func (r *Reader) readBlock(h blockHandle, ra *readahead, stats *GetStats) ([]byte, error) {
+// readMetaBlock reads one of the blocks Open keeps for the Reader's
+// lifetime. They are plain allocations of their exact size and have no
+// holder count: nothing ever gives them back, and drawn from the pooled
+// size classes the index and filter of a small table would each sit in
+// memory at their class's size for good.
+func (r *Reader) readMetaBlock(h blockHandle) ([]byte, error) {
+	bp := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(bp)
+	stored, typ, err := r.readStored(h, nil, bp)
+	if err != nil {
+		return nil, err
+	}
+	return r.inflate(nil, stored, typ, h)
+}
+
+// readBlockUncached reads, verifies and decompresses the data block at h,
+// bypassing the cache, into a buffer drawn from the cache's pool. The
+// caller holds the one reference to it. A block that fails to inflate
+// leaves its buffer to the collector.
+func (r *Reader) readBlockUncached(h blockHandle, ra *readahead) (*cache.Buf, error) {
+	bp := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(bp)
+	stored, typ, err := r.readStored(h, ra, bp)
+	if err != nil {
+		return nil, err
+	}
+	n := len(stored)
+	if typ == blockTypeSnappy {
+		if n, err = compress.DecodedLen(stored); err != nil {
+			return nil, fmt.Errorf("%w: snappy block at offset %d: %v", ErrCorrupt, h.offset, err)
+		}
+	}
+	b := cache.Alloc(n)
+	if _, err := r.inflate(b.Bytes()[:0], stored, typ, h); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// readBlock returns the decompressed payload of the block at h with a
+// reference the caller must release. Random reads (ra == nil) fill the
+// shared cache, charging the decompressed size; sequential reads consult
+// the cache but never populate it, so one-pass compaction scans cannot
+// evict the read path's working set — their blocks go back to the pool as
+// the scan leaves them. stats, when non-nil, receives the block-cache
+// outcome (point-read metrics).
+func (r *Reader) readBlock(h blockHandle, ra *readahead, stats *GetStats) (*cache.Buf, error) {
+	key := cache.Key{File: uint64(r.fileNum), Off: h.offset}
 	if r.blocks != nil {
-		if v, ok := r.blocks.Get(cache.Key{File: uint64(r.fileNum), Off: h.offset}); ok {
+		if b := r.blocks.Acquire(key); b != nil {
 			if stats != nil {
 				stats.BlockHits++
 			}
-			return v, nil
+			return b, nil
 		}
 	}
 	if stats != nil {
 		stats.BlockMisses++
 	}
-	payload, err := r.readBlockUncached(h, ra)
+	b, err := r.readBlockUncached(h, ra)
 	if err != nil {
 		return nil, err
 	}
 	if r.blocks != nil && ra == nil {
-		r.blocks.Set(cache.Key{File: uint64(r.fileNum), Off: h.offset}, payload, int64(len(payload)))
+		r.blocks.Insert(key, b, int64(len(b.Bytes())))
 	}
-	return payload, nil
+	return b, nil
 }
 
 // readahead is the sequential-read buffer: a sliding ~256KiB window over
@@ -408,10 +452,11 @@ func decodeHandle(v []byte) (blockHandle, bool) {
 
 // GetScratched is the allocation-free point probe: it returns the newest
 // visible version of the search key's user key, or found=false when this
-// table holds none. The returned value aliases the (immutable) block
-// payload — cached or freshly read — so it stays valid after the scratch is
-// reused; the sequence number and kind are decoded here so callers never
-// need the entry's key bytes, which live in scratch-owned buffers.
+// table holds none. The returned value aliases the block payload, cached or
+// freshly read, which the scratch holds until its next probe or its
+// release: copy it before either. The sequence number and kind are decoded
+// here so callers never need the entry's key bytes, which live in
+// scratch-owned buffers.
 func (r *Reader) GetScratched(search []byte, s *GetScratch) (value []byte, seq base.SeqNum, kind base.Kind, found bool, err error) {
 	s.Stats.TablesProbed++
 	if err := s.index.InitValidated(r.index, base.InternalCompare); err != nil {
@@ -430,11 +475,11 @@ func (r *Reader) GetScratched(search []byte, s *GetScratch) (value []byte, seq b
 	if !ok {
 		return nil, 0, 0, false, fmt.Errorf("%w: bad index entry", ErrCorrupt)
 	}
-	payload, err := r.readBlock(h, nil, &s.Stats)
-	if err != nil {
+	s.dropBlock()
+	if s.blk, err = r.readBlock(h, nil, &s.Stats); err != nil {
 		return nil, 0, 0, false, err
 	}
-	if err := s.data.Init(payload, base.InternalCompare); err != nil {
+	if err := s.data.Init(s.blk.Bytes(), base.InternalCompare); err != nil {
 		return nil, 0, 0, false, corrupt(err)
 	}
 	s.data.SeekGE(search)
@@ -510,10 +555,16 @@ func (r *Reader) Close() error { return r.Unref() }
 // nothing beyond the iterator itself — and a TableIter is itself reusable
 // across tables via Init, which is how the iterator stack keeps a pooled
 // set of table cursors alive across Seek calls (internal/treebase).
+//
+// The iterator holds a reference to the block its data cursor is on, so
+// Value stays valid until the next move. Close returns it; an iterator
+// that is dropped without Close only keeps that one buffer from being
+// reused.
 type TableIter struct {
 	r      *Reader
 	index  block.Iter
 	data   block.Iter
+	blk    *cache.Buf // the block data points into
 	dataOK bool       // data is initialized on the current index block
 	ra     *readahead // non-nil in sequential mode
 	err    error
@@ -523,11 +574,18 @@ type TableIter struct {
 // buffers. The caller owns r's reference accounting.
 func (t *TableIter) Init(r *Reader) error {
 	t.r = r
-	t.dataOK = false
 	t.ra = nil
 	t.err = nil
-	t.data.Release()
+	t.dropBlock()
 	return t.index.InitValidated(r.index, base.InternalCompare)
+}
+
+// dropBlock takes the data cursor off its block and gives the block back.
+func (t *TableIter) dropBlock() {
+	t.dataOK = false
+	t.data.Release()
+	t.blk.Release()
+	t.blk = nil
 }
 
 // ReleaseBuffers drops the iterator's references into the table and its
@@ -536,13 +594,12 @@ func (t *TableIter) Init(r *Reader) error {
 func (t *TableIter) ReleaseBuffers() {
 	t.r = nil
 	t.ra = nil
-	t.dataOK = false
 	t.index.Release()
-	t.data.Release()
+	t.dropBlock()
 }
 
 func (t *TableIter) loadBlock() bool {
-	t.dataOK = false
+	t.dropBlock()
 	if !t.index.Valid() {
 		return false
 	}
@@ -551,12 +608,12 @@ func (t *TableIter) loadBlock() bool {
 		t.err = fmt.Errorf("%w: bad index entry", ErrCorrupt)
 		return false
 	}
-	payload, err := t.r.readBlock(h, t.ra, nil)
-	if err != nil {
+	var err error
+	if t.blk, err = t.r.readBlock(h, t.ra, nil); err != nil {
 		t.err = err
 		return false
 	}
-	if err := t.data.Init(payload, base.InternalCompare); err != nil {
+	if err := t.data.Init(t.blk.Bytes(), base.InternalCompare); err != nil {
 		t.err = corrupt(err)
 		return false
 	}
@@ -696,4 +753,9 @@ func (t *TableIter) Error() error {
 	return corrupt(t.index.Error())
 }
 
-func (t *TableIter) Close() error { return t.Error() }
+// Close gives back the current block and reports the iterator's error.
+func (t *TableIter) Close() error {
+	err := t.Error()
+	t.ReleaseBuffers()
+	return err
+}

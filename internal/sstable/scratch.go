@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"pebblesdb/internal/block"
+	"pebblesdb/internal/cache"
 )
 
 // GetStats counts read-path work done through one GetScratch. The fields
@@ -33,10 +34,9 @@ func (s *GetStats) Reset() { *s = GetStats{} }
 // buffer and both block cursors persist across calls via a sync.Pool.
 //
 // Ownership rules: a scratch belongs to exactly one Get call at a time.
-// Values returned by Reader.GetScratched alias immutable block payloads
-// (cached or freshly read), never the scratch's own buffers, so they remain
-// valid after the scratch is released — the garbage collector keeps the
-// payload alive for as long as the caller retains the slice.
+// Values returned by Reader.GetScratched alias the payload of the block
+// probed last, to which the scratch holds a reference: they are valid until
+// the scratch's next probe or its release, whichever comes first.
 type GetScratch struct {
 	// SearchKey is the reusable search-key buffer; layers build the
 	// (ukey, seq, KindSeek) key into it with base.MakeSearchKey.
@@ -46,6 +46,15 @@ type GetScratch struct {
 
 	index block.Iter
 	data  block.Iter
+	blk   *cache.Buf // the block data points into
+}
+
+// dropBlock takes the data cursor off the last probed block and gives the
+// block back.
+func (s *GetScratch) dropBlock() {
+	s.data.Release()
+	s.blk.Release()
+	s.blk = nil
 }
 
 var getScratchPool = sync.Pool{New: func() interface{} { return &GetScratch{} }}
@@ -55,13 +64,12 @@ func AcquireGetScratch() *GetScratch {
 	return getScratchPool.Get().(*GetScratch)
 }
 
-// ReleaseGetScratch resets the scratch's stats, drops its references into
-// the last probed block payloads (an idle pooled scratch must not pin
-// cache-evicted blocks), and returns it to the pool. The caller must not
-// retain references into the scratch's buffers.
+// ReleaseGetScratch resets the scratch's stats, gives back the last probed
+// block, and returns the scratch to the pool. The caller must not retain
+// references into the scratch's buffers or into that block.
 func ReleaseGetScratch(s *GetScratch) {
 	s.Stats.Reset()
 	s.index.Release()
-	s.data.Release()
+	s.dropBlock()
 	getScratchPool.Put(s)
 }

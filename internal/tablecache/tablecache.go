@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/cache"
@@ -97,6 +98,12 @@ func (tc *TableCache) Evict(fn base.FileNum) {
 	}
 }
 
+// ReadNanos returns a moving average of the time a read of a table file
+// has taken lately, opening the file included: about a microsecond on an
+// in-memory filesystem, the device's latency where reads wait for one. The
+// iterator stack asks it whether a seek is worth goroutines.
+func (tc *TableCache) ReadNanos() int64 { return tc.handles.readNanos.Load() }
+
 // Metrics summarizes resident memory for Table 5.4 plus read-side codec
 // work.
 type Metrics struct {
@@ -161,6 +168,9 @@ type handles struct {
 	waiting  int
 	capacity int
 	open     int // files open or being opened
+	// readNanos is a moving average of how long a ReadAt took, handle
+	// included: written under mu, read without.
+	readNanos atomic.Int64
 	// lru is the sentinel of the circular list of tableFiles with an open
 	// file: lru.next the most recently read, lru.prev the next to close.
 	lru tableFile
@@ -203,13 +213,17 @@ type tableFile struct {
 // ReadAt reads from the table's file, opening it if no handle is lent to
 // this table. An open failure is the read's error.
 func (t *tableFile) ReadAt(p []byte, off int64) (int, error) {
+	start := time.Now()
 	f, err := t.acquire()
 	if err != nil {
 		return 0, err
 	}
 	n, err := f.ReadAt(p, off)
+	took := time.Since(start).Nanoseconds()
 	h := &t.tc.handles
 	h.mu.Lock()
+	avg := h.readNanos.Load()
+	h.readNanos.Store(avg + (took-avg)/8)
 	t.reads--
 	if t.reads == 0 {
 		h.wake()

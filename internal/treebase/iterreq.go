@@ -15,6 +15,9 @@ type IterStats struct {
 	// PrefixSkips counts sstables skipped because their prefix bloom filter
 	// ruled out the iterator's prefix before any data-block IO.
 	PrefixSkips int64
+	// SeekFanOuts counts seeks that positioned the tables of a group on
+	// goroutines of their own (§4.2).
+	SeekFanOuts int64
 }
 
 // IterRequest carries everything a tree needs to build the sstable leg of a
@@ -37,6 +40,13 @@ type IterRequest struct {
 func (r *IterRequest) CountOpen() {
 	if r.Stats != nil {
 		r.Stats.TablesOpened++
+	}
+}
+
+// CountFanOut records a seek that fanned out.
+func (r *IterRequest) CountFanOut() {
+	if r.Stats != nil {
+		r.Stats.SeekFanOuts++
 	}
 }
 

@@ -19,6 +19,9 @@ import (
 // kids slice are embedded and recycled, table iterators come from the
 // shared pool, and re-seeking into the already-open group skips the
 // close/reopen cycle entirely — the steady state of a warm scan loop.
+// It is itself pooled: Close hands it back, and the merging heap and the
+// kids slice keep their capacity for the next iterator, so a fresh one
+// opens groups and builds heaps without allocating.
 // Tables outside the request's bounds are never opened, nor, when the
 // request carries a prefix, tables whose prefix bloom filter rules it out.
 type levelIter struct {
@@ -41,6 +44,23 @@ type levelIter struct {
 	kids     []iterator.Iterator
 	empty    iterator.Empty
 }
+
+var levelIterPool = sync.Pool{New: func() any { return new(levelIter) }}
+
+// newLevelIter returns an iterator over groups [lo, hi) of v's level. Close
+// must be called exactly once: it returns the iterator to the pool.
+func newLevelIter(c *Core, v View, level, lo, hi int, parallel bool, req IterRequest) *levelIter {
+	l := levelIterPool.Get().(*levelIter)
+	l.c, l.v, l.level, l.lo, l.hi, l.idx, l.parallel, l.req = c, v, level, lo, hi, lo-1, parallel, req
+	return l
+}
+
+// fanOutReadNanos is the table-read time above which a seek into several
+// tables positions them on goroutines of their own (§4.2): an order of
+// magnitude over a goroutine hand-off. Below it — an in-memory filesystem
+// reads a block in about a microsecond — "the overhead of using multiple
+// threads is higher than the benefit", as the paper says of cached data.
+const fanOutReadNanos = 20_000
 
 // closeCur releases the open group: every pooled table iterator goes back
 // to the pool, the kids slice keeps its capacity for the next group.
@@ -97,9 +117,11 @@ func (l *levelIter) openGroup(i int) bool {
 // seek opens the group a seek to target lands in — reusing it when already
 // open — positions it, and charges the seek when that took more than one
 // table. A backward seek past the last group starts from the last. Parallel
-// seeks (§4.2): position each sstable iterator of the group on its own
-// goroutine, then assemble the heap; only profitable when the tables are
-// likely uncached, so the core enables it for the last level only.
+// seeks (§4.2): position the sstable iterators of the group side by side,
+// all but one on goroutines of their own, then assemble the heap. That pays
+// only when the tables are likely uncached and their reads wait, so the
+// core enables it for the last level only and the seek fans out only while
+// table reads are measured slow.
 func (l *levelIter) seek(target []byte, reverse bool) bool {
 	i, _ := l.v.Find(l.level, base.UserKey(target))
 	i = max(i, l.lo)
@@ -114,32 +136,42 @@ func (l *levelIter) seek(target []byte, reverse bool) bool {
 		l.c.seeks.ChargeSeek(l.level, l.guard)
 		l.c.mu.Unlock()
 	}
-	switch {
-	case l.parallel && len(l.kids) > 1:
-		var wg sync.WaitGroup
-		for _, k := range l.kids {
-			wg.Add(1)
-			go func(k iterator.Iterator) {
-				defer wg.Done()
-				if reverse {
-					k.SeekLT(target)
-				} else {
-					k.SeekGE(target)
-				}
-			}(k)
-		}
-		wg.Wait()
-		if reverse {
-			l.m.InitPositionedReverse()
-		} else {
-			l.m.InitPositioned()
-		}
-	case reverse:
-		l.cur.SeekLT(target)
-	default:
-		l.cur.SeekGE(target)
+	if l.parallel && len(l.kids) > 1 && l.c.tc.ReadNanos() > fanOutReadNanos {
+		l.fanOut(target, reverse)
+	} else {
+		position(l.cur, target, reverse)
 	}
 	return true
+}
+
+func position(k iterator.Iterator, target []byte, reverse bool) {
+	if reverse {
+		k.SeekLT(target)
+	} else {
+		k.SeekGE(target)
+	}
+}
+
+// fanOut positions every table of the open group at once — the seeking
+// goroutine takes one, the others get a goroutine each — and assembles the
+// heap from where they stand.
+func (l *levelIter) fanOut(target []byte, reverse bool) {
+	l.req.CountFanOut()
+	var wg sync.WaitGroup
+	wg.Add(len(l.kids) - 1)
+	for _, k := range l.kids[1:] {
+		go func() {
+			defer wg.Done()
+			position(k, target, reverse)
+		}()
+	}
+	position(l.kids[0], target, reverse)
+	wg.Wait()
+	if reverse {
+		l.m.InitPositionedReverse()
+	} else {
+		l.m.InitPositioned()
+	}
 }
 
 // SeekGE positions at the first entry >= target (an internal key).
@@ -228,7 +260,13 @@ func (l *levelIter) Value() []byte { return l.cur.Value() }
 
 func (l *levelIter) Error() error { return l.err }
 
+// Close releases the open group and returns the iterator to the pool; only
+// the capacity of the heap and of the kids slice goes with it.
 func (l *levelIter) Close() error {
 	l.closeCur()
-	return l.err
+	err := l.err
+	l.m.Init(nil, nil)
+	*l = levelIter{m: l.m, kids: l.kids}
+	levelIterPool.Put(l)
+	return err
 }

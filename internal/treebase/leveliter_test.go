@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"testing"
+	"time"
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/manifest"
@@ -75,8 +76,10 @@ func (e testEntry) ikey() []byte {
 //	group 2  [e, g)  guard "e", no tables
 //	group 3  [g, m)  guard "g", two tables overlapping in keys and sequences
 //	group 4  [m, p)  guard "m", one table
+//	group 5  [q, t)  guard "q", three tables overlapping in keys
 //
-// Nothing covers [p, +inf): a seek there lands past the last group.
+// Nothing covers [p, q), where a seek lands between two groups, nor
+// [t, +inf), where it lands past the last.
 type levelIterFixture struct {
 	c      *Core
 	layout *testLayout
@@ -85,11 +88,17 @@ type levelIterFixture struct {
 }
 
 func newLevelIterFixture(t *testing.T) *levelIterFixture {
+	return newLevelIterFixtureOn(t, vfs.NewMem(), 0)
+}
+
+// newLevelIterFixtureOn builds the fixture on fs with a block cache of the
+// given size (0: the default).
+func newLevelIterFixtureOn(t *testing.T, fs vfs.FS, blockCache int64) *levelIterFixture {
 	t.Helper()
-	cfg := &base.Config{NumLevels: 3}
+	cfg := &base.Config{NumLevels: 3, BlockCacheSize: blockCache}
 	cfg.EnsureDefaults()
 	fx := &levelIterFixture{layout: &testLayout{}}
-	c, err := Open(Kind{Name: "test"}, cfg, vfs.NewMem(), "db", testHost{}, fx.layout, &testView{})
+	c, err := Open(Kind{Name: "test"}, cfg, fs, "db", testHost{}, fx.layout, &testView{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +133,11 @@ func newLevelIterFixture(t *testing.T) *levelIterFixture {
 		{start: "m", end: "p", guard: []byte("m"), files: []*base.FileMetadata{
 			table(testEntry{"m", 11}, testEntry{"o", 12}),
 		}},
+		{start: "q", end: "t", guard: []byte("q"), files: []*base.FileMetadata{
+			table(testEntry{"q", 13}, testEntry{"r", 14}, testEntry{"s", 15}),
+			table(testEntry{"q", 16}, testEntry{"r", 17}),
+			table(testEntry{"r", 18}, testEntry{"s", 19}),
+		}},
 	}}
 	sort.Slice(fx.all, func(i, j int) bool { return base.InternalCompare(fx.all[i].ikey(), fx.all[j].ikey()) < 0 })
 	return fx
@@ -131,7 +145,7 @@ func newLevelIterFixture(t *testing.T) *levelIterFixture {
 
 func (fx *levelIterFixture) iter(req IterRequest, parallel bool) *levelIter {
 	n := len(fx.view.groups)
-	return &levelIter{c: fx.c, v: fx.view, level: 1, lo: 0, hi: n, idx: -1, parallel: parallel, req: req}
+	return newLevelIter(fx.c, fx.view, 1, 0, n, parallel, req)
 }
 
 // at describes the iterator's position as an index into fx.all, -1 when
@@ -163,9 +177,21 @@ func (fx *levelIterFixture) at(t *testing.T, it *levelIter) int {
 func TestLevelIterAgainstSortedRun(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parallel=%v", parallel), func(t *testing.T) {
-			fx := newLevelIterFixture(t)
-			it := fx.iter(IterRequest{}, parallel)
-			defer it.Close()
+			// Seeks fan out only where reads wait, so the parallel run is on
+			// a filesystem whose reads do.
+			slow := vfs.NewSlow(vfs.NewMem(), vfs.OpRead)
+			fx := newLevelIterFixtureOn(t, slow, 0)
+			if parallel {
+				slow.SetDelay(200 * time.Microsecond)
+			}
+			var stats IterStats
+			it := fx.iter(IterRequest{Stats: &stats}, parallel)
+			defer func() {
+				it.Close()
+				if (stats.SeekFanOuts > 0) != parallel {
+					t.Fatalf("%d seeks fanned out with parallel=%v", stats.SeekFanOuts, parallel)
+				}
+			}()
 			n := len(fx.all)
 
 			i := 0
@@ -189,7 +215,7 @@ func TestLevelIterAgainstSortedRun(t *testing.T) {
 				t.Fatalf("backward scan stopped at entry %d", i)
 			}
 
-			for _, ukey := range []string{"a", "b", "bb", "d", "dz", "e", "f", "g", "h", "i", "j", "k", "l", "lz", "m", "n", "o", "oz", "p", "z"} {
+			for _, ukey := range []string{"a", "b", "bb", "d", "dz", "e", "f", "g", "h", "i", "j", "k", "l", "lz", "m", "n", "o", "oz", "p", "q", "r", "s", "sz", "t", "z"} {
 				for _, seq := range []base.SeqNum{base.MaxSeqNum, 7, 1} {
 					target := base.MakeSearchKey(nil, []byte(ukey), seq)
 					ge := sort.Search(n, func(i int) bool { return base.InternalCompare(fx.all[i].ikey(), target) >= 0 })
@@ -225,6 +251,45 @@ func TestLevelIterAgainstSortedRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFanOutOnlyWhereReadsWait pins the §4.2 trade as the iterator makes
+// it: with parallel seeks enabled a seek into a three-table group on an
+// in-memory filesystem spawns nothing, and once reads take tens of
+// milliseconds the same seek costs one read's wait instead of three. The
+// block cache holds nothing, so every seek reads a block per table; the
+// tables' metadata is resident after the first.
+func TestFanOutOnlyWhereReadsWait(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	slow := vfs.NewSlow(vfs.NewMem(), vfs.OpRead)
+	fx := newLevelIterFixtureOn(t, slow, 1)
+	seekCost := func(parallel bool) (time.Duration, int64) {
+		t.Helper()
+		var stats IterStats
+		it := fx.iter(IterRequest{Stats: &stats}, parallel)
+		defer it.Close()
+		// The first seek opens the group and, where reads have turned
+		// slow since the last one, shows the table cache what they cost.
+		it.SeekGE(base.MakeSearchKey(nil, []byte("r"), base.MaxSeqNum))
+		start := time.Now()
+		it.SeekGE(base.MakeSearchKey(nil, []byte("q"), base.MaxSeqNum))
+		took := time.Since(start)
+		if p := fx.at(t, it); fx.all[p] != (testEntry{"q", 16}) {
+			t.Fatalf("seek landed on %v, want q@16", fx.all[p])
+		}
+		return took, stats.SeekFanOuts
+	}
+
+	if _, fanOuts := seekCost(true); fanOuts != 0 {
+		t.Fatalf("%d seeks fanned out on an in-memory filesystem", fanOuts)
+	}
+	slow.SetDelay(delay)
+	if took, fanOuts := seekCost(false); took < 3*delay || fanOuts != 0 {
+		t.Fatalf("without parallel seeks a three-table seek took %v (%d fan-outs), want at least three reads of %v", took, fanOuts, delay)
+	}
+	if took, fanOuts := seekCost(true); took >= 2*delay || fanOuts == 0 {
+		t.Fatalf("with parallel seeks a three-table seek took %v (%d fan-outs), want under two reads of %v", took, fanOuts, delay)
 	}
 }
 

@@ -7,10 +7,11 @@ import (
 	"pebblesdb/internal/sstable"
 )
 
-// pooledTableIter is a table iterator drawn from a sync.Pool. Close drops
-// the table-cache reference and returns the iterator (with its retained
-// key/index buffers) to the pool, so a warm Seek that opens and closes
-// sstable iterators settles into zero allocations.
+// pooledTableIter is a table iterator drawn from a sync.Pool. Close gives
+// back the current block and the table-cache reference and returns the
+// iterator (with its retained key/index buffers) to the pool, so a warm
+// Seek that opens and closes sstable iterators settles into zero
+// allocations.
 type pooledTableIter struct {
 	sstable.TableIter
 	r *sstable.Reader
@@ -36,7 +37,6 @@ func GetTableIter(r *sstable.Reader) iterator.Iterator {
 
 func (t *pooledTableIter) Close() error {
 	err := t.TableIter.Close()
-	t.ReleaseBuffers()
 	if t.r != nil {
 		t.r.Unref()
 		t.r = nil

@@ -29,13 +29,17 @@ import (
 // one shadows it — which the later load then makes visible). Snapshot
 // reads pass latest=nil: SmallestSnapshot protects them from collapse. s,
 // when non-nil, supplies the reusable point-read working set, and a
-// steady-state Get then allocates nothing; nil borrows one from the shared
-// pool. The returned value aliases an immutable block payload or cache
-// entry and must be copied if it outlives the read.
+// steady-state Get then allocates nothing, and the returned value aliases
+// the block s holds: it must be copied before s probes again or is
+// released. A nil s borrows a scratch from the shared pool for the call and
+// returns a copy.
 func (c *Core) Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstable.GetScratch) (value []byte, found bool, err error) {
 	if s == nil {
 		s = sstable.AcquireGetScratch()
-		defer sstable.ReleaseGetScratch(s)
+		defer func() {
+			value = bytes.Clone(value)
+			sstable.ReleaseGetScratch(s)
+		}()
 	}
 	v := c.pin()
 	if latest != nil {
@@ -93,7 +97,7 @@ func (d *descent) run(v View) (value []byte, found bool, err error) {
 // hold only older versions and older tombstones, so they are not consulted,
 // neither bloom filter nor block — against the newest covering tombstone
 // seen so far, or by such a tombstone alone when the group holds no visible
-// version. Values alias immutable block payloads.
+// version. The value aliases the block the scratch holds.
 func (d *descent) probe(level int, files []*base.FileMetadata) (value []byte, found, done bool, err error) {
 	for i := len(files) - 1; i >= 0; i-- {
 		f := files[i]
@@ -195,7 +199,7 @@ func (c *Core) NewIters(req IterRequest, dst []iterator.Iterator) ([]iterator.It
 			continue
 		}
 		parallel := c.cfg.ParallelSeeks && lv == c.cfg.NumLevels-1
-		iters = append(iters, &levelIter{c: c, v: v, level: lv, lo: lo, hi: hi, idx: lo - 1, parallel: parallel, req: req})
+		iters = append(iters, newLevelIter(c, v, lv, lo, hi, parallel, req))
 	}
 	var rds []rangedel.Tombstone
 	for _, f := range rdTables {

@@ -3,6 +3,7 @@ package vfs
 import (
 	"errors"
 	"sync/atomic"
+	"time"
 )
 
 // Op classifies filesystem operations for an interposer's hooks. Values are
@@ -184,3 +185,28 @@ func NewFenced(fs FS) *FencedFS {
 // Fence cuts off all subsequent operations, including those on files
 // opened earlier through this wrapper.
 func (f *FencedFS) Fence() { f.fenced.Store(true) }
+
+// SlowFS wraps an FS so that the operations of a chosen class each take a
+// set time longer: a device whose reads (or syncs) are worth waiting for,
+// which MemFS is not. The hook sleeps, so it stacks with the other
+// interposers' checks.
+type SlowFS struct {
+	interposer
+	delay atomic.Int64
+}
+
+// NewSlow wraps fs with no delay set; SetDelay makes every later operation
+// matching mask sleep first.
+func NewSlow(fs FS, mask Op) *SlowFS {
+	s := &SlowFS{}
+	s.interposer = interposer{inner: fs, before: func(op Op) error {
+		if d := s.delay.Load(); d > 0 && op&mask != 0 {
+			time.Sleep(time.Duration(d))
+		}
+		return nil
+	}}
+	return s
+}
+
+// SetDelay sets how long each matching operation sleeps from now on.
+func (s *SlowFS) SetDelay(d time.Duration) { s.delay.Store(int64(d)) }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"testing"
+	"time"
 )
 
 func writeFile(t *testing.T, fs FS, name, content string, sync bool) {
@@ -60,6 +61,11 @@ func TestFSConformance(t *testing.T) {
 		{"counting", func(*testing.T) (FS, string) { return NewCounting(NewMem()), "db" }},
 		{"err", func(*testing.T) (FS, string) { return NewErr(NewMem()), "db" }},
 		{"fenced", func(*testing.T) (FS, string) { return NewFenced(NewMem()), "db" }},
+		{"slow", func(*testing.T) (FS, string) {
+			fs := NewSlow(NewMem(), OpRead)
+			fs.SetDelay(time.Microsecond)
+			return fs, "db"
+		}},
 		{"stacked", func(*testing.T) (FS, string) { return NewCounting(NewErr(NewFenced(NewCrash()))), "db" }},
 	}
 	for _, impl := range impls {
@@ -185,6 +191,36 @@ func TestFenceCutsOpenFiles(t *testing.T) {
 	}
 	if got := readAll(t, mem, "f"); got != "abc" {
 		t.Fatalf("fenced write reached the file: %q", got)
+	}
+}
+
+// TestSlowFSDelaysItsClassOnly: the latency injector holds up the
+// operations of its mask, on files opened before the delay was set too, and
+// no others.
+func TestSlowFSDelaysItsClassOnly(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	fs := NewSlow(NewMem(), OpRead)
+	f, err := fs.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fs.SetDelay(delay)
+	start := time.Now()
+	for i := 0; i < 10; i++ {
+		if _, err := f.Write([]byte("abc")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took >= delay {
+		t.Fatalf("ten writes took %v on a filesystem that delays reads", took)
+	}
+	start = time.Now()
+	if _, err := f.ReadAt(make([]byte, 3), 0); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < delay {
+		t.Fatalf("a read took %v, want at least %v", took, delay)
 	}
 }
 
