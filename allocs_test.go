@@ -416,3 +416,79 @@ func TestFreshIterScanAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPutAllocs pins the write path's budget on an idle store, per layout:
+// DB.Put and DB.Delete borrow their one-op batch from a pool and the
+// memtable composes the entry in its arena, so what a commit still
+// allocates is one object, the one-byte slice the WAL checksums its record
+// type from (wal.Writer.emit; left in place on purpose, see EXPERIMENTS.md
+// "A put stops allocating per key"), whether it is a Put, a Delete or an
+// Apply of a Batch the caller reuses. Before, a Put cost nine. The arena's
+// next chunk and a pool the collector emptied are amortised over thousands
+// of puts and round to none. The memtable is large enough that nothing
+// flushes under the measurement.
+func TestPutAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, eng := range []struct {
+		name   string
+		engine pebblesdb.Engine
+	}{{"flsm", pebblesdb.EngineFLSM}, {"leveled", pebblesdb.EngineLeveled}} {
+		t.Run(eng.name, func(t *testing.T) {
+			o := pebblesdb.PresetPebblesDB.Options()
+			o.Engine = eng.engine
+			o.MemtableSize = 64 << 20
+			o.WithFS(vfs.NewMem())
+			db, err := pebblesdb.Open("putallocs", o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			value := make([]byte, 128)
+			key := make([]byte, 0, 16)
+			i := uint64(0)
+			// Warm-up: the WAL's file and the batch pool.
+			for ; i < 100; i++ {
+				if err := db.Put(harness.KeyAt(key, i), value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(5000, func() {
+				i++
+				if err := db.Put(harness.KeyAt(key, i), value); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Errorf("DB.Put allocs/op = %v, want <= 1", allocs)
+			}
+			allocs = testing.AllocsPerRun(5000, func() {
+				i--
+				if err := db.Delete(harness.KeyAt(key, i)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Errorf("DB.Delete allocs/op = %v, want <= 1", allocs)
+			}
+			b := db.NewBatch()
+			allocs = testing.AllocsPerRun(5000, func() {
+				b.Reset()
+				for j := 0; j < 4; j++ {
+					i++
+					b.Set(harness.KeyAt(key, i), value)
+				}
+				if err := db.Apply(b, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 1 {
+				t.Errorf("Apply of a reused 4-op Batch allocs/op = %v, want <= 1 (the WAL's), whatever the number of ops", allocs)
+			}
+			if got := db.Metrics().Flushes; got != 0 {
+				t.Fatalf("%d flushes ran under the measurement", got)
+			}
+		})
+	}
+}

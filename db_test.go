@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"pebblesdb/internal/vfs"
 )
@@ -174,5 +175,74 @@ func TestReopenRecoversData(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCommitLargerThanMemtable: a commit that no memtable has room for is
+// admitted by an empty one. Before, makeRoomForWrite compared the size of
+// what was coming with MemtableSize, so a 256 KiB value against a 64 KiB
+// memtable rotated an empty memtable, waited for its empty flush and rotated
+// again, for ever, a new WAL file a turn. Both layouts, a single Put and a
+// multi-op Apply, on a memtable that already holds something; the values
+// are read back from the reopened store.
+func TestCommitLargerThanMemtable(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), 16<<10) // 256 KiB
+	for _, p := range []Preset{PresetPebblesDB, PresetLevelDB} {
+		for _, via := range []string{"Put", "Apply"} {
+			t.Run(p.String()+"/"+via, func(t *testing.T) {
+				fs := vfs.NewMem()
+				opts := testOptions(p) // MemtableSize 64 KiB
+				opts.WithFS(fs)
+				db, err := Open("db", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Put([]byte("before"), []byte("small")); err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() {
+					if via == "Put" {
+						done <- db.Put([]byte("big-0"), big)
+						return
+					}
+					b := db.NewBatch()
+					b.Set([]byte("big-0"), big)
+					b.Delete([]byte("before"))
+					b.Set([]byte("big-1"), big[:100<<10])
+					done <- db.Apply(b, nil)
+				}()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatal("the commit is still waiting for room: the memtable rotates for a batch that fits none")
+				}
+				if err := db.Put([]byte("after"), []byte("small")); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				db, err = Open("db", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				want := map[string][]byte{"big-0": big, "after": []byte("small"), "before": []byte("small")}
+				if via == "Apply" {
+					want["big-1"], want["before"] = big[:100<<10], nil
+				}
+				for k, w := range want {
+					v, ok, err := db.Get([]byte(k), nil)
+					if err != nil || ok != (w != nil) || !bytes.Equal(v, w) {
+						t.Fatalf("Get(%s) after reopen: %d bytes, found=%v, err=%v; want %d bytes", k, len(v), ok, err, len(w))
+					}
+				}
+			})
+		}
 	}
 }

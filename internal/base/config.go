@@ -177,6 +177,11 @@ func def[T comparable](p *T, v T) {
 	}
 }
 
+// MaxMemtableSize bounds MemtableSize: a memtable's arena addresses 4 GiB
+// with its 32-bit links, which leaves room for what a full memtable of this
+// size is charged and the one commit that overfills it.
+const MaxMemtableSize = 1 << 30
+
 // Validate rejects configurations the trees cannot honor.
 func (c *Config) Validate() error {
 	if c.NumLevels < 3 {
@@ -198,6 +203,9 @@ func (c *Config) Validate() error {
 	}
 	if c.BitDecrement < 1 {
 		return fmt.Errorf("base: BitDecrement must be >= 1, got %d", c.BitDecrement)
+	}
+	if c.MemtableSize > MaxMemtableSize {
+		return fmt.Errorf("base: MemtableSize must be <= %d, got %d", MaxMemtableSize, c.MemtableSize)
 	}
 	if c.PrefixBloomLength < 0 || c.PrefixBloomLength > 255 {
 		return fmt.Errorf("base: PrefixBloomLength must be in [0, 255], got %d", c.PrefixBloomLength)

@@ -57,6 +57,11 @@ func TestConfigDefaultsAndValidate(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("2 levels should be invalid")
 	}
+	bad3 := c
+	bad3.MemtableSize = MaxMemtableSize + 1
+	if err := bad3.Validate(); err == nil {
+		t.Fatal("a memtable beyond what its arena addresses should be invalid")
+	}
 }
 
 func TestMaxBytesForLevel(t *testing.T) {

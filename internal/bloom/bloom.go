@@ -17,40 +17,64 @@ const bloomSeed = 0xbc9f1d34
 // array followed by a single byte holding the number of probes.
 type Filter []byte
 
+// Hash is the hash a filter is built from and probed with.
+func Hash(key []byte) uint64 { return murmur.Hash64(key, bloomSeed) }
+
 // Build constructs a filter over keys using bitsPerKey bits per key.
 func Build(keys [][]byte, bitsPerKey int) Filter {
+	f, k, bits := newFilter(len(keys), bitsPerKey)
+	for _, key := range keys {
+		f.set(Hash(key), k, bits)
+	}
+	return f
+}
+
+// BuildFromHashes constructs the filter Build would over the keys whose
+// Hash values are given, using bitsPerKey bits per key. A table writer
+// collects eight bytes a key instead of a copy of every key.
+func BuildFromHashes(hashes []uint64, bitsPerKey int) Filter {
+	f, k, bits := newFilter(len(hashes), bitsPerKey)
+	for _, h := range hashes {
+		f.set(h, k, bits)
+	}
+	return f
+}
+
+// newFilter returns the empty filter for n keys at bitsPerKey bits per key,
+// with its number of probes and of bits.
+func newFilter(n, bitsPerKey int) (f Filter, k uint8, bits uint32) {
 	if bitsPerKey < 1 {
 		bitsPerKey = 1
 	}
 	// k = bitsPerKey * ln(2), clamped to a sane range.
-	k := uint8(float64(bitsPerKey) * 0.69)
+	k = uint8(float64(bitsPerKey) * 0.69)
 	if k < 1 {
 		k = 1
 	}
 	if k > 30 {
 		k = 30
 	}
-	bits := len(keys) * bitsPerKey
-	if bits < 64 {
-		bits = 64
+	nBits := n * bitsPerKey
+	if nBits < 64 {
+		nBits = 64
 	}
-	nBytes := (bits + 7) / 8
-	bits = nBytes * 8
-
-	f := make(Filter, nBytes+1)
+	nBytes := (nBits + 7) / 8
+	f = make(Filter, nBytes+1)
 	f[nBytes] = k
-	for _, key := range keys {
-		h := murmur.Hash64(key, bloomSeed)
-		// Double hashing: derive k probe positions from one 64-bit hash.
-		h1 := uint32(h)
-		delta := uint32(h >> 32)
-		for i := uint8(0); i < k; i++ {
-			pos := h1 % uint32(bits)
-			f[pos/8] |= 1 << (pos % 8)
-			h1 += delta
-		}
+	return f, k, uint32(nBytes * 8)
+}
+
+// set sets the k bits of the key with hash h, of the filter's bits: the one
+// loop that writes a filter.
+func (f Filter) set(h uint64, k uint8, bits uint32) {
+	// Double hashing: derive k probe positions from one 64-bit hash.
+	h1 := uint32(h)
+	delta := uint32(h >> 32)
+	for i := uint8(0); i < k; i++ {
+		pos := h1 % bits
+		f[pos/8] |= 1 << (pos % 8)
+		h1 += delta
 	}
-	return f
 }
 
 // MayContain reports whether key may be in the set the filter was built
@@ -64,7 +88,7 @@ func (f Filter) MayContain(key []byte) bool {
 		return true // unknown encoding: be safe
 	}
 	bits := uint32((len(f) - 1) * 8)
-	h := murmur.Hash64(key, bloomSeed)
+	h := Hash(key)
 	h1 := uint32(h)
 	delta := uint32(h >> 32)
 	for i := uint8(0); i < k; i++ {

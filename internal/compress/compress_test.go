@@ -318,6 +318,25 @@ func BenchmarkDecodeStoreShaped(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeStoreShaped is the encode a flush or a compaction of the
+// benchmark's store pays per block, through the package-level Encode as
+// the benchmark of record's driver calls it.
+func BenchmarkEncodeStoreShaped(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	var srcs [][]byte
+	size := 0
+	for i := 0; i < 64; i++ {
+		srcs = append(srcs, storeShapedBlock(rng))
+		size += len(srcs[i])
+	}
+	dst := make([]byte, MaxEncodedLen(8<<10))
+	b.SetBytes(int64(size / len(srcs)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Encode(dst, srcs[i%len(srcs)])
+	}
+}
+
 // TestDecodeShortElements holds the two-word moves to the byte-by-byte
 // meaning of the format: a literal, then a copy of every short length at
 // every short offset (overlapping ones included), then a literal tail of 0

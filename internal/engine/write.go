@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,27 +11,45 @@ import (
 	"pebblesdb/internal/obs"
 )
 
+// batchPool lends Set, Delete and DeleteRange their one-op batch: a batch is
+// dead when Apply returns (the WAL and the memtable copied out of it), so
+// it goes back with the capacity it grew and the next put encodes into it.
+var batchPool = sync.Pool{New: func() any { return batch.New() }}
+
+// maxPooledBatch keeps a batch that once carried a huge value from pinning
+// its buffer in the pool.
+const maxPooledBatch = 1 << 20
+
+func (e *Engine) applyPooled(b *batch.Batch, sync bool) error {
+	err := e.Apply(b, sync)
+	if b.ApproxSize() <= maxPooledBatch {
+		b.Reset()
+		batchPool.Put(b)
+	}
+	return err
+}
+
 // Set writes a single key-value pair.
 func (e *Engine) Set(key, value []byte, sync bool) error {
-	b := batch.New()
+	b := batchPool.Get().(*batch.Batch)
 	b.Set(key, value)
-	return e.Apply(b, sync)
+	return e.applyPooled(b, sync)
 }
 
 // Delete writes a tombstone for key.
 func (e *Engine) Delete(key []byte, sync bool) error {
-	b := batch.New()
+	b := batchPool.Get().(*batch.Batch)
 	b.Delete(key)
-	return e.Apply(b, sync)
+	return e.applyPooled(b, sync)
 }
 
 // DeleteRange writes one range tombstone deleting every key in [start,
 // end) — O(1) writes regardless of how many keys the range covers. An
 // empty range is a no-op.
 func (e *Engine) DeleteRange(start, end []byte, sync bool) error {
-	b := batch.New()
+	b := batchPool.Get().(*batch.Batch)
 	b.DeleteRange(start, end)
-	return e.Apply(b, sync)
+	return e.applyPooled(b, sync)
 }
 
 func (e *Engine) setBgErr(err error) {
@@ -81,7 +100,10 @@ func (e *Engine) makeRoomForWrite(n int) error {
 			})
 			e.mu.Lock()
 			delayed = true
-		case e.mem.ApproxSize()+int64(n) <= int64(e.cfg.MemtableSize):
+		case e.mem.ApproxSize()+int64(n) <= int64(e.cfg.MemtableSize) || e.mem.Empty():
+			// An empty memtable admits a commit of any size: one larger
+			// than MemtableSize fits no memtable better than this one, and
+			// rotating for it would flush nothing, for ever.
 			return nil
 		case e.imm != nil:
 			// Previous memtable still flushing.

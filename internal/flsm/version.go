@@ -8,7 +8,9 @@ package flsm
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pebblesdb/internal/base"
@@ -22,6 +24,9 @@ import (
 type guardedLevel struct {
 	sentinel []*base.FileMetadata
 	guards   []guard.Guard
+	// shared marks guards as the parent version's array, while apply builds
+	// this version: ownGuards copies it before an element is written.
+	shared bool
 	// files counts the level's sstables and size their bytes; apply sets
 	// them once per version.
 	files int
@@ -128,29 +133,58 @@ func newVersion(numLevels int) *version {
 	return &version{levels: make([]guardedLevel, numLevels)}
 }
 
-// clone deep-copies the structure (file metadata pointers are shared).
-func (v *version) clone() *version {
-	nv := &version{
-		l0:     append([]*base.FileMetadata(nil), v.l0...),
-		levels: make([]guardedLevel, len(v.levels)),
+// ownGuards makes the level's guard list this version's own.
+func (gl *guardedLevel) ownGuards() {
+	if gl.shared {
+		gl.guards = append([]guard.Guard(nil), gl.guards...)
+		gl.shared = false
 	}
-	for l := range v.levels {
-		src := &v.levels[l]
-		dst := &nv.levels[l]
-		dst.sentinel = append([]*base.FileMetadata(nil), src.sentinel...)
-		dst.guards = make([]guard.Guard, len(src.guards))
-		for i := range src.guards {
-			dst.guards[i] = guard.Guard{
-				Key:   src.guards[i].Key,
-				Files: append([]*base.FileMetadata(nil), src.guards[i].Files...),
-			}
-		}
-	}
-	return nv
 }
 
-// apply builds a new version with edit applied. Guards are inserted before
-// files so that files added in the same edit attach to the new guards.
+// setFiles replaces the file list of group idx (-1: the sentinel).
+func (gl *guardedLevel) setFiles(idx int, files []*base.FileMetadata) {
+	if idx < 0 {
+		gl.sentinel = files
+		return
+	}
+	gl.ownGuards()
+	gl.guards[idx].Files = files
+}
+
+// withFile returns a new list: files and f, behind them or with front
+// before them.
+func withFile(files []*base.FileMetadata, f *base.FileMetadata, front bool) []*base.FileMetadata {
+	out := make([]*base.FileMetadata, 0, len(files)+1)
+	if front {
+		out = append(out, f)
+	}
+	out = append(out, files...)
+	if !front {
+		out = append(out, f)
+	}
+	return out
+}
+
+// withoutFile returns a new list: files but for number fn; false when fn
+// is not among them.
+func withoutFile(files []*base.FileMetadata, fn base.FileNum) ([]*base.FileMetadata, bool) {
+	for i, f := range files {
+		if f.FileNum == fn {
+			return slices.Concat(files[:i], files[i+1:]), true
+		}
+	}
+	return nil, false
+}
+
+// apply builds a new version with edit applied. The new version copies what
+// the edit touches — the guard list of a level whose guards or guard files
+// change, the file list of a group that gains or loses a file — and shares
+// every other slice with v, so an install costs allocations by the size of
+// the edit, not of the tree. That is safe because a version never writes
+// into a file list: withFile and withoutFile build new ones, exactly sized,
+// and a shared guard list is copied (ownGuards) before an element is set.
+// Guards are inserted before files so that files added in the same edit
+// attach to the new guards.
 //
 // apply keeps the age order of a group (see version): a file added to a
 // level from which the same edit deletes files is the output of an in-place
@@ -162,7 +196,10 @@ func (v *version) clone() *version {
 // so it does not matter which of them ends up first.) The rule reads nothing
 // but the edit, so manifest replay rebuilds the same order.
 func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, error) {
-	nv := v.clone()
+	nv := &version{l0: v.l0, levels: append([]guardedLevel(nil), v.levels...)}
+	for l := range nv.levels {
+		nv.levels[l].shared = true
+	}
 
 	if len(edit.NewGuards) > 0 {
 		byLevel := map[int][][]byte{}
@@ -189,6 +226,7 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 		}
 		rewritten[d.Level] = true
 	}
+	l0Added := false
 	for i := range edit.NewFiles {
 		nf := &edit.NewFiles[i]
 		if nf.Level < 0 || nf.Level >= numLevels {
@@ -196,8 +234,12 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 		}
 		meta := nf.Meta
 		nv.addFile(nf.Level, &meta, rewritten[nf.Level])
+		l0Added = l0Added || nf.Level == 0
 	}
-	sort.Slice(nv.l0, func(i, j int) bool { return nv.l0[i].FileNum > nv.l0[j].FileNum })
+	if l0Added {
+		// addFile made the list nv's own.
+		slices.SortFunc(nv.l0, func(a, b *base.FileMetadata) int { return cmp.Compare(b.FileNum, a.FileNum) })
+	}
 	for l := range nv.levels {
 		nv.levels[l].files = nv.levels[l].fileCount()
 		nv.levels[l].size = nv.levels[l].totalBytes()
@@ -205,11 +247,12 @@ func (v *version) apply(edit *manifest.VersionEdit, numLevels int) (*version, er
 	return nv, nil
 }
 
-// insertGuards adds a batch of guard keys to a level in one merge pass,
-// then redistributes files into the refined intervals. Callers guarantee
-// (via the straddle check at commit time) that no existing file spans a
-// new boundary. A single merge keeps recovery-snapshot application linear
-// in the number of guards rather than quadratic.
+// insertGuards adds a batch of guard keys to a level in one merge pass and
+// hands the files of every group a new guard falls in to the refined
+// intervals; the other groups keep their file lists. Callers guarantee (via
+// the straddle check at commit time) that no existing file spans a new
+// boundary. A single merge keeps recovery-snapshot application linear in the
+// number of guards rather than quadratic.
 func (v *version) insertGuards(level int, keys [][]byte) {
 	gl := &v.levels[level]
 	fresh := keys[:0:0]
@@ -221,59 +264,58 @@ func (v *version) insertGuards(level int, keys [][]byte) {
 	if len(fresh) == 0 {
 		return
 	}
-	sort.Slice(fresh, func(i, j int) bool { return bytes.Compare(fresh[i], fresh[j]) < 0 })
+	slices.SortFunc(fresh, bytes.Compare)
+	fresh = slices.CompactFunc(fresh, bytes.Equal)
 
-	// Merge existing guards and fresh keys into the refined guard list.
 	merged := make([]guard.Guard, 0, len(gl.guards)+len(fresh))
-	gi, fi := 0, 0
-	for gi < len(gl.guards) || fi < len(fresh) {
-		switch {
-		case gi == len(gl.guards):
-			merged = append(merged, guard.Guard{Key: fresh[fi]})
-			fi++
-		case fi == len(fresh):
-			merged = append(merged, gl.guards[gi])
-			gi++
-		default:
-			switch bytes.Compare(gl.guards[gi].Key, fresh[fi]) {
-			case -1:
-				merged = append(merged, gl.guards[gi])
-				gi++
-			case 1:
-				merged = append(merged, guard.Guard{Key: fresh[fi]})
-				fi++
-			default: // duplicate within the batch
-				fi++
+	// owner is the position in merged of the old group being refined (-1:
+	// the sentinel); the guards after it in merged are the new ones inside
+	// its interval. Every file of the group re-attaches by its smallest user
+	// key, in order, so each refined group keeps its age order.
+	owner := -1
+	resplit := func() {
+		files := gl.sentinel
+		if owner >= 0 {
+			files = merged[owner].Files
+		}
+		sub := merged[owner+1:]
+		if len(sub) == 0 || len(files) == 0 {
+			return
+		}
+		var kept []*base.FileMetadata
+		for _, f := range files {
+			if i := guard.FindGuard(sub, f.SmallestUserKey()); i >= 0 {
+				sub[i].Files = append(sub[i].Files, f)
+			} else {
+				kept = append(kept, f)
 			}
 		}
-	}
-
-	// Redistribute: every file re-attaches by its smallest user key. Files
-	// of one group are visited in order, so they keep their age order.
-	oldSentinel := gl.sentinel
-	oldGuards := merged // reuse: collect files first, then clear
-	var files []*base.FileMetadata
-	files = append(files, oldSentinel...)
-	for i := range oldGuards {
-		files = append(files, oldGuards[i].Files...)
-		oldGuards[i].Files = nil
-	}
-	gl.sentinel = nil
-	gl.guards = merged
-	for _, f := range files {
-		idx := guard.FindGuard(gl.guards, f.SmallestUserKey())
-		if idx < 0 {
-			gl.sentinel = append(gl.sentinel, f)
+		if owner >= 0 {
+			merged[owner].Files = kept
 		} else {
-			gl.guards[idx].Files = append(gl.guards[idx].Files, f)
+			gl.sentinel = kept
 		}
 	}
+	gi, fi := 0, 0
+	for gi < len(gl.guards) || fi < len(fresh) {
+		if fi < len(fresh) && (gi == len(gl.guards) || bytes.Compare(fresh[fi], gl.guards[gi].Key) < 0) {
+			merged = append(merged, guard.Guard{Key: fresh[fi]})
+			fi++
+			continue
+		}
+		resplit()
+		owner = len(merged)
+		merged = append(merged, gl.guards[gi])
+		gi++
+	}
+	resplit()
+	gl.guards, gl.shared = merged, false
 }
 
 // deleteGuard removes a guard, folding its files into the preceding
 // interval (§3.3: sstables of a deleted guard are re-attached to
 // neighbours; compaction-generated edits only delete empty guards). The two
-// groups share no key, so appending one to the other keeps the age order.
+// groups share no key, so listing one after the other keeps the age order.
 func (v *version) deleteGuard(level int, key []byte) {
 	gl := &v.levels[level]
 	i := sort.Search(len(gl.guards), func(i int) bool {
@@ -282,42 +324,28 @@ func (v *version) deleteGuard(level int, key []byte) {
 	if i >= len(gl.guards) || !bytes.Equal(gl.guards[i].Key, key) {
 		return
 	}
-	files := gl.guards[i].Files
-	if i == 0 {
-		gl.sentinel = append(gl.sentinel, files...)
-	} else {
-		gl.guards[i-1].Files = append(gl.guards[i-1].Files, files...)
+	if files := gl.guards[i].Files; len(files) > 0 {
+		_, before := gl.group(i)
+		gl.setFiles(i-1, slices.Concat(before, files))
 	}
+	gl.ownGuards()
 	gl.guards = append(gl.guards[:i], gl.guards[i+1:]...)
 }
 
 // removeFile deletes a file from a level, wherever it is attached.
 func (v *version) removeFile(level int, fn base.FileNum) bool {
 	if level == 0 {
-		for i, f := range v.l0 {
-			if f.FileNum == fn {
-				v.l0 = append(v.l0[:i], v.l0[i+1:]...)
-				return true
-			}
+		l0, ok := withoutFile(v.l0, fn)
+		if ok {
+			v.l0 = l0
 		}
-		return false
+		return ok
 	}
 	gl := &v.levels[level]
-	if removeFromSlice(&gl.sentinel, fn) {
-		return true
-	}
-	for i := range gl.guards {
-		if removeFromSlice(&gl.guards[i].Files, fn) {
-			return true
-		}
-	}
-	return false
-}
-
-func removeFromSlice(files *[]*base.FileMetadata, fn base.FileNum) bool {
-	for i, f := range *files {
-		if f.FileNum == fn {
-			*files = append((*files)[:i], (*files)[i+1:]...)
+	for i := 0; i <= len(gl.guards); i++ {
+		_, files := gl.group(i)
+		if files, ok := withoutFile(files, fn); ok {
+			gl.setFiles(i-1, files)
 			return true
 		}
 	}
@@ -328,19 +356,13 @@ func removeFromSlice(files *[]*base.FileMetadata, fn base.FileNum) bool {
 // group's files, or with front before them.
 func (v *version) addFile(level int, f *base.FileMetadata, front bool) {
 	if level == 0 {
-		v.l0 = append(v.l0, f)
+		v.l0 = withFile(v.l0, f, false)
 		return
 	}
 	gl := &v.levels[level]
-	files := &gl.sentinel
-	if idx := guard.FindGuard(gl.guards, f.SmallestUserKey()); idx >= 0 {
-		files = &gl.guards[idx].Files
-	}
-	*files = append(*files, f)
-	if front {
-		copy((*files)[1:], *files)
-		(*files)[0] = f
-	}
+	idx := guard.FindGuard(gl.guards, f.SmallestUserKey())
+	_, files := gl.group(idx + 1)
+	gl.setFiles(idx, withFile(files, f, front))
 }
 
 // straddles reports whether any file at the level spans key (file.smallest

@@ -38,3 +38,27 @@ func TestGetSearchAllocs(t *testing.T) {
 		t.Errorf("Get allocs/op = %v, want <= 1 (the search key)", allocs)
 	}
 }
+
+// TestSetAllocs pins the write side: a Set composes its entry in the
+// skiplist's arena, so what a memtable allocates while it fills is the
+// arena's chunks — a dozen for thousands of entries, none a Set.
+func TestSetAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	m := New()
+	key := []byte("0000000000000000")
+	value := make([]byte, 128)
+	seq := base.SeqNum(0)
+	allocs := testing.AllocsPerRun(20000, func() {
+		seq++
+		key[seq%16] = 'a' + byte(seq%23)
+		m.Set(key, seq, base.KindSet, value)
+	})
+	if allocs > 0 {
+		t.Errorf("Set allocs/op = %v, want 0 (amortised over the arena's chunks)", allocs)
+	}
+	if m.Len() < 20000 {
+		t.Fatalf("Len = %d", m.Len())
+	}
+}

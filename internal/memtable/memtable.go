@@ -5,6 +5,7 @@ package memtable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -61,21 +62,16 @@ func (m *Memtable) QuiesceWriters() {
 	}
 }
 
-// Set records a mutation of kind (KindSet or KindDelete) at seq. Both key
-// and value are copied into a single allocation: callers (the commit
-// pipeline) own and may reuse their buffers — batches in particular are
-// reusable after Apply. Safe for concurrent use.
+// Set records a mutation of kind (KindSet or KindDelete) at seq. Key, trailer
+// and value are copied into the skiplist's arena, where the internal key is
+// composed in place: callers (the commit pipeline) own and may reuse their
+// buffers — batches in particular are reusable after Apply — and a Set
+// allocates nothing but, now and then, the arena's next chunk. Safe for
+// concurrent use.
 func (m *Memtable) Set(ukey []byte, seq base.SeqNum, kind base.Kind, value []byte) {
-	n := len(ukey) + base.TrailerLen
-	buf := base.MakeInternalKey(make([]byte, 0, n+len(value)), ukey, seq, kind)
-	ikey := buf
-	var v []byte
-	if len(value) > 0 {
-		buf = append(buf, value...)
-		ikey = buf[:n:n]
-		v = buf[n:]
-	}
-	m.list.Add(ikey, v)
+	var trailer [base.TrailerLen]byte
+	binary.LittleEndian.PutUint64(trailer[:], base.MakeTrailer(seq, kind))
+	m.list.Add(ukey, trailer[:], value)
 }
 
 // DeleteRange records a range tombstone over [start, end) at seq. Both
@@ -140,7 +136,9 @@ func (m *Memtable) GetSearch(search []byte) (value []byte, seq base.SeqNum, kind
 	return v, gotSeq, gotKind, true
 }
 
-// ApproxSize returns the approximate memory footprint in bytes.
+// ApproxSize returns what the memtable charges for its contents: key and
+// value bytes plus a fixed overhead an entry. It is the number the engine
+// compares with MemtableSize; the arena's footprint is somewhat below it.
 func (m *Memtable) ApproxSize() int64 { return m.list.ApproxSize() + m.rdBytes.Load() }
 
 // Len returns the number of point entries.

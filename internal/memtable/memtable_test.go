@@ -101,24 +101,6 @@ func TestLenAndSize(t *testing.T) {
 	}
 }
 
-// TestSetAllocs pins the per-entry allocation budget: one combined
-// key+value buffer, one skiplist node, one next-pointer slice. A fourth
-// allocation means the old separate key/value make+append pattern crept
-// back in.
-func TestSetAllocs(t *testing.T) {
-	m := New()
-	key := []byte("alloc-test-key")
-	val := make([]byte, 128)
-	seq := base.SeqNum(0)
-	got := testing.AllocsPerRun(200, func() {
-		seq++
-		m.Set(key, seq, base.KindSet, val)
-	})
-	if got > 3 {
-		t.Fatalf("Set allocates %.1f objects per entry, want <= 3", got)
-	}
-}
-
 // TestSetConcurrent sanity-checks the concurrent-writer contract at the
 // memtable layer: distinct (key, seq) entries inserted from multiple
 // goroutines must all be retrievable.

@@ -96,3 +96,48 @@ func TestGetScratchedAllocs(t *testing.T) {
 		t.Errorf("MayContain allocs/op = %v, want 0", allocs)
 	}
 }
+
+// discardFile is a table file that keeps nothing, so that what a Writer is
+// seen to allocate is the Writer's.
+type discardFile struct{}
+
+func (discardFile) Write(p []byte) (int, error) { return len(p), nil }
+func (discardFile) ReadAt([]byte, int64) (int, error) {
+	return 0, fmt.Errorf("discardFile: not readable")
+}
+func (discardFile) Close() error { return nil }
+func (discardFile) Sync() error  { return nil }
+
+// TestWriterAddAllocs pins the table writer's budget: once a writer's
+// scratch has grown over one table — block builders, compression buffer,
+// the hash lists the two filters are built from — a second table's Adds
+// allocate nothing, whether they finish a data block or not. What is left
+// per table is the copy of its smallest key, which outlives the writer in
+// the table's metadata. A copy of every user key for the filter, a trailer
+// per block, would be thousands.
+func TestWriterAddAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const n = 5000
+	keys, value := make([][]byte, n), make([]byte, 100)
+	for i := range keys {
+		keys[i] = base.MakeInternalKey(nil, []byte(fmt.Sprintf("key%06d", i)), base.SeqNum(i)+1, base.KindSet)
+	}
+	w := NewWriter(discardFile{}, WriterOptions{BloomBitsPerKey: 10, PrefixBloomLength: 7, Compression: compress.Snappy})
+	table := func() {
+		w.Reset(discardFile{})
+		for _, k := range keys {
+			if err := w.Add(k, value); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, table); allocs > 1 {
+		t.Errorf("a table of %d Adds allocates %v times, want once (its smallest key)", n, allocs)
+	}
+	info, err := w.Finish()
+	if err != nil || info.Count != n || info.Compression.DataBlocks < 100 {
+		t.Fatalf("Finish: %+v, %v", info, err)
+	}
+}

@@ -107,15 +107,20 @@ func (s CompressionStats) Ratio() float64 {
 }
 
 // Writer builds a format-v4 sstable from internal keys added in increasing
-// order.
+// order. Reset readies it for the next table with its scratch kept — block
+// builders, compression buffer, hash lists, key buffers — so that once
+// those have grown an Add allocates nothing.
 type Writer struct {
-	f               vfs.File
-	opts            WriterOptions
-	data            *block.Builder
-	index           *block.Builder
-	offset          uint64
-	userKeys        [][]byte // for the bloom filter
-	prefixes        [][]byte // distinct key prefixes for the prefix filter
+	f      vfs.File
+	opts   WriterOptions
+	data   *block.Builder
+	index  *block.Builder
+	offset uint64
+	// keyHashes and prefixHashes are what the two bloom filters are built
+	// from at Finish: bloom.Hash of every user key, and of every distinct
+	// first-PrefixBloomLength-byte prefix.
+	keyHashes       []uint64
+	prefixHashes    []uint64
 	smallest        []byte
 	largest         []byte
 	count           int
@@ -123,6 +128,7 @@ type Writer struct {
 	pendingHandle   blockHandle
 	hasPending      bool
 	cbuf            []byte // reusable compression output buffer
+	trailer         [blockTrailerLen]byte
 	stats           CompressionStats
 	rangeDels       rangedel.List
 	err             error
@@ -139,28 +145,46 @@ func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 	}
 }
 
+// Reset readies the writer to build another table, into f, with the
+// options it was made with. What the finished table's TableInfo refers to
+// stays untouched.
+func (w *Writer) Reset(f vfs.File) {
+	w.data.Reset()
+	w.index.Reset()
+	*w = Writer{
+		f:               f,
+		opts:            w.opts,
+		data:            w.data,
+		index:           w.index,
+		keyHashes:       w.keyHashes[:0],
+		prefixHashes:    w.prefixHashes[:0],
+		largest:         w.largest[:0],
+		pendingIndexKey: w.pendingIndexKey[:0],
+		cbuf:            w.cbuf,
+	}
+}
+
 // Add appends an internal key and value. Keys must arrive in strictly
 // increasing base.InternalCompare order.
 func (w *Writer) Add(ikey, value []byte) error {
 	if w.err != nil {
 		return w.err
 	}
+	if w.opts.BloomBitsPerKey > 0 {
+		w.keyHashes = append(w.keyHashes, bloom.Hash(base.UserKey(ikey)))
+	}
+	if p := w.opts.PrefixBloomLength; p > 0 && len(ikey) >= p+base.TrailerLen {
+		// Keys arrive sorted, so the keys that share a prefix are adjacent
+		// (a key too short to carry one sorts before all of them): the
+		// prefix is new unless the key before, still in w.largest, has it.
+		if prev := w.largest; len(prev) < p+base.TrailerLen || string(prev[:p]) != string(ikey[:p]) {
+			w.prefixHashes = append(w.prefixHashes, bloom.Hash(ikey[:p]))
+		}
+	}
 	if w.smallest == nil {
 		w.smallest = append([]byte(nil), ikey...)
 	}
 	w.largest = append(w.largest[:0], ikey...)
-	if w.opts.BloomBitsPerKey > 0 {
-		w.userKeys = append(w.userKeys, append([]byte(nil), base.UserKey(ikey)...))
-	}
-	if p := w.opts.PrefixBloomLength; p > 0 {
-		// Keys arrive sorted, so equal prefixes are adjacent: comparing
-		// against the last collected prefix dedups in O(1).
-		if ukey := base.UserKey(ikey); len(ukey) >= p {
-			if n := len(w.prefixes); n == 0 || string(w.prefixes[n-1]) != string(ukey[:p]) {
-				w.prefixes = append(w.prefixes, append([]byte(nil), ukey[:p]...))
-			}
-		}
-	}
 	w.flushPendingIndex()
 	w.data.Add(ikey, value)
 	w.count++
@@ -235,10 +259,12 @@ func (w *Writer) writeRawBlock(payload []byte, typ byte) (blockHandle, error) {
 	if _, err := w.f.Write(payload); err != nil {
 		return h, err
 	}
-	var tr [blockTrailerLen]byte
+	// The trailer is built in the writer: a local handed to the file's
+	// Write would be allocated for every block.
+	tr := w.trailer[:]
 	tr[0] = typ
 	binary.LittleEndian.PutUint32(tr[1:], crc.ValueExtended(payload, tr[:1]))
-	if _, err := w.f.Write(tr[:]); err != nil {
+	if _, err := w.f.Write(tr); err != nil {
 		return h, err
 	}
 	w.offset += uint64(len(payload)) + blockTrailerLen
@@ -332,8 +358,8 @@ func (w *Writer) Finish() (TableInfo, error) {
 
 	// Filter block (never compressed: resident for the Reader's lifetime).
 	var filterHandle blockHandle
-	if w.opts.BloomBitsPerKey > 0 && len(w.userKeys) > 0 {
-		f := bloom.Build(w.userKeys, w.opts.BloomBitsPerKey)
+	if len(w.keyHashes) > 0 {
+		f := bloom.BuildFromHashes(w.keyHashes, w.opts.BloomBitsPerKey)
 		h, err := w.writeRawBlock(f, blockTypeNone)
 		if err != nil {
 			return TableInfo{}, err
@@ -346,12 +372,12 @@ func (w *Writer) Finish() (TableInfo, error) {
 	// Sized by the same bits-per-key knob as the key filter; distinct
 	// prefixes are far fewer than keys, so the block is small.
 	var prefixHandle blockHandle
-	if w.opts.PrefixBloomLength > 0 && len(w.prefixes) > 0 {
+	if len(w.prefixHashes) > 0 {
 		bits := w.opts.BloomBitsPerKey
 		if bits <= 0 {
 			bits = 10
 		}
-		blk := EncodePrefixFilter(w.opts.PrefixBloomLength, bloom.Build(w.prefixes, bits))
+		blk := EncodePrefixFilter(w.opts.PrefixBloomLength, bloom.BuildFromHashes(w.prefixHashes, bits))
 		h, err := w.writeRawBlock(blk, blockTypeNone)
 		if err != nil {
 			return TableInfo{}, err

@@ -32,7 +32,11 @@ type OutputBuilder struct {
 	alloc   FileNumAllocator
 	pending PendingRegistry
 
+	// cur is the open table's writer, nil between tables; w is the one
+	// writer the builder makes, Reset from table to table so that its
+	// scratch (block builders, hash lists, compression buffer) grows once.
 	cur     *sstable.Writer
+	w       *sstable.Writer
 	curFile vfs.File
 	curFn   base.FileNum
 
@@ -71,7 +75,12 @@ func (o *OutputBuilder) open() error {
 		}
 		return o.setErr(err)
 	}
-	o.cur = sstable.NewWriter(f, o.wopts)
+	if o.w == nil {
+		o.w = sstable.NewWriter(f, o.wopts)
+	} else {
+		o.w.Reset(f)
+	}
+	o.cur = o.w
 	o.curFile = f
 	o.curFn = fn
 	return nil
