@@ -79,7 +79,11 @@ func (f Filter) set(h uint64, k uint8, bits uint32) {
 
 // MayContain reports whether key may be in the set the filter was built
 // over. A false return is definitive.
-func (f Filter) MayContain(key []byte) bool {
+func (f Filter) MayContain(key []byte) bool { return f.MayContainHash(Hash(key)) }
+
+// MayContainHash is MayContain for the key whose Hash is h: a read that
+// consults several filters for one key hashes it once.
+func (f Filter) MayContainHash(h uint64) bool {
 	if len(f) < 2 {
 		return true // degenerate filter: claim everything
 	}
@@ -88,7 +92,6 @@ func (f Filter) MayContain(key []byte) bool {
 		return true // unknown encoding: be safe
 	}
 	bits := uint32((len(f) - 1) * 8)
-	h := Hash(key)
 	h1 := uint32(h)
 	delta := uint32(h >> 32)
 	for i := uint8(0); i < k; i++ {

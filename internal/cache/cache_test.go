@@ -1,6 +1,9 @@
 package cache
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -37,7 +40,7 @@ func TestReplaceUpdatesCharge(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
+func TestEvictionHoldsCapacity(t *testing.T) {
 	// Total capacity small enough that every shard holds at most one
 	// 10-byte entry.
 	c := New(numShards * 10)
@@ -115,7 +118,7 @@ func TestSetEvictDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkSetEvict is the block cache's miss path: a full cache takes a
-// block and drops its least recently used one.
+// block and drops one its small FIFO holds unread.
 func BenchmarkSetEvict(b *testing.B) {
 	const blockSize = 4 << 10
 	c := New(1 << 20)
@@ -127,6 +130,23 @@ func BenchmarkSetEvict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Set(Key{File: 2, Off: uint64(i) * blockSize}, block, blockSize)
+	}
+}
+
+// BenchmarkAcquireHit is the block cache's hit path: a lookup that finds the
+// block, counts the read and hands out a reference, and its Release.
+func BenchmarkAcquireHit(b *testing.B) {
+	const blockSize = 4 << 10
+	const resident = 128
+	c := New(1 << 20)
+	for i := 0; i < resident; i++ {
+		put(c, Key{File: 1, Off: uint64(i) * blockSize}, blockSize, 0)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		c.Acquire(Key{File: 1, Off: uint64(i%resident) * blockSize}).Release()
+		i++
 	}
 }
 
@@ -149,6 +169,14 @@ func put(c *Cache, k Key, n int, v byte) {
 	b.Release()
 }
 
+// read is a reader's hit or miss on k: it reports whether the block was
+// cached, and lets go of it at once.
+func read(c *Cache, k Key) bool {
+	b := c.Acquire(k)
+	b.Release()
+	return b != nil
+}
+
 // holds reports whether every byte of p is v.
 func holds(p []byte, v byte) bool {
 	for _, c := range p {
@@ -157,6 +185,18 @@ func holds(p []byte, v byte) bool {
 		}
 	}
 	return len(p) > 0
+}
+
+// sameShard returns n keys of file numbers from first up that land in k's
+// shard.
+func sameShard(c *Cache, k Key, first uint64, n int) []Key {
+	var keys []Key
+	for f := first; len(keys) < n; f++ {
+		if o := (Key{File: f}); c.shard(o) == c.shard(k) {
+			keys = append(keys, o)
+		}
+	}
+	return keys
 }
 
 // TestHolderOutlivesItsEntry: a reader that acquired a block keeps reading
@@ -196,9 +236,15 @@ func TestHolderOutlivesItsEntry(t *testing.T) {
 
 	k := Key{File: 1, Off: 7}
 	drop := map[string]func(){
+		// Each flood block is read twice after its insert, as a block of the
+		// hot set is: it earns its way into main and outlasts the held
+		// entry there, which was read once.
 		"evicted": func() {
 			for i := 0; i < 8*numShards; i++ {
-				put(c, Key{File: 2, Off: uint64(i)}, size, 0xEE)
+				f := Key{File: 2, Off: uint64(i)}
+				put(c, f, size, 0xEE)
+				read(c, f)
+				read(c, f)
 			}
 		},
 		"replaced": func() { put(c, k, size, 0x22) },
@@ -227,6 +273,288 @@ func TestHolderOutlivesItsEntry(t *testing.T) {
 	}
 	close(stop)
 	churn.Wait()
+}
+
+// TestInsertKeepsTheBlockItAdds: a block larger than the small FIFO's share
+// of its shard, inserted when every other block of the shard has been read,
+// is cached — the others make room. Plain S3-FIFO moves them to main and then
+// evicts the newcomer, alone in the small FIFO and unread. A block larger
+// than the whole shard is not cached and evicts nothing.
+func TestInsertKeepsTheBlockItAdds(t *testing.T) {
+	const per = 1000
+	c := New(numShards * per)
+	k := Key{File: 1}
+	others := sameShard(c, k, 2, 10)
+	for _, o := range others {
+		put(c, o, per/10, 1)
+		read(c, o)
+	}
+	put(c, k, 3*per/10, 2)
+	if !read(c, k) {
+		t.Fatal("a block three tenths of its shard was evicted by its own insert")
+	}
+	if st := c.Stats(); st.UsedBytes > numShards*per || st.Entries != 8 {
+		t.Fatalf("after the insert: %+v, want k and 7 of the 10 others", st)
+	}
+	huge := sameShard(c, k, 10_000, 1)[0]
+	put(c, huge, per+1, 3)
+	if read(c, huge) {
+		t.Fatal("a block larger than its shard was cached")
+	}
+	if st := c.Stats(); st.Entries != 8 {
+		t.Fatalf("a block too large to cache evicted others: %+v", st)
+	}
+}
+
+// TestOneHitFloodKeepsHotSet is the policy's reason to exist: a hot set of a
+// quarter of the cache, each block read again every 1024 inserts, survives a
+// flood of four times the cache in blocks read once. An LRU keeps a block
+// only while fewer than a shard's worth of others arrive between two of its
+// reads, so the flood pushes the hot set out of it; here the flood passes
+// through the small FIFO and the hot set sits in main.
+func TestOneHitFloodKeepsHotSet(t *testing.T) {
+	const (
+		size     = 100
+		perShard = 64 // blocks
+	)
+	c := New(numShards * perShard * size)
+	hot := make([]Key, numShards*perShard/4)
+	for i := range hot {
+		hot[i] = Key{File: 1, Off: uint64(i)}
+		put(c, hot[i], size, 1)
+		read(c, hot[i])
+	}
+	for i := 0; i < 4*numShards*perShard; i++ {
+		put(c, Key{File: 2, Off: uint64(i)}, size, 2)
+		if i%4 == 0 {
+			read(c, hot[i/4%len(hot)])
+		}
+	}
+	lost := 0
+	for _, k := range hot {
+		if !read(c, k) {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("the one-hit flood evicted %d of the %d hot blocks", lost, len(hot))
+	}
+}
+
+// TestGhostReadmitsToMain: a block that left the small FIFO unread and is
+// inserted again soon after goes to main, where a flood of blocks read once
+// does not reach it; the same block inserted for the first time does not
+// survive that flood, and one the ghost has long forgotten is treated as new.
+func TestGhostReadmitsToMain(t *testing.T) {
+	const (
+		size     = 100
+		perShard = 20 // blocks
+	)
+	c := New(numShards * perShard * size)
+	k := Key{File: 1}
+	flood := sameShard(c, k, 1000, 8*perShard)
+	next := 0
+	floodShard := func(n int) {
+		for ; n > 0; n-- {
+			put(c, flood[next], size, 2)
+			next++
+		}
+	}
+
+	put(c, k, size, 1)
+	floodShard(perShard) // k leaves the small FIFO unread
+	if st := c.Stats(); st.EvictedUnread == 0 || read(c, k) {
+		t.Fatalf("k survived a flood of a shard's worth unread: %+v", st)
+	}
+	put(c, k, size, 1)
+	if st := c.Stats(); st.Readmitted != 1 {
+		t.Fatalf("the ghost did not recognise k: %+v", st)
+	}
+	floodShard(3 * perShard)
+	if !read(c, k) {
+		t.Fatal("a readmitted block was evicted by blocks read once")
+	}
+
+	// A fresh block goes to the small FIFO, and the flood takes it.
+	fresh := sameShard(c, k, 2, 1)[0]
+	put(c, fresh, size, 3)
+	floodShard(perShard)
+	if read(c, fresh) {
+		t.Fatal("a block inserted once survived the flood: it went to main")
+	}
+	// fresh is in the ghost now; once as many blocks again have left the
+	// small FIFO unread as the shard holds, the ghost has forgotten it.
+	floodShard(2 * perShard)
+	before := c.Stats().Readmitted
+	put(c, fresh, size, 3)
+	if st := c.Stats(); st.Readmitted != before {
+		t.Fatalf("the ghost remembered a block evicted %d blocks ago: %+v", 2*perShard, st)
+	}
+}
+
+// TestGhostAgainstModel drives the ghost's ring and index with hashes whose
+// top bits collide often — long runs in the index, backward shifts across
+// its end — and checks every answer against a plain list of slots in
+// arrival order.
+func TestGhostAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	hash := func() uint64 { return uint64(rng.Intn(8))<<61 | uint64(rng.Intn(64))<<1 | 1 }
+	var g ghost
+	// The model: the ring's slots oldest first, 0 for one readmitted.
+	var slots []uint64
+	ring, entries := 0, 1
+	readmit := func(step int, h uint64) {
+		i := slices.Index(slots, h)
+		if i >= 0 {
+			slots[i] = 0
+		}
+		if got := g.readmit(h); got != (i >= 0) {
+			t.Fatalf("step %d: readmit(%x) = %v, the model says %v", step, h, got, i >= 0)
+		}
+	}
+	for step := 0; step < 20000; step++ {
+		if rng.Intn(2) == 0 {
+			readmit(step, hash())
+			continue
+		}
+		if rng.Intn(200) == 0 {
+			entries += rng.Intn(8)
+		}
+		if entries > ring {
+			// The ring grows to the shard's entry count, keeping what it
+			// remembers in order.
+			slots = slices.DeleteFunc(slots, func(s uint64) bool { return s == 0 })
+			ring = entries
+		}
+		// A full ring forgets its oldest slot, then takes h unless h is
+		// remembered already.
+		h := hash()
+		if len(slots) == ring {
+			slots[0] = 0
+		}
+		if !slices.Contains(slots, h) {
+			if slots = append(slots, h); len(slots) > ring {
+				slots = slots[1:]
+			}
+		}
+		g.add(h, entries)
+	}
+	for top := uint64(0); top < 8; top++ {
+		for low := uint64(0); low < 64; low++ {
+			readmit(-1, top<<61|low<<1|1)
+		}
+	}
+}
+
+// zipf draws ranks in [0, n) with P(rank) ~ 1/(rank+1)^theta, theta < 1,
+// by Gray et al.'s method (as bench/gen.go and YCSB do).
+type zipf struct{ n, theta, alpha, zetan, eta float64 }
+
+func newZipf(n int, theta float64) *zipf {
+	zeta := func(m int) float64 {
+		s := 0.0
+		for i := 1; i <= m; i++ {
+			s += 1 / math.Pow(float64(i), theta)
+		}
+		return s
+	}
+	z := &zipf{n: float64(n), theta: theta, alpha: 1 / (1 - theta), zetan: zeta(n)}
+	z.eta = (1 - math.Pow(2/z.n, 1-theta)) / (1 - zeta(2)/z.zetan)
+	return z
+}
+
+func (z *zipf) draw(r *rand.Rand) int {
+	u := r.Float64()
+	uz := u * z.zetan
+	switch {
+	case uz < 1:
+		return 0
+	case uz < 1+math.Pow(0.5, z.theta):
+		return 1
+	}
+	return min(int(z.n*math.Pow(z.eta*u-z.eta+1, z.alpha)), int(z.n)-1)
+}
+
+const (
+	replayReads = 400_000
+	// replayLRUMisses is what the 16-shard LRU this cache replaced missed
+	// on replay's stream: measured once, on the parent commit of ISSUE 21.
+	replayLRUMisses = 159_020
+)
+
+// replay reads replayReads blocks through c, a cache the size of the
+// benchmark's, and fills every miss, as a Get does. The stream is shaped
+// like read-zipf's on the benchmark's loaded store: nine reads in ten are
+// zipfian (theta 0.99) over 18 000 blocks, the store's 500 000 keys at 28 a
+// block, ranked so hot keys share blocks; the tenth reads a block nobody
+// reads again. It returns the misses.
+func replay(c *Cache) (misses int) {
+	const (
+		blocks     = 18_000
+		blockBytes = 4300
+	)
+	r := rand.New(rand.NewSource(7))
+	z := newZipf(blocks, 0.99)
+	var once uint64
+	for i := 0; i < replayReads; i++ {
+		var k Key
+		if r.Float64() < 0.1 {
+			k = Key{File: 1<<20 + once/8, Off: once % 8 * blockBytes}
+			once++
+		} else {
+			b := uint64(z.draw(r))
+			k = Key{File: 1 + b/8, Off: b % 8 * blockBytes}
+		}
+		if read(c, k) {
+			continue
+		}
+		misses++
+		// The payload's size does not matter to the policy, its charge does.
+		b := Alloc(1)
+		c.Insert(k, b, blockBytes)
+		b.Release()
+	}
+	return misses
+}
+
+// TestReplayMissesBelowLRU holds the policy to ISSUE 21's claim on a
+// seeded stream: at least 15 % fewer misses than the LRU it replaced. The
+// stream is deterministic, and so is the count.
+func TestReplayMissesBelowLRU(t *testing.T) {
+	misses := replay(New(8 << 20))
+	ratio := float64(misses) / replayLRUMisses
+	t.Logf("%d misses of %d reads, %.3f of the LRU's %d", misses, replayReads, ratio, replayLRUMisses)
+	if ratio > 0.85 {
+		t.Fatalf("%d misses, %.3f of the LRU's %d: want at most 0.85", misses, ratio, replayLRUMisses)
+	}
+}
+
+// BenchmarkReplay times replay's stream, a read and on a miss an insert at
+// a time, and reports its miss ratio.
+func BenchmarkReplay(b *testing.B) {
+	var misses int
+	for i := 0; i < b.N; i++ {
+		misses = replay(New(8 << 20))
+	}
+	b.ReportMetric(float64(misses)/replayReads, "miss_ratio")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/replayReads, "ns/read")
+}
+
+// TestHeldCountsOtherHolders: the walk counts entries a reader holds, and
+// none once every reader has let go.
+func TestHeldCountsOtherHolders(t *testing.T) {
+	c := New(1 << 20)
+	put(c, Key{File: 1}, 100, 1)
+	put(c, Key{File: 2}, 100, 2)
+	a, b := c.Acquire(Key{File: 1}), c.Acquire(Key{File: 1})
+	if n := c.Held(); n != 1 {
+		t.Fatalf("Held = %d with one entry read twice, want 1", n)
+	}
+	a.Release()
+	b.Release()
+	if n := c.Held(); n != 0 {
+		t.Fatalf("Held = %d with no reader, want 0", n)
+	}
 }
 
 // TestLastReleaseRecyclesOrPoisons pins what becomes of a buffer nobody

@@ -19,6 +19,7 @@ import (
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/batch"
+	"pebblesdb/internal/cache"
 	"pebblesdb/internal/flsm"
 	"pebblesdb/internal/leveled"
 	"pebblesdb/internal/memtable"
@@ -685,6 +686,10 @@ func (e *Engine) Dump(w io.Writer) { e.tree.Dump(w) }
 // CheckInvariants verifies the tree's structural invariants against its
 // tables (treebase.Core.CheckInvariants): for tests and tools.
 func (e *Engine) CheckInvariants() error { return e.tree.CheckInvariants() }
+
+// BlockCache returns the store's block cache: for tests and tools that walk
+// it (cache.Held).
+func (e *Engine) BlockCache() *cache.Cache { return e.tree.BlockCache() }
 
 // Close flushes nothing (the WAL preserves the memtable), waits for
 // background work and in-flight reads, and releases resources. Gets and

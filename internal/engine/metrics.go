@@ -2,6 +2,7 @@ package engine
 
 import (
 	"pebblesdb/internal/base"
+	"pebblesdb/internal/cache"
 	"pebblesdb/internal/metric"
 	"pebblesdb/internal/tablecache"
 	"pebblesdb/internal/treebase"
@@ -20,6 +21,10 @@ type Metrics struct {
 	// Cache describes the table cache (Table 5.4 memory accounting) and
 	// the read-side decompression counters.
 	Cache tablecache.Metrics
+	// BlockCache describes the block cache over every reader: Gets,
+	// iterators and compaction inputs (Counters' GetBlockCache* count the
+	// Gets' share alone).
+	BlockCache cache.Stats
 	// Counters are the engine's own event counts.
 	Counters
 	// MemtableBytes is the live memtable footprint.
@@ -166,6 +171,7 @@ func (e *Engine) Metrics() Metrics {
 	metric.Load(&m.Counters, e.stats)
 	m.Tree = e.tree.Metrics()
 	m.Cache = e.tree.CacheMetrics()
+	m.BlockCache = e.tree.BlockCache().Stats()
 	m.LastSeq = base.SeqNum(e.seq.Load())
 	m.ReadOnly = e.readOnly.Load()
 	e.mu.Lock()

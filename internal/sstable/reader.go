@@ -406,11 +406,15 @@ func fullReadAt(f io.ReaderAt, p []byte, off int64) error {
 
 // MayContain consults the table's bloom filter for ukey. True when no
 // filter is present.
-func (r *Reader) MayContain(ukey []byte) bool {
+func (r *Reader) MayContain(ukey []byte) bool { return r.MayContainHash(bloom.Hash(ukey)) }
+
+// MayContainHash is MayContain for the user key whose bloom.Hash is h, which
+// a Get computes once for all the tables it consults (GetScratch.KeyHash).
+func (r *Reader) MayContainHash(h uint64) bool {
 	if r.filter == nil {
 		return true
 	}
-	return r.filter.MayContain(ukey)
+	return r.filter.MayContainHash(h)
 }
 
 // MayContainPrefix consults the table's prefix bloom filter: a

@@ -41,6 +41,9 @@ type GetScratch struct {
 	// SearchKey is the reusable search-key buffer; layers build the
 	// (ukey, seq, KindSeek) key into it with base.MakeSearchKey.
 	SearchKey []byte
+	// KeyHash is bloom.Hash of the user key, computed once per Get and
+	// probed into every table filter the Get consults (Reader.MayContainHash).
+	KeyHash uint64
 	// Stats accumulates read-path counters for this scratch's current Get.
 	Stats GetStats
 

@@ -241,6 +241,7 @@ type Core struct {
 	dir    string
 	vs     *manifest.VersionSet
 	tc     *tablecache.TableCache
+	blocks *cache.Cache // the table cache's block cache
 	host   Host
 	layout Layout
 	// seeks and misses are the layout's seek hooks, nil when it has none.
@@ -305,7 +306,8 @@ func Open(kind Kind, cfg *base.Config, fs vfs.FS, dir string, host Host, layout 
 	c.misses, _ = layout.(MissCharger)
 	c.metrics.PeakLevelUnits = make([]int, cfg.NumLevels)
 	c.logCond = sync.NewCond(&c.logMu)
-	c.tc = tablecache.New(fs, dir, cfg.TableCacheSize, cache.New(cfg.BlockCacheSize))
+	c.blocks = cache.New(cfg.BlockCacheSize)
+	c.tc = tablecache.New(fs, dir, cfg.TableCacheSize, c.blocks)
 
 	if manifest.Exists(fs, dir) {
 		vs, err := manifest.Load(fs, dir, c.applyLocked)
@@ -345,6 +347,9 @@ func (c *Core) EvictTable(fn base.FileNum) { c.tc.Evict(fn) }
 
 // CacheMetrics reports table-cache statistics (Table 5.4).
 func (c *Core) CacheMetrics() tablecache.Metrics { return c.tc.Metrics() }
+
+// BlockCache returns the block cache every table of the tree reads through.
+func (c *Core) BlockCache() *cache.Cache { return c.blocks }
 
 // WantGuard reports whether ukey is a guard candidate: a pure hash check,
 // no locks, so the commit pipeline pays Ingest's copy and mutex only for

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"pebblesdb/internal/base"
+	"pebblesdb/internal/bloom"
 	"pebblesdb/internal/iterator"
 	"pebblesdb/internal/rangedel"
 	"pebblesdb/internal/sstable"
@@ -46,6 +47,7 @@ func (c *Core) Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstab
 		seq = base.SeqNum(latest.Load())
 	}
 	s.SearchKey = base.MakeSearchKey(s.SearchKey[:0], ukey, seq)
+	s.KeyHash = bloom.Hash(ukey)
 
 	d := descent{c: c, ukey: ukey, seq: seq, s: s}
 	value, found, err = d.run(v)
@@ -141,7 +143,7 @@ func (c *Core) probeFile(f *base.FileMetadata, ukey []byte, seq base.SeqNum, s *
 	if f.RangeDelSpanContains(ukey) {
 		cov = r.RangeDels().CoverSeq(ukey, seq)
 	}
-	if !r.MayContain(ukey) {
+	if !r.MayContainHash(s.KeyHash) {
 		s.Stats.BloomNegatives++
 		r.Unref()
 		return nil, 0, 0, cov, false, false, nil

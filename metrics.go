@@ -92,6 +92,10 @@ func (m Metrics) String() string {
 		m.GetBlockCacheHits, m.GetBlockCacheHits+m.GetBlockCacheMisses, 100*m.GetBlockCacheHitRatio())
 	fmt.Fprintf(&b, "scan path: %d table iterators opened, %d prefix-filter skips (skip ratio %.3f)\n",
 		m.IterTablesOpened, m.IterPrefixSkips, m.IterTableSkipRatio())
+	bc := m.BlockCache
+	fmt.Fprintf(&b, "block cache, every reader: %d/%d hits (%.1f%%), %d blocks in %s, %d evicted unread, %d readmitted by the ghost\n",
+		bc.Hits, bc.Hits+bc.Misses, 100*bc.HitRatio(),
+		bc.Entries, fmtBytes(bc.UsedBytes), bc.EvictedUnread, bc.Readmitted)
 	b.WriteString("commit waits:")
 	var commits int64
 	for i, c := range m.CommitWaitHist {
