@@ -10,14 +10,18 @@ import (
 )
 
 // openWarmDB builds a compacted store whose block cache holds the whole
-// dataset, then warms every structure a point read touches.
-func openWarmDB(t testing.TB, engine pebblesdb.Engine, n int) *pebblesdb.DB {
+// dataset, then warms every structure a point read touches. tweak adjusts
+// the options first.
+func openWarmDB(t testing.TB, engine pebblesdb.Engine, n int, tweak ...func(*pebblesdb.Options)) *pebblesdb.DB {
 	t.Helper()
 	o := pebblesdb.PresetPebblesDB.Options()
 	o.Engine = engine
 	harness.Scale(o, 16)
 	o.BlockCacheSize = 64 << 20 // hold the entire dataset decompressed
 	o.WithFS(vfs.NewMem())
+	for _, fn := range tweak {
+		fn(o)
+	}
 	db, err := pebblesdb.Open("allocbench", o)
 	if err != nil {
 		t.Fatal(err)
@@ -226,6 +230,55 @@ func TestIterAllocs(t *testing.T) {
 	}
 }
 
+// TestNewIterAllocs pins a whole scan at zero allocations on a warm, idle
+// store: NewIter, SeekGE, twenty Next and Close. The public Iterator is the
+// engine's pooled iterator itself, not a wrapper allocated per NewIter
+// (which was one object a scan), and the level iterators with their heaps
+// and table cursors come from their pools. Seek compaction is off, so no
+// unit rewrites tables under the measurement.
+func TestNewIterAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates")
+	}
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const n = 20_000
+	for _, eng := range []struct {
+		name   string
+		engine pebblesdb.Engine
+	}{{"flsm", pebblesdb.EngineFLSM}, {"leveled", pebblesdb.EngineLeveled}} {
+		t.Run(eng.name, func(t *testing.T) {
+			db := openWarmDB(t, eng.engine, n, func(o *pebblesdb.Options) { o.SeekCompactionThreshold = -1 })
+			defer db.Close()
+			var keys [][]byte
+			for i := uint64(0); i < 16; i++ {
+				keys = append(keys, harness.KeyAt(nil, i*(n/16)))
+			}
+			scans := func() {
+				for _, k := range keys {
+					it, err := db.NewIter(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					it.SeekGE(k)
+					for i := 0; i < 20 && it.Valid(); i++ {
+						_, _ = it.Key(), it.Value()
+						it.Next()
+					}
+					if err := it.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			scans() // every block the scans read, cached; the pools filled
+			if allocs := testing.AllocsPerRun(50, scans) / float64(len(keys)); allocs != 0 {
+				t.Errorf("NewIter+SeekGE+20 Next+Close allocs/op = %.2f, want 0", allocs)
+			}
+		})
+	}
+}
+
 // BenchmarkGetTo is the allocation-free read loop: reusing the destination
 // buffer across calls exercises the pooled scratch end to end.
 func BenchmarkGetTo(b *testing.B) {
@@ -326,10 +379,10 @@ func TestColdBlockGetAllocs(t *testing.T) {
 // on a store left as the fill left it, several levels deep, whose block
 // cache holds nothing and whose tables' metadata is resident. The engine
 // iterator, a level iterator per level with its merging heap and table
-// cursors, and every block the scan reads are borrowed and handed back.
-// What is left is one allocation a scan; before level iterators and block
-// buffers were pooled this store cost eleven to sixteen, and the deeper one
-// of the benchmark thirty.
+// cursors, and every block the scan reads are borrowed and handed back, and
+// the public Iterator is the engine's pooled one. Nothing is left; before
+// level iterators and block buffers were pooled this store cost eleven to
+// sixteen, and the deeper one of the benchmark thirty.
 func TestFreshIterScanAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")

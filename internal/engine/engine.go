@@ -225,7 +225,7 @@ func Open(cfg *base.Config, fs vfs.FS, dir string, kind Kind) (*Engine, error) {
 	e.removeStaleTemp()
 	e.sweepOrphanTables()
 	e.cleanup()
-	e.maybeScheduleCompaction()
+	e.ScheduleCompaction()
 	return e, nil
 }
 
@@ -454,9 +454,17 @@ func (s *Snapshot) Close() {
 	}
 }
 
-// maybeScheduleCompaction spins up background workers while the tree has
-// work and capacity remains (multi-threaded compaction, §4.4).
-func (e *Engine) maybeScheduleCompaction() {
+// ScheduleCompaction spins up background workers while the tree has work
+// and capacity remains (multi-threaded compaction, §4.4). Open calls it,
+// and as treebase.Host it answers a Get or an iterator seek that used up a
+// seek budget (§4.2), whose unit would otherwise wait for the next flush —
+// for ever under read-only traffic. The reading goroutine calls it with no
+// lock held, at most once per budget used up, not once per read. It takes
+// mu and, to size the pool, the core's lock after it — the order every
+// scheduling call takes them in — and returns once a worker is started or
+// none can be: the read never waits for the unit. After Close has set
+// closed under mu it starts nothing, so no unit begins once Close returns.
+func (e *Engine) ScheduleCompaction() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.maybeScheduleCompactionLocked()

@@ -123,11 +123,12 @@ func (l *layout) Ingest(ukey []byte) {
 
 // ChargeSeek charges the budget of the guard an iterator seek landed on
 // (§4.2, default threshold 10 consecutive seeks); exhaustion schedules the
-// guard for compaction. A Get's misses are not budgeted (the layout is no
+// guard for compaction and reports true, unless the guard is pending
+// already. A Get's misses are not budgeted (the layout is no
 // treebase.MissCharger): §4.2 counts seeks, which position every sstable of
 // a guard; a Get stops at the newest one that holds its key. Only a guard's
 // first charge allocates.
-func (l *layout) ChargeSeek(level int, gkey []byte) {
+func (l *layout) ChargeSeek(level int, gkey []byte) bool {
 	left := l.seeksLeft[level][string(gkey)]
 	if left == nil {
 		left = new(int)
@@ -135,12 +136,18 @@ func (l *layout) ChargeSeek(level int, gkey []byte) {
 		l.seeksLeft[level][string(gkey)] = left
 	}
 	if *left--; *left > 0 {
-		return
+		return false
 	}
 	*left = l.cfg.SeekCompactionThreshold
 	// Look before storing: the lookup converts gkey without allocating, the
 	// store would allocate again for a guard that is already pending.
-	if !l.seekPending[guardID{Level: level, Key: string(gkey)}] {
-		l.seekPending[guardID{Level: level, Key: string(gkey)}] = true
+	if l.seekPending[guardID{Level: level, Key: string(gkey)}] {
+		return false
 	}
+	l.seekPending[guardID{Level: level, Key: string(gkey)}] = true
+	return true
 }
+
+// SeekPending counts the guards whose seek budget ran out and whose unit
+// has not run yet.
+func (l *layout) SeekPending() int { return len(l.seekPending) }

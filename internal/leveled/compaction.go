@@ -84,8 +84,10 @@ func (l *layout) triggers(held treebase.Claims, take func(level, lo, hi int, see
 		tried |= 1 << best
 	}
 
-	// Seek-triggered candidates; stale entries (file compacted away) are
-	// pruned so they cannot keep reporting phantom work.
+	// Seek-triggered candidates. Apply drops the entry of a table an edit
+	// deletes or moves, but a Get charges the view it pinned, which may hold
+	// a table the current version no longer does: such stale entries are
+	// pruned here so they cannot keep reporting phantom work.
 	for fn, level := range l.seekPending {
 		i := 0
 		for i < len(v.files[level]) && v.files[level][i].FileNum != fn {

@@ -41,7 +41,8 @@ func newLayout(cfg *base.Config) *layout {
 }
 
 // Apply installs the version resulting from edit. A table the edit deletes
-// — or moves: a moved table starts over — gives up its seek budget.
+// — or moves: a moved table starts over — gives up its seek budget, spent
+// or not.
 func (l *layout) Apply(edit *manifest.VersionEdit) (treebase.View, error) {
 	nv, err := l.cur.apply(edit, l.cfg.NumLevels)
 	if err != nil {
@@ -50,6 +51,7 @@ func (l *layout) Apply(edit *manifest.VersionEdit) (treebase.View, error) {
 	l.cur = nv
 	for _, d := range edit.DeletedFiles {
 		delete(l.seeksLeft, d.FileNum)
+		delete(l.seekPending, d.FileNum)
 	}
 	return nv, nil
 }
@@ -62,19 +64,27 @@ func (l *layout) Ingest(ukey []byte)         {}
 // ChargeMiss charges a Get's first searched-and-missed table (LevelDB's
 // seek-triggered compaction, the baseline analogue of §4.2): a Get that
 // finds its key in the first table it searches charges nothing. Exhausting
-// the table's budget schedules it for compaction. Iterator seeks are not
-// budgeted (the layout is no treebase.SeekCharger): they open one table per
-// level whatever the outcome.
-func (l *layout) ChargeMiss(level int, miss *base.FileMetadata) {
+// the table's budget schedules it for compaction and reports true, unless
+// the table is pending already. Iterator seeks are not budgeted (the layout
+// is no treebase.SeekCharger): they open one table per level whatever the
+// outcome.
+func (l *layout) ChargeMiss(level int, miss *base.FileMetadata) bool {
 	left, ok := l.seeksLeft[miss.FileNum]
 	if !ok {
 		left = allowedSeeks(miss.Size)
 	}
+	spent := false
 	if left--; left <= 0 {
 		if _, dup := l.seekPending[miss.FileNum]; !dup {
 			l.seekPending[miss.FileNum] = level
+			spent = true
 		}
 		left = allowedSeeks(miss.Size)
 	}
 	l.seeksLeft[miss.FileNum] = left
+	return spent
 }
+
+// SeekPending counts the tables whose seek budget ran out and whose unit
+// has not run yet.
+func (l *layout) SeekPending() int { return len(l.seekPending) }

@@ -7,9 +7,10 @@ import (
 )
 
 // Host is the engine-side contract the trees depend on: snapshot
-// visibility for compaction GC, and obsolete-file reporting. Physical
-// deletion is centralized in the engine, which defers it while reads are
-// in flight; trees never unlink table files themselves.
+// visibility for compaction GC, obsolete-file reporting, and the one
+// compaction trigger only a read can pull. Physical deletion is centralized
+// in the engine, which defers it while reads are in flight; trees never
+// unlink table files themselves.
 type Host interface {
 	// SmallestSnapshot reports the oldest sequence number any live
 	// snapshot can observe; compactions must retain the newest version at
@@ -18,6 +19,14 @@ type Host interface {
 	// NoteObsoleteTables queues table files that just left the live
 	// version for physical deletion.
 	NoteObsoleteTables(fns []base.FileNum)
+	// ScheduleCompaction hears that a read used up a seek budget and so
+	// made a unit claimable (the seek hooks, SeekCharger and MissCharger):
+	// under read-only traffic no flush or finished unit would look for it.
+	// It is called on the reading goroutine, at most once per budget used
+	// up, with no lock of the core held, so the host may take its own
+	// locks, which order before the core's. It must not wait for a unit:
+	// it only starts a worker.
+	ScheduleCompaction()
 }
 
 // CompactionIter filters a merged input stream during compaction:

@@ -69,24 +69,39 @@ type Layout interface {
 // more tables than a compacted level would. A layout implements the hook of
 // each read it budgets, and the core reports — and takes its lock for —
 // only those: a read no budget counts costs nothing beyond the pin.
-// Exhausting a budget makes a unit claimable.
+// Exhausting a budget makes a unit claimable, and the charge that does so
+// returns true: nothing but a read would ever schedule that unit, so the
+// core passes the news on to its Host (Host.ScheduleCompaction) once it has
+// let go of its lock.
+
+// SeekBudgets is what both seek hooks report beside their charge.
+type SeekBudgets interface {
+	// SeekPending counts the budgets used up whose unit has not run yet.
+	SeekPending() int
+}
 
 // SeekCharger is a Layout that budgets iterator seeks.
 type SeekCharger interface {
+	SeekBudgets
 	// ChargeSeek reports an iterator seek that positioned every table of a
-	// group of more than one; guard is the group's key.
-	ChargeSeek(level int, guard []byte)
+	// group of more than one; guard is the group's key. It returns true
+	// when the charge used up the group's budget and made it pending; a
+	// group already pending returns false.
+	ChargeSeek(level int, guard []byte) bool
 }
 
 // MissCharger is a Layout that budgets the misses of point reads.
 type MissCharger interface {
+	SeekBudgets
 	// ChargeMiss reports f, the first table a Get searched without finding
 	// its key. A table of level 0 or of the last level is never reported:
 	// the last level has nowhere to push a table, and level-0 tables
 	// overlap each other, so compacting one down alone could bury a key's
 	// newest version under an older one still in another level-0 table
-	// (the level-0 count trigger handles level 0).
-	ChargeMiss(level int, f *base.FileMetadata)
+	// (the level-0 count trigger handles level 0). It returns true when the
+	// charge used up f's budget and made it pending; a table already
+	// pending returns false.
+	ChargeMiss(level int, f *base.FileMetadata) bool
 }
 
 // View is one immutable version of a layout's tables as the read path sees
@@ -244,9 +259,11 @@ type Core struct {
 	blocks *cache.Cache // the table cache's block cache
 	host   Host
 	layout Layout
-	// seeks and misses are the layout's seek hooks, nil when it has none.
-	seeks  SeekCharger
-	misses MissCharger
+	// seeks and misses are the layout's seek hooks, nil when it has none;
+	// budgets is whichever of the two it has.
+	seeks   SeekCharger
+	misses  MissCharger
+	budgets SeekBudgets
 
 	// mu guards the layout's state (guard candidates, seek budgets), the
 	// current view, the claims and the core's counters below.
@@ -304,6 +321,7 @@ func Open(kind Kind, cfg *base.Config, fs vfs.FS, dir string, host Host, layout 
 	}
 	c.seeks, _ = layout.(SeekCharger)
 	c.misses, _ = layout.(MissCharger)
+	c.budgets, _ = layout.(SeekBudgets)
 	c.metrics.PeakLevelUnits = make([]int, cfg.NumLevels)
 	c.logCond = sync.NewCond(&c.logMu)
 	c.blocks = cache.New(cfg.BlockCacheSize)
@@ -592,6 +610,9 @@ func (c *Core) Metrics() Metrics {
 	m := c.metrics
 	m.PeakLevelUnits = append([]int(nil), c.metrics.PeakLevelUnits...)
 	m.UnitsInflight = int64(c.units)
+	if c.budgets != nil {
+		m.SeekPending = int64(c.budgets.SeekPending())
+	}
 	v := c.view
 	c.mu.Unlock()
 	m.LevelFiles = make([]int, c.cfg.NumLevels)

@@ -57,6 +57,8 @@ type host struct {
 	gate     chan struct{} // non-nil: units park here
 	toPark   int           // units the gate still stops; later ones pass
 	parked   chan struct{} // receives one value per parked unit
+	// scheduled counts the reads that told the host a seek budget ran out.
+	scheduled atomic.Int64
 }
 
 func (h *host) SmallestSnapshot() base.SeqNum {
@@ -109,6 +111,8 @@ func (h *host) NoteObsoleteTables(fns []base.FileNum) {
 	h.obsolete = append(h.obsolete, fns...)
 	h.mu.Unlock()
 }
+
+func (h *host) ScheduleCompaction() { h.scheduled.Add(1) }
 
 func (h *host) obsoleteCount() int {
 	h.mu.Lock()

@@ -376,6 +376,12 @@ func testSeekPolicy(t *testing.T, open OpenFunc, policy SeekPolicy, op string) {
 	if got := s.c.NeedsCompaction(); got != charges {
 		t.Fatalf("NeedsCompaction = %v after the reads, want %v", got, charges)
 	}
+	// Each budget that ran out was announced to the host once, by the read
+	// that used it up, however often the reads after it ran theirs out again.
+	pending := s.c.Metrics().SeekPending
+	if told := s.host.scheduled.Load(); told != pending || (pending > 0) != charges {
+		t.Fatalf("%d seek budgets pending, the host was told %d times: want as many, and pending work %v", pending, told, charges)
+	}
 	did, err := s.c.CompactOnce()
 	if err != nil || did != charges {
 		t.Fatalf("CompactOnce = %v, %v, want %v", did, err, charges)
@@ -384,8 +390,9 @@ func testSeekPolicy(t *testing.T, open OpenFunc, policy SeekPolicy, op string) {
 	if charges {
 		want = 1
 	}
-	if m := s.c.Metrics(); m.SeekCompactions != want || s.seekUnits.Load() != want {
-		t.Fatalf("%d seek compactions in the metrics, %d units with Detail \"seek\" in the events, want %d", m.SeekCompactions, s.seekUnits.Load(), want)
+	if m := s.c.Metrics(); m.SeekCompactions != want || s.seekUnits.Load() != want || m.SeekPending != pending-want {
+		t.Fatalf("%d seek compactions in the metrics, %d units with Detail \"seek\" in the events, %d budgets pending, want %d, %d and %d",
+			m.SeekCompactions, s.seekUnits.Load(), m.SeekPending, want, want, pending-want)
 	}
 	s.checkInvariants()
 	for i := 0; i < 2000; i++ {

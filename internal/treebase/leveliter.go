@@ -116,12 +116,13 @@ func (l *levelIter) openGroup(i int) bool {
 
 // seek opens the group a seek to target lands in — reusing it when already
 // open — positions it, and charges the seek when that took more than one
-// table. A backward seek past the last group starts from the last. Parallel
-// seeks (§4.2): position the sstable iterators of the group side by side,
-// all but one on goroutines of their own, then assemble the heap. That pays
-// only when the tables are likely uncached and their reads wait, so the
-// core enables it for the last level only and the seek fans out only while
-// table reads are measured slow.
+// table; the charge that uses up the group's budget asks the host to run
+// the unit it made. A backward seek past the last group starts from the
+// last. Parallel seeks (§4.2): position the sstable iterators of the group
+// side by side, all but one on goroutines of their own, then assemble the
+// heap. That pays only when the tables are likely uncached and their reads
+// wait, so the core enables it for the last level only and the seek fans
+// out only while table reads are measured slow.
 func (l *levelIter) seek(target []byte, reverse bool) bool {
 	i, _ := l.v.Find(l.level, base.UserKey(target))
 	i = max(i, l.lo)
@@ -133,8 +134,11 @@ func (l *levelIter) seek(target []byte, reverse bool) bool {
 	}
 	if l.tables > 1 && l.c.seeks != nil && l.c.cfg.SeekCompactionThreshold > 0 {
 		l.c.mu.Lock()
-		l.c.seeks.ChargeSeek(l.level, l.guard)
+		spent := l.c.seeks.ChargeSeek(l.level, l.guard)
 		l.c.mu.Unlock()
+		if spent {
+			l.c.host.ScheduleCompaction()
+		}
 	}
 	if l.parallel && len(l.kids) > 1 && l.c.tc.ReadNanos() > fanOutReadNanos {
 		l.fanOut(target, reverse)

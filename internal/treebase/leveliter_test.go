@@ -51,14 +51,17 @@ func (l *testLayout) Pick(bool, Claims) *Unit                   { return nil }
 func (l *testLayout) Release(*Unit, bool)                       {}
 func (l *testLayout) WantGuard([]byte) bool                     { return false }
 func (l *testLayout) Ingest([]byte)                             {}
-func (l *testLayout) ChargeSeek(level int, guard []byte) {
+func (l *testLayout) ChargeSeek(level int, guard []byte) bool {
 	l.charged = append(l.charged, fmt.Sprintf("%d/%s", level, guard))
+	return false
 }
+func (l *testLayout) SeekPending() int { return 0 }
 
 type testHost struct{}
 
 func (testHost) SmallestSnapshot() base.SeqNum     { return base.MaxSeqNum }
 func (testHost) NoteObsoleteTables([]base.FileNum) {}
+func (testHost) ScheduleCompaction()               {}
 
 type testEntry struct {
 	ukey string

@@ -218,6 +218,9 @@ type Metrics struct {
 	InPlaceMerges int64 `metric:"pebblesdb_compaction_inplace_total" help:"In-place guard merges (FLSM last-level rewrites)."`
 	// SeekCompactions counts compactions triggered by seek thresholds.
 	SeekCompactions int64 `metric:"pebblesdb_compaction_seek_total" help:"Seek-triggered compactions."`
+	// SeekPending is the point-in-time number of seek budgets used up — an
+	// FLSM guard's, a leveled table's — whose unit has not run yet.
+	SeekPending int64 `metric:"pebblesdb_compaction_seek_pending" help:"Seek budgets used up whose compaction has not run yet."`
 	// BytesCompactedIn / BytesCompactedOut are compaction read/write IO.
 	BytesCompactedIn  int64 `metric:"pebblesdb_compaction_in_bytes_total" help:"Bytes read by compactions."`
 	BytesCompactedOut int64 `metric:"pebblesdb_compaction_out_bytes_total" help:"Bytes written by compactions."`

@@ -53,8 +53,11 @@ func (c *Core) Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstab
 	value, found, err = d.run(v)
 	if d.miss != nil && c.chargesMiss(d.missLevel) {
 		c.mu.Lock()
-		c.misses.ChargeMiss(d.missLevel, d.miss)
+		spent := c.misses.ChargeMiss(d.missLevel, d.miss)
 		c.mu.Unlock()
+		if spent {
+			c.host.ScheduleCompaction()
+		}
 	}
 	return value, found, err
 }

@@ -30,8 +30,9 @@ type missLayout struct {
 	missed []string
 }
 
-func (l *missLayout) ChargeMiss(level int, f *base.FileMetadata) {
+func (l *missLayout) ChargeMiss(level int, f *base.FileMetadata) bool {
 	l.missed = append(l.missed, fmt.Sprintf("%d/%s", level, f.SmallestUserKey()))
+	return false
 }
 
 // TestGetMissCharging pins which Get the core reports to a MissCharger: the

@@ -11,9 +11,14 @@ import "pebblesdb/internal/engine"
 // until !Valid()). Reverse scans mirror it: SeekLT (or Last) then Prev.
 // Next and Prev may be freely interleaved; direction switches are handled
 // by the merging iterator underneath.
-type Iterator struct {
-	it *engine.Iter
-}
+//
+// An Iterator is the engine's pooled iterator under the public method set,
+// not a wrapper around it: NewIter hands out the pooled object itself and
+// Close gives it back, so opening one allocates nothing.
+type Iterator engine.Iter
+
+// eng is the engine iterator i is.
+func (i *Iterator) eng() *engine.Iter { return (*engine.Iter)(i) }
 
 // NewIter returns an iterator over the latest committed state. A nil opts
 // iterates everything; bounds restrict the iterator to [LowerBound,
@@ -38,7 +43,7 @@ func (d *DB) NewIter(opts *IterOptions) (*Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Iterator{it: it}, nil
+	return (*Iterator)(it), nil
 }
 
 // NewIterAt returns an iterator over a snapshot.
@@ -49,34 +54,36 @@ func (d *DB) NewIterAt(snap *Snapshot) (*Iterator, error) {
 }
 
 // First positions at the smallest key within bounds.
-func (i *Iterator) First() { i.it.First() }
+func (i *Iterator) First() { i.eng().First() }
 
 // Last positions at the largest key within bounds.
-func (i *Iterator) Last() { i.it.Last() }
+func (i *Iterator) Last() { i.eng().Last() }
 
 // SeekGE positions at the first key >= key (clamped to LowerBound).
-func (i *Iterator) SeekGE(key []byte) { i.it.SeekGE(key) }
+func (i *Iterator) SeekGE(key []byte) { i.eng().SeekGE(key) }
 
 // SeekLT positions at the last key < key (clamped to UpperBound).
-func (i *Iterator) SeekLT(key []byte) { i.it.SeekLT(key) }
+func (i *Iterator) SeekLT(key []byte) { i.eng().SeekLT(key) }
 
 // Next advances to the next key. It must only be called when Valid.
-func (i *Iterator) Next() { i.it.Next() }
+func (i *Iterator) Next() { i.eng().Next() }
 
 // Prev moves back to the previous key. It must only be called when Valid.
-func (i *Iterator) Prev() { i.it.Prev() }
+func (i *Iterator) Prev() { i.eng().Prev() }
 
 // Valid reports whether the iterator is positioned on an entry.
-func (i *Iterator) Valid() bool { return i.it.Valid() }
+func (i *Iterator) Valid() bool { return i.eng().Valid() }
 
 // Key returns the current key; valid until the next positioning call.
-func (i *Iterator) Key() []byte { return i.it.Key() }
+func (i *Iterator) Key() []byte { return i.eng().Key() }
 
 // Value returns the current value; valid until the next positioning call.
-func (i *Iterator) Value() []byte { return i.it.Value() }
+func (i *Iterator) Value() []byte { return i.eng().Value() }
 
 // Error returns the first error encountered.
-func (i *Iterator) Error() error { return i.it.Error() }
+func (i *Iterator) Error() error { return i.eng().Error() }
 
-// Close releases the iterator. Must be called exactly once.
-func (i *Iterator) Close() error { return i.it.Close() }
+// Close releases the iterator and hands it back to the pool it came from.
+// Must be called exactly once: the iterator may already serve another
+// caller.
+func (i *Iterator) Close() error { return i.eng().Close() }
