@@ -84,8 +84,16 @@ type Config struct {
 	ParallelSeeks bool
 
 	// SeekCompactionThreshold is the number of consecutive seeks that mark
-	// a guard (FLSM) or file (leveled) for compaction (§4.2, default 10).
-	// Negative disables seek-triggered compaction (ablation).
+	// an FLSM guard for compaction (§4.2, default 10). A seek is a read
+	// that consults two or more of the guard's tables: an iterator seek
+	// that positions them, or a Get that passes over the newest one whose
+	// key range holds its key (a bloom negative counts). A leveled tree
+	// budgets a table's Get misses instead, as many as LevelDB's allowed
+	// seeks, and the threshold only switches that on. Consecutive means
+	// with no commit between two charges, in both trees: a charge that sees
+	// the committed sequence number moved restarts the budget (LevelDB
+	// never restarts allowed seeks). Negative disables every budget
+	// (ablation).
 	SeekCompactionThreshold int
 
 	// MaxCompactionConcurrency is the number of background compaction

@@ -412,6 +412,10 @@ func (e *Engine) releaseOp() {
 	}
 }
 
+// CommittedSeq implements part of treebase.Host: the live counter, not a
+// read's own sequence, so a snapshot read cannot count across commits.
+func (e *Engine) CommittedSeq() base.SeqNum { return base.SeqNum(e.seq.Load()) }
+
 // SmallestSnapshot implements part of treebase.Host.
 func (e *Engine) SmallestSnapshot() base.SeqNum {
 	e.snapMu.Lock()

@@ -263,14 +263,16 @@ func (l *layout) addWriter(u *treebase.Unit, dst int) {
 // Release drops u's writer refcounts; a level's shared partition dissolves
 // with its last writer (the next one recomputes it against the then-current
 // version). A unit that completed also resets its source guards' seek
-// budgets.
+// budgets, in place: the next charge of the guard allocates nothing.
 func (l *layout) Release(u *treebase.Unit, done bool) {
 	inf := &l.inflight
 	writes := 0
 	for i := range u.Merges {
 		m := &u.Merges[i]
 		if done && u.Level > 0 {
-			delete(l.seeksLeft[u.Level], string(m.Guard))
+			if b := l.seekBudgets[u.Level][string(m.Guard)]; b != nil {
+				*b = treebase.SeekBudget{}
+			}
 			delete(l.seekPending, guardID{Level: u.Level, Key: string(m.Guard)})
 		}
 		if writes&(1<<m.Dst) != 0 {

@@ -25,7 +25,8 @@ func (h *fakeHost) SmallestSnapshot() base.SeqNum { return h.smallest }
 func (h *fakeHost) NoteObsoleteTables(fns []base.FileNum) {
 	h.obsolete = append(h.obsolete, fns...)
 }
-func (h *fakeHost) ScheduleCompaction() {}
+func (h *fakeHost) CommittedSeq() base.SeqNum { return 0 }
+func (h *fakeHost) ScheduleCompaction()       {}
 
 func testConfig() *base.Config {
 	cfg := &base.Config{
@@ -483,4 +484,6 @@ func TestGuardDeletionEdit(t *testing.T) {
 
 // TestCoreSuite runs the shared treebase.Core behaviour suite over the
 // FLSM layout.
-func TestCoreSuite(t *testing.T) { coretest.Run(t, Open, coretest.SeekPolicy{IterSeeks: true}) }
+func TestCoreSuite(t *testing.T) {
+	coretest.Run(t, Open, coretest.SeekPolicy{IterSeeks: true, GetGroups: true})
+}

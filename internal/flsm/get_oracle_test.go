@@ -93,6 +93,7 @@ func (h *snapshotHost) SmallestSnapshot() base.SeqNum {
 	return base.SeqNum(h.smallest.Load())
 }
 func (h *snapshotHost) NoteObsoleteTables([]base.FileNum) {}
+func (h *snapshotHost) CommittedSeq() base.SeqNum         { return 0 }
 func (h *snapshotHost) ScheduleCompaction()               {}
 
 // TestGetAgainstEveryTable is the differential test of the Get descent:

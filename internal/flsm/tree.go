@@ -25,10 +25,10 @@ type layout struct {
 	// compaction.go): which levels are being written into and at what
 	// shared partition. What they hold as input is the core's to record.
 	inflight inflight
-	// seeksLeft[level] holds, per guard key, the seeks left before the guard
-	// is scheduled; seekPending holds guards whose budget is exhausted (§4.2
-	// seek-based compaction).
-	seeksLeft   []map[string]*int
+	// seekBudgets[level] holds, per guard key, the guard's seek budget;
+	// seekPending holds guards whose budget is exhausted (§4.2 seek-based
+	// compaction).
+	seekBudgets []map[string]*treebase.SeekBudget
 	seekPending map[guardID]bool
 }
 
@@ -66,11 +66,11 @@ func newLayout(cfg *base.Config) *layout {
 			partition:  make([][][]byte, cfg.NumLevels),
 			commitKeys: make([][][]byte, cfg.NumLevels),
 		},
-		seeksLeft:   make([]map[string]*int, cfg.NumLevels),
+		seekBudgets: make([]map[string]*treebase.SeekBudget, cfg.NumLevels),
 		seekPending: make(map[guardID]bool),
 	}
-	for lv := range l.seeksLeft {
-		l.seeksLeft[lv] = map[string]*int{}
+	for lv := range l.seekBudgets {
+		l.seekBudgets[lv] = map[string]*treebase.SeekBudget{}
 	}
 	return l
 }
@@ -121,31 +121,28 @@ func (l *layout) Ingest(ukey []byte) {
 	}
 }
 
-// ChargeSeek charges the budget of the guard an iterator seek landed on
-// (§4.2, default threshold 10 consecutive seeks); exhaustion schedules the
-// guard for compaction and reports true, unless the guard is pending
-// already. A Get's misses are not budgeted (the layout is no
-// treebase.MissCharger): §4.2 counts seeks, which position every sstable of
-// a guard; a Get stops at the newest one that holds its key. Only a guard's
-// first charge allocates.
-func (l *layout) ChargeSeek(level int, gkey []byte) bool {
-	left := l.seeksLeft[level][string(gkey)]
-	if left == nil {
-		left = new(int)
-		*left = l.cfg.SeekCompactionThreshold
-		l.seeksLeft[level][string(gkey)] = left
+// ChargeSeek charges the budget of the guard a read consulted several
+// tables of (§4.2, default threshold 10 consecutive seeks): an iterator seek
+// that positioned them all, or a Get that passed over the newest one whose
+// key range holds its key — a Get the newest table answers costs what a
+// compacted guard costs and is not charged. The seeks must be consecutive
+// (treebase.SeekBudget). Exhaustion schedules the guard for compaction and
+// reports spent, unless the guard is pending already. Only a guard's first
+// charge allocates.
+func (l *layout) ChargeSeek(level int, gkey []byte, seq base.SeqNum) (spent, restarted bool) {
+	b := l.seekBudgets[level][string(gkey)]
+	if b == nil {
+		b = new(treebase.SeekBudget)
+		l.seekBudgets[level][string(gkey)] = b
 	}
-	if *left--; *left > 0 {
-		return false
-	}
-	*left = l.cfg.SeekCompactionThreshold
+	usedUp, restarted := b.Charge(l.cfg.SeekCompactionThreshold, seq)
 	// Look before storing: the lookup converts gkey without allocating, the
 	// store would allocate again for a guard that is already pending.
-	if l.seekPending[guardID{Level: level, Key: string(gkey)}] {
-		return false
+	if !usedUp || l.seekPending[guardID{Level: level, Key: string(gkey)}] {
+		return false, restarted
 	}
 	l.seekPending[guardID{Level: level, Key: string(gkey)}] = true
-	return true
+	return true, restarted
 }
 
 // SeekPending counts the guards whose seek budget ran out and whose unit

@@ -22,7 +22,8 @@ func (h *fakeHost) SmallestSnapshot() base.SeqNum { return h.smallest }
 func (h *fakeHost) NoteObsoleteTables(fns []base.FileNum) {
 	h.obsolete = append(h.obsolete, fns...)
 }
-func (h *fakeHost) ScheduleCompaction() {}
+func (h *fakeHost) CommittedSeq() base.SeqNum { return 0 }
+func (h *fakeHost) ScheduleCompaction()       {}
 
 func testConfig() *base.Config {
 	cfg := &base.Config{

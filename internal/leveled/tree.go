@@ -16,9 +16,9 @@ type layout struct {
 	// cur is the current immutable version, the view the core reads.
 	cur        *version
 	compactPtr [][]byte // per-level round-robin cursor (user key)
-	// seeksLeft holds the remaining seek budget of every table charged so
-	// far; seekPending maps the tables whose budget ran out to their level.
-	seeksLeft   map[base.FileNum]int
+	// seekBudgets holds the seek budget of every table charged so far;
+	// seekPending maps the tables whose budget ran out to their level.
+	seekBudgets map[base.FileNum]treebase.SeekBudget
 	seekPending map[base.FileNum]int
 }
 
@@ -35,7 +35,7 @@ func newLayout(cfg *base.Config) *layout {
 		cfg:         cfg,
 		cur:         newVersion(cfg.NumLevels),
 		compactPtr:  make([][]byte, cfg.NumLevels),
-		seeksLeft:   make(map[base.FileNum]int),
+		seekBudgets: make(map[base.FileNum]treebase.SeekBudget),
 		seekPending: make(map[base.FileNum]int),
 	}
 }
@@ -50,7 +50,7 @@ func (l *layout) Apply(edit *manifest.VersionEdit) (treebase.View, error) {
 	}
 	l.cur = nv
 	for _, d := range edit.DeletedFiles {
-		delete(l.seeksLeft, d.FileNum)
+		delete(l.seekBudgets, d.FileNum)
 		delete(l.seekPending, d.FileNum)
 	}
 	return nv, nil
@@ -63,26 +63,22 @@ func (l *layout) Ingest(ukey []byte)         {}
 
 // ChargeMiss charges a Get's first searched-and-missed table (LevelDB's
 // seek-triggered compaction, the baseline analogue of §4.2): a Get that
-// finds its key in the first table it searches charges nothing. Exhausting
-// the table's budget schedules it for compaction and reports true, unless
-// the table is pending already. Iterator seeks are not budgeted (the layout
-// is no treebase.SeekCharger): they open one table per level whatever the
+// finds its key in the first table it searches charges nothing. Unlike
+// LevelDB's allowed seeks, the misses must be consecutive, as every budget
+// here counts (treebase.SeekBudget). Exhausting the table's budget
+// schedules it for compaction and reports spent, unless the table is
+// pending already. Iterator seeks are not budgeted (the layout is
+// no treebase.SeekCharger): they open one table per level whatever the
 // outcome.
-func (l *layout) ChargeMiss(level int, miss *base.FileMetadata) bool {
-	left, ok := l.seeksLeft[miss.FileNum]
-	if !ok {
-		left = allowedSeeks(miss.Size)
+func (l *layout) ChargeMiss(level int, miss *base.FileMetadata, seq base.SeqNum) (spent, restarted bool) {
+	b := l.seekBudgets[miss.FileNum]
+	usedUp, restarted := b.Charge(allowedSeeks(miss.Size), seq)
+	l.seekBudgets[miss.FileNum] = b
+	if _, dup := l.seekPending[miss.FileNum]; !usedUp || dup {
+		return false, restarted
 	}
-	spent := false
-	if left--; left <= 0 {
-		if _, dup := l.seekPending[miss.FileNum]; !dup {
-			l.seekPending[miss.FileNum] = level
-			spent = true
-		}
-		left = allowedSeeks(miss.Size)
-	}
-	l.seeksLeft[miss.FileNum] = left
-	return spent
+	l.seekPending[miss.FileNum] = level
+	return true, restarted
 }
 
 // SeekPending counts the tables whose seek budget ran out and whose unit

@@ -7,7 +7,8 @@ import (
 )
 
 // Host is the engine-side contract the trees depend on: snapshot
-// visibility for compaction GC, obsolete-file reporting, and the one
+// visibility for compaction GC, obsolete-file reporting, the committed
+// sequence number that tells consecutive reads apart, and the one
 // compaction trigger only a read can pull. Physical deletion is centralized
 // in the engine, which defers it while reads are in flight; trees never
 // unlink table files themselves.
@@ -19,6 +20,12 @@ type Host interface {
 	// NoteObsoleteTables queues table files that just left the live
 	// version for physical deletion.
 	NoteObsoleteTables(fns []base.FileNum)
+	// CommittedSeq reports the last committed sequence number. The seek
+	// hooks read it when a read is charged: two charges that see the same
+	// number had no commit between them, and only such consecutive reads
+	// count against a budget (§4.2). It is called on the reading goroutine
+	// with no lock of the core held and must not block.
+	CommittedSeq() base.SeqNum
 	// ScheduleCompaction hears that a read used up a seek budget and so
 	// made a unit claimable (the seek hooks, SeekCharger and MissCharger):
 	// under read-only traffic no flush or finished unit would look for it.

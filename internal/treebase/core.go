@@ -65,14 +65,19 @@ type Layout interface {
 	Ingest(ukey []byte)
 }
 
-// The seek hooks (§4.2 seek-based compaction) are the two reads that cost
-// more tables than a compacted level would. A layout implements the hook of
-// each read it budgets, and the core reports — and takes its lock for —
-// only those: a read no budget counts costs nothing beyond the pin.
-// Exhausting a budget makes a unit claimable, and the charge that does so
-// returns true: nothing but a read would ever schedule that unit, so the
-// core passes the news on to its Host (Host.ScheduleCompaction) once it has
-// let go of its lock.
+// The seek hooks (§4.2 seek-based compaction) are the reads that cost more
+// tables than a compacted level would. A layout implements the hook of each
+// read it budgets, and the core reports — and takes its lock for — only
+// those: a read no budget counts costs nothing beyond the pin. A budget
+// counts consecutive reads, ones with no commit between them: each charge
+// carries the committed sequence number (Host.CommittedSeq), and a charge
+// that sees another number than the budget's last one restarts the budget
+// before counting, so under writes, whose flushes would undo the unit, no
+// budget runs out. Exhausting a budget makes a unit claimable, and the
+// charge that does so returns spent: nothing but a read would ever schedule
+// that unit, so the core passes the news on to its Host
+// (Host.ScheduleCompaction) once it has let go of its lock. restarted
+// reports that the charge restarted a budget already partly spent.
 
 // SeekBudgets is what both seek hooks report beside their charge.
 type SeekBudgets interface {
@@ -80,28 +85,54 @@ type SeekBudgets interface {
 	SeekPending() int
 }
 
-// SeekCharger is a Layout that budgets iterator seeks.
+// SeekCharger is a Layout that budgets the reads that consult several
+// tables of one group.
 type SeekCharger interface {
 	SeekBudgets
-	// ChargeSeek reports an iterator seek that positioned every table of a
-	// group of more than one; guard is the group's key. It returns true
-	// when the charge used up the group's budget and made it pending; a
-	// group already pending returns false.
-	ChargeSeek(level int, guard []byte) bool
+	// ChargeSeek reports, at committed sequence number seq, a read that
+	// consulted more than one table of a group: an iterator seek that
+	// positioned every table of a group of more than one, or a Get that
+	// passed over the group's newest table holding its key range. guard is
+	// the group's key. A group already pending is not made pending again.
+	ChargeSeek(level int, guard []byte, seq base.SeqNum) (spent, restarted bool)
 }
 
 // MissCharger is a Layout that budgets the misses of point reads.
 type MissCharger interface {
 	SeekBudgets
-	// ChargeMiss reports f, the first table a Get searched without finding
-	// its key. A table of level 0 or of the last level is never reported:
-	// the last level has nowhere to push a table, and level-0 tables
-	// overlap each other, so compacting one down alone could bury a key's
-	// newest version under an older one still in another level-0 table
-	// (the level-0 count trigger handles level 0). It returns true when the
-	// charge used up f's budget and made it pending; a table already
-	// pending returns false.
-	ChargeMiss(level int, f *base.FileMetadata) bool
+	// ChargeMiss reports, at committed sequence number seq, f, the first
+	// table a Get searched without finding its key. A table of level 0 or
+	// of the last level is never reported: the last level has nowhere to
+	// push a table, and level-0 tables overlap each other, so compacting one
+	// down alone could bury a key's newest version under an older one still
+	// in another level-0 table (the level-0 count trigger handles level 0).
+	// A table already pending is not made pending again.
+	ChargeMiss(level int, f *base.FileMetadata, seq base.SeqNum) (spent, restarted bool)
+}
+
+// SeekBudget is one seek budget, as a layout keeps it per guard or per
+// table: the charges counted since it was last full, and the committed
+// sequence number of the last one. The zero SeekBudget is full.
+type SeekBudget struct {
+	used int
+	seq  base.SeqNum
+}
+
+// Charge counts a charge at committed sequence number seq against a
+// budget of full consecutive charges. A charge at another number than the
+// last one's restarts the budget first: a commit came between them. It
+// reports whether the charge used the budget up, which leaves it full
+// again, and whether it restarted a budget already partly spent.
+func (b *SeekBudget) Charge(full int, seq base.SeqNum) (usedUp, restarted bool) {
+	if b.seq != seq {
+		restarted = b.used > 0
+		b.used, b.seq = 0, seq
+	}
+	if b.used++; b.used < full {
+		return false, restarted
+	}
+	b.used = 0
+	return true, restarted
 }
 
 // View is one immutable version of a layout's tables as the read path sees

@@ -59,6 +59,9 @@ type host struct {
 	parked   chan struct{} // receives one value per parked unit
 	// scheduled counts the reads that told the host a seek budget ran out.
 	scheduled atomic.Int64
+	// committed is what CommittedSeq reports; a test moves it to stand for
+	// a commit.
+	committed atomic.Uint64
 }
 
 func (h *host) SmallestSnapshot() base.SeqNum {
@@ -112,7 +115,8 @@ func (h *host) NoteObsoleteTables(fns []base.FileNum) {
 	h.mu.Unlock()
 }
 
-func (h *host) ScheduleCompaction() { h.scheduled.Add(1) }
+func (h *host) CommittedSeq() base.SeqNum { return base.SeqNum(h.committed.Load()) }
+func (h *host) ScheduleCompaction()       { h.scheduled.Add(1) }
 
 func (h *host) obsoleteCount() int {
 	h.mu.Lock()

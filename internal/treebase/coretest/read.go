@@ -16,19 +16,23 @@ import (
 	"pebblesdb/internal/memtable"
 	"pebblesdb/internal/race"
 	"pebblesdb/internal/rangedel"
+	"pebblesdb/internal/sstable"
 	"pebblesdb/internal/treebase"
 	"pebblesdb/internal/vfs"
 )
 
 // SeekPolicy says which reads the layout under test charges to a seek
-// budget (§4.2 seek-based compaction); the core reports both to every
-// layout.
+// budget (§4.2 seek-based compaction). The core reports them all to every
+// layout, and every budget counts only reads with no commit between them.
 type SeekPolicy struct {
 	// IterSeeks: an iterator seek that lands on a group of more than one
 	// table is charged to the group (FLSM).
 	IterSeeks bool
+	// GetGroups: a Get that consults two or more tables of a group below
+	// level 0 is charged to the group (FLSM).
+	GetGroups bool
 	// GetMisses: a Get is charged to the first table it searches without
-	// finding its key, at levels 1..last-1 (leveled, LevelDB's rule).
+	// finding its key, at levels 1..last-1 (leveled, after LevelDB).
 	GetMisses bool
 }
 
@@ -37,9 +41,10 @@ type SeekPolicy struct {
 func runReads(t *testing.T, open OpenFunc, policy SeekPolicy) {
 	t.Run("ReadModel", func(t *testing.T) { testReadModel(t, open) })
 	t.Run("SeekPolicy", func(t *testing.T) {
-		for _, op := range []string{"iter-seek", "get-miss"} {
+		for _, op := range []string{"iter-seek", "get-miss", "get-newest"} {
 			t.Run(op, func(t *testing.T) { testSeekPolicy(t, open, policy, op) })
 		}
+		t.Run("commit-restarts", func(t *testing.T) { testCommitRestarts(t, open, policy) })
 	})
 	t.Run("WarmSeekDoesNotAllocate", func(t *testing.T) { testWarmSeekAllocs(t, open, policy) })
 	t.Run("RewriteBesideAppend", func(t *testing.T) {
@@ -333,46 +338,82 @@ func seekStore(t *testing.T, open OpenFunc) *store {
 	return s
 }
 
+// charges reports whether policy charges the reads op names (seekReads).
+func (p SeekPolicy) charges(op string) bool {
+	switch op {
+	case "iter-seek":
+		return p.IterSeeks
+	case "get-miss":
+		return p.GetGroups || p.GetMisses
+	}
+	return false
+}
+
+// seekReads runs n reads of the kind op names on a seekStore, calling
+// between before every read but the first: "iter-seek" seeks one iterator
+// into the level-1 group over key 1001, alternately forward and backward;
+// "get-miss" Gets even keys, which pass over that group's two tables —
+// searching the level-1 table in vain in a leveled tree; "get-newest" Gets
+// keys its newest table holds.
+func seekReads(t *testing.T, s *store, op string, n int, between func(i int)) {
+	t.Helper()
+	if op != "iter-seek" {
+		first := 1000
+		if op == "get-newest" {
+			first = 1003
+		}
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				between(i)
+			}
+			k := key(first + 4*(i%4))
+			if _, found, err := s.c.Get([]byte(k), base.MaxSeqNum, nil, nil); !found || err != nil {
+				t.Fatalf("get %s: found=%v err=%v", k, found, err)
+			}
+		}
+		return
+	}
+	iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := iterator.NewMerging(base.InternalCompare, iters...)
+	target := base.MakeSearchKey(nil, []byte(key(1001)), base.MaxSeqNum)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			between(i)
+		}
+		if i%2 == 0 {
+			m.SeekGE(target)
+		} else {
+			m.SeekLT(target)
+		}
+		if !m.Valid() {
+			t.Fatalf("seek %d found nothing: %v", i, m.Error())
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // testSeekPolicy: the read a layout charges makes a unit with Seek set
-// claimable once a budget runs out — SeekCompactionThreshold seeks for an
+// claimable once a budget runs out — SeekCompactionThreshold reads for an
 // FLSM guard, a table's allowed seeks (at least 100) for a leveled Get —
 // and the read it does not charge never does.
 func testSeekPolicy(t *testing.T, open OpenFunc, policy SeekPolicy, op string) {
 	s := seekStore(t, open)
 	defer s.c.Close()
-	charges := policy.IterSeeks
+	charges := policy.charges(op)
+	n := 400
 	if op == "iter-seek" {
-		iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := iterator.NewMerging(base.InternalCompare, iters...)
-		target := base.MakeSearchKey(nil, []byte(key(1001)), base.MaxSeqNum)
-		for i := 0; i < 40*s.cfg.SeekCompactionThreshold; i++ {
-			if i%2 == 0 {
-				m.SeekGE(target)
-			} else {
-				m.SeekLT(target)
-			}
-			if !m.Valid() {
-				t.Fatalf("seek %d found nothing: %v", i, m.Error())
-			}
-			if i+1 == s.cfg.SeekCompactionThreshold && s.c.NeedsCompaction() != charges {
-				t.Fatalf("NeedsCompaction = %v after %d seeks into one group, want %v", !charges, i+1, charges)
-			}
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		charges = policy.GetMisses
-		for i := 0; i < 400; i++ {
-			k := key(1000 + 2*(i%4))
-			if _, found, err := s.c.Get([]byte(k), base.MaxSeqNum, nil, nil); !found || err != nil {
-				t.Fatalf("get %s: found=%v err=%v", k, found, err)
-			}
-		}
+		n = 40 * s.cfg.SeekCompactionThreshold
 	}
+	seekReads(t, s, op, n, func(i int) {
+		if op == "iter-seek" && i == s.cfg.SeekCompactionThreshold && s.c.NeedsCompaction() != charges {
+			t.Fatalf("NeedsCompaction = %v after %d seeks into one group, want %v", !charges, i, charges)
+		}
+	})
 	if got := s.c.NeedsCompaction(); got != charges {
 		t.Fatalf("NeedsCompaction = %v after the reads, want %v", got, charges)
 	}
@@ -402,42 +443,107 @@ func testSeekPolicy(t *testing.T, open OpenFunc, policy SeekPolicy, op string) {
 	}
 }
 
-// testWarmSeekAllocs pins a warm seek at zero allocations on the store
-// where an FLSM seek lands on a group of two tables at level 1 and is
-// charged every time: only a guard's first charge may allocate.
+// testCommitRestarts: a budget counts reads with no commit between them.
+// Each read kind the layout charges runs 20 budgets' worth of reads in
+// pairs, with a commit before every pair, and no budget runs out: the
+// first read of a pair restarts the budget it charges, the second adds to
+// it, and the restarts are counted. The same reads with no commit between
+// them then use a budget up.
+func testCommitRestarts(t *testing.T, open OpenFunc, policy SeekPolicy) {
+	for _, op := range []string{"iter-seek", "get-miss"} {
+		if !policy.charges(op) {
+			continue
+		}
+		t.Run(op, func(t *testing.T) {
+			s := seekStore(t, open)
+			defer s.c.Close()
+			n := 20 * s.cfg.SeekCompactionThreshold
+			if op != "iter-seek" {
+				n = 400 // a leveled table allows at least 100 seeks
+			}
+			seekReads(t, s, op, n, func(i int) {
+				if i%2 == 0 {
+					s.host.committed.Add(1)
+				}
+			})
+			m := s.c.Metrics()
+			if s.c.NeedsCompaction() || m.SeekPending != 0 || s.host.scheduled.Load() != 0 || m.SeekRestarts == 0 {
+				t.Fatalf("after %d reads with a commit before every pair: needs compaction %v, %d budgets pending, host told %d times, %d budgets restarted; want false, 0, 0 and some",
+					n, s.c.NeedsCompaction(), m.SeekPending, s.host.scheduled.Load(), m.SeekRestarts)
+			}
+			seekReads(t, s, op, n, func(int) {})
+			if m := s.c.Metrics(); !s.c.NeedsCompaction() || m.SeekPending == 0 || s.host.scheduled.Load() == 0 {
+				t.Fatalf("after %d consecutive reads: needs compaction %v, %d budgets pending, host told %d times; want true and some",
+					n, s.c.NeedsCompaction(), m.SeekPending, s.host.scheduled.Load())
+			}
+		})
+	}
+}
+
+// testWarmSeekAllocs pins the warm reads of a seekStore at zero
+// allocations: an FLSM seek, or Get of an even key, consults both tables of
+// a level-1 group and is charged every time, a leveled Get searches the
+// level-1 table in vain and is charged too, and only a budget's first
+// charge may allocate. Each case reads one budget's worth a run, so every
+// run also uses an FLSM guard's budget up.
 func testWarmSeekAllocs(t *testing.T, open OpenFunc, policy SeekPolicy) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s := seekStore(t, open)
-	defer s.c.Close()
-	iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := iterator.NewMerging(base.InternalCompare, iters...)
-	defer m.Close()
-	target := base.MakeSearchKey(nil, []byte(key(1001)), base.MaxSeqNum)
-	seeks := func() {
-		// One budget's worth, so every run also exhausts the budget.
-		for i := 0; i < s.cfg.SeekCompactionThreshold; i++ {
-			if i%2 == 0 {
-				m.SeekGE(target)
-			} else {
-				m.SeekLT(target)
+	t.Run("iter-seek", func(t *testing.T) {
+		s := seekStore(t, open)
+		defer s.c.Close()
+		iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := iterator.NewMerging(base.InternalCompare, iters...)
+		defer m.Close()
+		target := base.MakeSearchKey(nil, []byte(key(1001)), base.MaxSeqNum)
+		seeks := func() {
+			for i := 0; i < s.cfg.SeekCompactionThreshold; i++ {
+				if i%2 == 0 {
+					m.SeekGE(target)
+				} else {
+					m.SeekLT(target)
+				}
 			}
 		}
-	}
-	seeks()
-	if !m.Valid() {
-		t.Fatalf("warm-up seeks found nothing: %v", m.Error())
-	}
-	if s.c.NeedsCompaction() != policy.IterSeeks {
-		t.Fatalf("NeedsCompaction = %v after the warm-up seeks, want %v: the seeks do not land on a group of several tables", !policy.IterSeeks, policy.IterSeeks)
-	}
-	if avg := testing.AllocsPerRun(100, seeks); avg != 0 {
-		t.Errorf("%d warm seeks allocate %.0f times, want 0", s.cfg.SeekCompactionThreshold, avg)
-	}
+		seeks()
+		if !m.Valid() {
+			t.Fatalf("warm-up seeks found nothing: %v", m.Error())
+		}
+		if s.c.NeedsCompaction() != policy.IterSeeks {
+			t.Fatalf("NeedsCompaction = %v after the warm-up seeks, want %v: the seeks do not land on a group of several tables", !policy.IterSeeks, policy.IterSeeks)
+		}
+		if avg := testing.AllocsPerRun(100, seeks); avg != 0 {
+			t.Errorf("%d warm seeks allocate %.0f times, want 0", s.cfg.SeekCompactionThreshold, avg)
+		}
+	})
+	t.Run("get", func(t *testing.T) {
+		s := seekStore(t, open)
+		defer s.c.Close()
+		keys := make([][]byte, 4)
+		for k := range keys {
+			keys[k] = []byte(key(1000 + 4*k))
+		}
+		gs := sstable.AcquireGetScratch()
+		defer sstable.ReleaseGetScratch(gs)
+		gets := func() {
+			for i := 0; i < s.cfg.SeekCompactionThreshold; i++ {
+				if _, found, err := s.c.Get(keys[i%len(keys)], base.MaxSeqNum, nil, gs); !found || err != nil {
+					t.Fatalf("get %s: found=%v err=%v", keys[i%len(keys)], found, err)
+				}
+			}
+		}
+		gets()
+		if s.c.NeedsCompaction() != policy.GetGroups {
+			t.Fatalf("NeedsCompaction = %v after the warm-up Gets, want %v", !policy.GetGroups, policy.GetGroups)
+		}
+		if avg := testing.AllocsPerRun(100, gets); avg != 0 {
+			t.Errorf("%d warm Gets allocate %.0f times, want 0", s.cfg.SeekCompactionThreshold, avg)
+		}
+	})
 }
 
 // testRewriteBesideAppend pins the age order of a group (View) in the one

@@ -116,8 +116,7 @@ func (l *levelIter) openGroup(i int) bool {
 
 // seek opens the group a seek to target lands in — reusing it when already
 // open — positions it, and charges the seek when that took more than one
-// table; the charge that uses up the group's budget asks the host to run
-// the unit it made. A backward seek past the last group starts from the
+// table (Core.charge). A backward seek past the last group starts from the
 // last. Parallel seeks (§4.2): position the sstable iterators of the group
 // side by side, all but one on goroutines of their own, then assemble the
 // heap. That pays only when the tables are likely uncached and their reads
@@ -133,12 +132,7 @@ func (l *levelIter) seek(target []byte, reverse bool) bool {
 		return false
 	}
 	if l.tables > 1 && l.c.seeks != nil && l.c.cfg.SeekCompactionThreshold > 0 {
-		l.c.mu.Lock()
-		spent := l.c.seeks.ChargeSeek(l.level, l.guard)
-		l.c.mu.Unlock()
-		if spent {
-			l.c.host.ScheduleCompaction()
-		}
+		l.c.charge(l.level, l.guard, nil)
 	}
 	if l.parallel && len(l.kids) > 1 && l.c.tc.ReadNanos() > fanOutReadNanos {
 		l.fanOut(target, reverse)

@@ -43,7 +43,12 @@ func (v *testView) Find(_ int, ukey []byte) (int, []*base.FileMetadata) {
 func (v *testView) Span(int, base.Bounds) (int, int) { return 0, len(v.groups) }
 
 // testLayout records the seeks the core charges.
-type testLayout struct{ charged []string }
+// testLayout records what each seek charge reports: level/guard in
+// charged, the committed sequence number in seqs.
+type testLayout struct {
+	charged []string
+	seqs    []base.SeqNum
+}
 
 func (l *testLayout) Apply(*manifest.VersionEdit) (View, error) { return &testView{}, nil }
 func (l *testLayout) Claimable(int, Claims) int                 { return 0 }
@@ -51,9 +56,10 @@ func (l *testLayout) Pick(bool, Claims) *Unit                   { return nil }
 func (l *testLayout) Release(*Unit, bool)                       {}
 func (l *testLayout) WantGuard([]byte) bool                     { return false }
 func (l *testLayout) Ingest([]byte)                             {}
-func (l *testLayout) ChargeSeek(level int, guard []byte) bool {
+func (l *testLayout) ChargeSeek(level int, guard []byte, seq base.SeqNum) (bool, bool) {
 	l.charged = append(l.charged, fmt.Sprintf("%d/%s", level, guard))
-	return false
+	l.seqs = append(l.seqs, seq)
+	return false, false
 }
 func (l *testLayout) SeekPending() int { return 0 }
 
@@ -61,6 +67,7 @@ type testHost struct{}
 
 func (testHost) SmallestSnapshot() base.SeqNum     { return base.MaxSeqNum }
 func (testHost) NoteObsoleteTables([]base.FileNum) {}
+func (testHost) CommittedSeq() base.SeqNum         { return 0 }
 func (testHost) ScheduleCompaction()               {}
 
 type testEntry struct {

@@ -221,6 +221,9 @@ type Metrics struct {
 	// SeekPending is the point-in-time number of seek budgets used up — an
 	// FLSM guard's, a leveled table's — whose unit has not run yet.
 	SeekPending int64 `metric:"pebblesdb_compaction_seek_pending" help:"Seek budgets used up whose compaction has not run yet."`
+	// SeekRestarts counts seek budgets, partly spent, that a charge found
+	// a commit had restarted: reads between writes that did not add up.
+	SeekRestarts int64 `metric:"pebblesdb_compaction_seek_restarts_total" help:"Partly spent seek budgets restarted by a commit."`
 	// BytesCompactedIn / BytesCompactedOut are compaction read/write IO.
 	BytesCompactedIn  int64 `metric:"pebblesdb_compaction_in_bytes_total" help:"Bytes read by compactions."`
 	BytesCompactedOut int64 `metric:"pebblesdb_compaction_out_bytes_total" help:"Bytes written by compactions."`

@@ -21,7 +21,10 @@ import (
 // table consulted also reports the newest visible tombstone covering the
 // key, from its resident list, and the comparison at the first hit decides
 // the read. A key covered in a group that holds no visible version of it
-// returns not-found without descending further.
+// returns not-found without descending further. The read then reports what
+// it cost to the layout's seek hook (charge): the first group below level
+// 0 of which it consulted two or more tables (SeekCharger), or the first
+// table it searched in vain (MissCharger).
 //
 // latest, when non-nil, is the engine's committed-sequence counter: the
 // view is pinned first and only then is the read sequence loaded from it,
@@ -51,13 +54,12 @@ func (c *Core) Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstab
 
 	d := descent{c: c, ukey: ukey, seq: seq, s: s}
 	value, found, err = d.run(v)
-	if d.miss != nil && c.chargesMiss(d.missLevel) {
-		c.mu.Lock()
-		spent := c.misses.ChargeMiss(d.missLevel, d.miss)
-		c.mu.Unlock()
-		if spent {
-			c.host.ScheduleCompaction()
-		}
+	switch {
+	case d.seekLevel > 0 && c.seeks != nil && c.cfg.SeekCompactionThreshold > 0:
+		guard, _ := v.Group(d.seekLevel, d.seekGroup)
+		c.charge(d.seekLevel, guard, nil)
+	case d.miss != nil && c.chargesMiss(d.missLevel):
+		c.charge(d.missLevel, nil, d.miss)
 	}
 	return value, found, err
 }
@@ -74,6 +76,10 @@ type descent struct {
 	// ukey, at missLevel: the read's input to the layout's MissCharger.
 	miss      *base.FileMetadata
 	missLevel int
+	// seekGroup is the first group below level 0 of which the read
+	// consulted more than one table, at seekLevel (0: none): the read's
+	// input to the layout's SeekCharger.
+	seekLevel, seekGroup int
 }
 
 func (d *descent) run(v View) (value []byte, found bool, err error) {
@@ -81,31 +87,41 @@ func (d *descent) run(v View) (value []byte, found bool, err error) {
 	// each is a group of its own and the first visible hit wins.
 	l0 := v.L0()
 	for i := range l0 {
-		if value, found, done, err := d.probe(0, l0[i:i+1]); done {
+		if value, found, done, err := d.probe(0, i, l0[i:i+1]); done {
 			return value, found, err
 		}
 	}
 	for lv := 1; lv < d.c.cfg.NumLevels; lv++ {
-		_, files := v.Find(lv, d.ukey)
+		i, files := v.Find(lv, d.ukey)
 		if len(files) == 0 {
 			continue // no group holds the key, or an empty guard (§3.3)
 		}
-		if value, found, done, err := d.probe(lv, files); done {
+		if value, found, done, err := d.probe(lv, i, files); done {
 			return value, found, err
 		}
 	}
 	return nil, false, nil
 }
 
-// probe searches one group, newest table first, and reports done once the
-// read is decided: by the first visible point entry — the tables behind it
-// hold only older versions and older tombstones, so they are not consulted,
-// neither bloom filter nor block — against the newest covering tombstone
-// seen so far, or by such a tombstone alone when the group holds no visible
-// version. The value aliases the block the scratch holds.
-func (d *descent) probe(level int, files []*base.FileMetadata) (value []byte, found, done bool, err error) {
-	for i := len(files) - 1; i >= 0; i-- {
-		f := files[i]
+// probe searches group i of level, newest table first, and reports done
+// once the read is decided: by the first visible point entry — the tables
+// behind it hold only older versions and older tombstones, so they are not
+// consulted, neither bloom filter nor block — against the newest covering
+// tombstone seen so far, or by such a tombstone alone when the group holds
+// no visible version. The value aliases the block the scratch holds. A
+// table is consulted when its key range holds ukey, whatever its bloom
+// filter says; a read that consults a second table of one group costs what
+// a compacted group would not, and is noted for the seek budget.
+func (d *descent) probe(level, i int, files []*base.FileMetadata) (value []byte, found, done bool, err error) {
+	consulted := 0
+	for j := len(files) - 1; j >= 0; j-- {
+		f := files[j]
+		if !userKeyInRange(d.ukey, f) {
+			continue
+		}
+		if consulted++; consulted == 2 && level > 0 && d.seekLevel == 0 {
+			d.seekLevel, d.seekGroup = level, i
+		}
 		val, fseq, kind, cov, hit, probed, err := d.c.probeFile(f, d.ukey, d.seq, d.s)
 		if err != nil {
 			return nil, false, true, err
@@ -128,17 +144,14 @@ func (d *descent) probe(level int, files []*base.FileMetadata) (value []byte, fo
 	return nil, false, d.cov > 0, nil
 }
 
-// probeFile checks one sstable for the newest visible point entry of ukey
-// and the newest visible range tombstone covering it (cov), in a single
-// table-cache round-trip. File bounds include tombstone spans, so the range
-// check cannot reject a file whose tombstones cover ukey; the resident
-// tombstone list answers with one binary search, no block IO. probed
-// reports whether the table's blocks were searched (the bloom filter passed
-// or was absent).
+// probeFile checks one sstable whose key range holds ukey for the newest
+// visible point entry of ukey and the newest visible range tombstone
+// covering it (cov), in a single table-cache round-trip. File bounds include
+// tombstone spans, so the caller's range check cannot reject a file whose
+// tombstones cover ukey; the resident tombstone list answers with one
+// binary search, no block IO. probed reports whether the table's blocks
+// were searched (the bloom filter passed or was absent).
 func (c *Core) probeFile(f *base.FileMetadata, ukey []byte, seq base.SeqNum, s *sstable.GetScratch) (val []byte, fseq base.SeqNum, kind base.Kind, cov base.SeqNum, hit, probed bool, err error) {
-	if !userKeyInRange(ukey, f) {
-		return nil, 0, 0, 0, false, false, nil
-	}
 	r, err := c.tc.Find(f.FileNum, f.Size)
 	if err != nil {
 		return nil, 0, 0, 0, false, false, err
@@ -168,6 +181,30 @@ func userKeyInRange(ukey []byte, f *base.FileMetadata) bool {
 // decided without the lock: see MissCharger for the exempt levels.
 func (c *Core) chargesMiss(level int) bool {
 	return c.misses != nil && c.cfg.SeekCompactionThreshold > 0 && level > 0 && level < c.cfg.NumLevels-1
+}
+
+// charge counts a read against the budget its layout keeps for it: the
+// group guard of level (SeekCharger) or, when miss is non-nil, the table
+// miss (MissCharger), at the committed sequence number the host reports
+// now, so a budget runs out only after its threshold of charges with no
+// commit between any two. The charge that uses up a budget asks the host
+// to run the unit it made.
+func (c *Core) charge(level int, guard []byte, miss *base.FileMetadata) {
+	seq := c.host.CommittedSeq()
+	var spent, restarted bool
+	c.mu.Lock()
+	if miss != nil {
+		spent, restarted = c.misses.ChargeMiss(level, miss, seq)
+	} else {
+		spent, restarted = c.seeks.ChargeSeek(level, guard, seq)
+	}
+	if restarted {
+		c.metrics.SeekRestarts++
+	}
+	c.mu.Unlock()
+	if spent {
+		c.host.ScheduleCompaction()
+	}
 }
 
 // NewIters returns the point iterators of the pinned view — one per level-0

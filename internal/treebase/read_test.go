@@ -2,6 +2,7 @@ package treebase
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"pebblesdb/internal/base"
@@ -30,9 +31,9 @@ type missLayout struct {
 	missed []string
 }
 
-func (l *missLayout) ChargeMiss(level int, f *base.FileMetadata) bool {
+func (l *missLayout) ChargeMiss(level int, f *base.FileMetadata, _ base.SeqNum) (bool, bool) {
 	l.missed = append(l.missed, fmt.Sprintf("%d/%s", level, f.SmallestUserKey()))
-	return false
+	return false, false
 }
 
 // TestGetMissCharging pins which Get the core reports to a MissCharger: the
@@ -111,6 +112,85 @@ func TestGetMissCharging(t *testing.T) {
 				if got := fmt.Sprint(ml.missed); got != tc.want {
 					t.Fatalf("misses reported: %s, want %s", got, tc.want)
 				}
+			}
+		})
+	}
+}
+
+// seqHost is a host whose committed sequence number a test moves.
+type seqHost struct {
+	testHost
+	seq atomic.Uint64
+}
+
+func (h *seqHost) CommittedSeq() base.SeqNum { return base.SeqNum(h.seq.Load()) }
+
+// TestGetSeekCharging pins which Get the core reports to a SeekCharger: one
+// that consults two or more tables of one group — tables whose key range
+// holds the key, a bloom negative included — charges that group, once per
+// Get, at the first such level below level 0; a Get the newest table it
+// consults answers charges nothing. And every charge carries the committed
+// sequence number the host reports when the read is charged, not the read's
+// own sequence.
+func TestGetSeekCharging(t *testing.T) {
+	for _, bloomBits := range []int{-1, 10} {
+		t.Run(fmt.Sprintf("bloom=%d", bloomBits), func(t *testing.T) {
+			cfg := &base.Config{NumLevels: 3, BloomBitsPerKey: bloomBits, SeekCompactionThreshold: 10}
+			cfg.EnsureDefaults()
+			host, layout := &seqHost{}, &testLayout{}
+			c, err := Open(Kind{Name: "test"}, cfg, vfs.NewMem(), "db", host, layout, &stackView{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			table := func(seq base.SeqNum, ukeys ...string) *base.FileMetadata {
+				ob := c.newOutputBuilder()
+				for _, k := range ukeys {
+					if err := ob.Add(testEntry{k, seq}.ikey(), []byte(k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				metas, err := ob.Finish()
+				if err != nil || len(metas) != 1 {
+					t.Fatalf("building a table: %v, %d tables", err, len(metas))
+				}
+				return metas[0]
+			}
+			c.view = &stackView{levels: [][]*base.FileMetadata{
+				{table(10, "a", "p"), table(9, "a0", "p")},                                  // newest first
+				{table(5, "b", "m", "z"), table(6, "c", "n", "z"), table(7, "d", "o", "z")}, // oldest first
+				{table(2, "A", "A1", "w"), table(3, "A0", "q", "w")},
+			}}
+			get := func(k string) {
+				t.Helper()
+				if _, found, err := c.Get([]byte(k), base.MaxSeqNum, nil, nil); !found || err != nil {
+					t.Fatalf("Get(%s): found=%v err=%v", k, found, err)
+				}
+			}
+			for _, tc := range []struct{ ukey, want string }{
+				{"a", "[]"},   // level 0
+				{"d", "[]"},   // past both level-0 tables, each a group of its own: the newest level-1 table answers
+				{"c", "[]"},   // the newest level-1 table's range does not hold c: the one consulted answers
+				{"m", "[1/]"}, // past two level-1 tables
+				{"q", "[1/]"}, // past all three, then past one at level 2 too: one charge, at level 1
+				{"A1", "[2/]"},
+				{"A0", "[]"},
+			} {
+				layout.charged = nil
+				get(tc.ukey)
+				if got := fmt.Sprint(layout.charged); got != tc.want {
+					t.Errorf("Get(%s) charged %s, want %s", tc.ukey, got, tc.want)
+				}
+			}
+
+			layout.seqs = nil
+			host.seq.Add(1)
+			get("m")
+			get("m")
+			host.seq.Add(1)
+			get("m")
+			if got, want := fmt.Sprint(layout.seqs), "[1 1 2]"; got != want {
+				t.Errorf("Gets around two commits charged at committed numbers %s, want %s", got, want)
 			}
 		})
 	}

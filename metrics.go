@@ -70,9 +70,9 @@ func (m Metrics) String() string {
 		fmt.Fprintf(&b, "%7s %8d %12s %8s\n", fmt.Sprintf("L%d", l), files, fmtBytes(bytes), guards)
 	}
 	fmt.Fprintf(&b, "%7s %8d %12s\n", "total", totFiles, fmtBytes(totBytes))
-	fmt.Fprintf(&b, "flushes %d (%s), compactions %d (in-place %d, trivial %d, seek %d with %d pending), in %s out %s\n",
+	fmt.Fprintf(&b, "flushes %d (%s), compactions %d (in-place %d, trivial %d, seek %d with %d pending, %d budgets restarted), in %s out %s\n",
 		m.Flushes, fmtBytes(m.Tree.BytesFlushed),
-		m.Tree.Compactions, m.Tree.InPlaceMerges, m.Tree.TrivialMoves, m.Tree.SeekCompactions, m.Tree.SeekPending,
+		m.Tree.Compactions, m.Tree.InPlaceMerges, m.Tree.TrivialMoves, m.Tree.SeekCompactions, m.Tree.SeekPending, m.Tree.SeekRestarts,
 		fmtBytes(m.Tree.BytesCompactedIn), fmtBytes(m.Tree.BytesCompactedOut))
 	fmt.Fprintf(&b, "stalls: slowdown %d, stop %d, memtable waits %d, write-stall %.1f ms\n",
 		m.SlowdownWrites, m.StoppedWrites, m.MemtableWaits, float64(m.StallNanos)/1e6)

@@ -72,9 +72,10 @@ func (s *seekStore) put(keys []int, gen, chunk int) {
 }
 
 // loadFragmented loads keys [0, n): every key once, compacted to the
-// bottom, then n uniform overwrites left as compaction leaves them, so that
-// fragments pile up in the guards — the store FLSM's seek cost is about.
-func (s *seekStore) loadFragmented(n int, seed int64) {
+// bottom, then n uniform overwrites in that many flushes, left as
+// compaction leaves them, so that fragments pile up in the guards — the
+// store FLSM's seek cost is about.
+func (s *seekStore) loadFragmented(n int, seed int64, flushes int) {
 	s.t.Helper()
 	keys := make([]int, n)
 	for i := range keys {
@@ -88,7 +89,65 @@ func (s *seekStore) loadFragmented(n int, seed int64) {
 	for i := range keys {
 		keys[i] = rng.Intn(n)
 	}
-	s.put(keys, 1, n/16)
+	s.put(keys, 1, n/flushes)
+}
+
+// openFragmented opens an FLSM store loaded by loadFragmented in flushes
+// flushes; tweak, when non-nil, adjusts its options first.
+func openFragmented(t *testing.T, n, flushes int, tweak func(*Options)) *seekStore {
+	t.Helper()
+	s := openSeekStore(t, PresetPebblesDB, func(o *Options) {
+		// One worker, as in the benchmark's load.
+		o.NumLevels = 4
+		o.MaxCompactionConcurrency = 1
+		if tweak != nil {
+			tweak(o)
+		}
+	})
+	s.loadFragmented(n, 1, flushes)
+	return s
+}
+
+// openMisses opens a leveled store of keys [0, n): the even keys compacted
+// to the last level, the odd keys merged into level 1 right above them and
+// level 0 empty, so that a Get of an even key near the middle searches the
+// level-1 table over it in vain.
+func openMisses(t *testing.T, n int) *seekStore {
+	t.Helper()
+	s := openSeekStore(t, PresetLevelDB, func(o *Options) {
+		// Three levels put the even keys right under level 1, so a unit out
+		// of level 1 is a merge, not a move; without filters a Get searches
+		// the level-1 table over its key. A memtable that holds a whole
+		// chunk of the load flushes only when the load asks, so the shape
+		// does not depend on how flushes and the worker interleave.
+		o.NumLevels = 3
+		o.BloomBitsPerKey = -1
+		o.MemtableSize = 1 << 20
+	})
+	var even, odd []int
+	for i := 0; i < n; i += 2 {
+		even, odd = append(even, i), append(odd, i+1)
+	}
+	s.put(even, 0, len(even))
+	if err := s.db.CompactAll(); err != nil {
+		s.t.Fatal(err)
+	}
+	// The odd keys in level-0 tables enough to trigger their merge into
+	// level 1, which leaves level 0 empty.
+	s.put(odd, 0, len(odd)/s.o.L0CompactionTrigger+1)
+	if m := s.db.Metrics(); m.Tree.LevelFiles[0] != 0 || m.Tree.LevelFiles[1] == 0 || m.Tree.LevelFiles[2] == 0 {
+		t.Fatalf("want level 0 empty, levels 1 and 2 populated:\n%s", m)
+	}
+	return s
+}
+
+// get reads k and checks it against the model.
+func (s *seekStore) get(k string) {
+	s.t.Helper()
+	var buf [128]byte
+	if v, ok, err := s.db.GetTo([]byte(k), buf[:0], nil); err != nil || !ok || string(v) != s.want[k] {
+		s.t.Fatalf("Get(%s) = %.20q, %v, %v", k, v, ok, err)
+	}
 }
 
 // awaitSeekUnit waits for the reads alone to have started a seek-triggered
@@ -143,14 +202,8 @@ func tablesPerGuard(m Metrics) float64 {
 func TestReadTrafficRunsSeekCompaction(t *testing.T) {
 	t.Run("flsm", func(t *testing.T) {
 		const n = 16000
-		s := openSeekStore(t, PresetPebblesDB, func(o *Options) {
-			// One worker, as in the benchmark's load: the load leaves the
-			// same shape on every run.
-			o.NumLevels = 4
-			o.MaxCompactionConcurrency = 1
-		})
+		s := openFragmented(t, n, 16, nil)
 		defer s.db.Close()
-		s.loadFragmented(n, 1)
 		before := s.db.Metrics()
 		if tablesPerGuard(before) < 2 {
 			t.Fatalf("the load left %.2f tables per populated guard, want guards of several:\n%s", tablesPerGuard(before), before)
@@ -182,40 +235,119 @@ func TestReadTrafficRunsSeekCompaction(t *testing.T) {
 
 	t.Run("leveled", func(t *testing.T) {
 		const n = 8000
-		s := openSeekStore(t, PresetLevelDB, func(o *Options) {
-			// Three levels put the even keys right under level 1, so a unit
-			// out of level 1 is a merge, not a move; without filters a Get
-			// searches the level-1 table over its key.
-			o.NumLevels = 3
-			o.BloomBitsPerKey = -1
-		})
+		s := openMisses(t, n)
 		defer s.db.Close()
-		var even, odd []int
-		for i := 0; i < n; i += 2 {
-			even, odd = append(even, i), append(odd, i+1)
-		}
-		s.put(even, 0, len(even))
-		if err := s.db.CompactAll(); err != nil {
-			t.Fatal(err)
-		}
-		// The odd keys in level-0 tables enough to trigger their merge into
-		// level 1, which leaves level 0 empty.
-		s.put(odd, 0, len(odd)/s.o.L0CompactionTrigger+1)
-		if m := s.db.Metrics(); m.Tree.LevelFiles[0] != 0 || m.Tree.LevelFiles[1] == 0 || m.Tree.LevelFiles[2] == 0 {
-			t.Fatalf("want level 0 empty, levels 1 and 2 populated:\n%s", m)
-		}
 
 		// Even keys near the middle: each misses the level-1 table whose
 		// range holds it and is found in level 2.
-		buf := make([]byte, 0, 128)
 		for i := 0; i < 400; i++ {
-			k := seekKey(n/2 + 2*(i%8))
-			if v, ok, err := s.db.GetTo([]byte(k), buf, nil); err != nil || !ok || string(v) != s.want[k] {
-				t.Fatalf("Get(%s) = %.20q, %v, %v", k, v, ok, err)
-			}
+			s.get(seekKey(n/2 + 2*(i%8)))
 		}
 		s.awaitSeekUnit()
 		s.settle()
+	})
+}
+
+// TestGetTrafficRunsSeekCompaction: Gets alone compact the FLSM guards they
+// pay for. A Get that consults two or more tables of a guard — passes over
+// the newest one whose key range holds its key — charges the guard's seek
+// budget (§4.2), so a read-only stretch after a write burst brings the store
+// towards one table per guard, as seeks do.
+func TestGetTrafficRunsSeekCompaction(t *testing.T) {
+	const n = 16000
+	// 64 flushes under a guard cap above the default 4 leave three tables
+	// or more per guard, and a memtable that holds a whole flush's worth
+	// flushes only when the load asks, so that the shape does not depend
+	// on how the flushes and the worker interleave.
+	s := openFragmented(t, n, 64, func(o *Options) {
+		o.MaxSSTablesPerGuard = 6
+		o.MemtableSize = 256 << 10
+	})
+	defer s.db.Close()
+	before := s.db.Metrics()
+	if tablesPerGuard(before) < 3 {
+		t.Fatalf("the load left %.2f tables per populated guard, want 3 or more:\n%s", tablesPerGuard(before), before)
+	}
+	for round := 0; round < 2*s.o.SeekCompactionThreshold; round++ {
+		for i := 0; i < n; i += 50 {
+			s.get(seekKey(i))
+		}
+	}
+	s.awaitSeekUnit()
+	s.settle()
+	after := s.db.Metrics()
+	if tablesPerGuard(after) >= tablesPerGuard(before) {
+		t.Fatalf("tables per populated guard %.2f before the Gets, %.2f after", tablesPerGuard(before), tablesPerGuard(after))
+	}
+	t.Logf("tables per populated guard %.2f -> %.2f, %d seek compactions", tablesPerGuard(before), tablesPerGuard(after), after.Tree.SeekCompactions)
+}
+
+// TestCommitsRestartSeekBudgets: a seek budget counts consecutive reads —
+// §4.2's "consecutive seeks" — ones with no commit between them. Reads in
+// pairs with a Put before every pair never use a budget up, however many
+// there are, so under writes, whose flushes would undo the unit, no read
+// starts one: each pair charges a budget, and the Put before the next pair
+// restarts it. The same reads with no Put between them do start one.
+func TestCommitsRestartSeekBudgets(t *testing.T) {
+	// run makes the given number of reads twice: first in pairs with a Put
+	// before every pair, then with none.
+	run := func(t *testing.T, s *seekStore, reads int, read func(i int)) {
+		t.Helper()
+		for i := 0; i < reads; i++ {
+			if i > 0 && i%2 == 0 {
+				k, v := "put-between", fmt.Sprintf("put-%d", i)
+				if err := s.db.Put([]byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				s.want[k] = v
+			}
+			read(i)
+			if m := s.db.Metrics(); m.Tree.SeekPending != 0 || m.Tree.SeekCompactions != 0 {
+				t.Fatalf("read %d of %d, in pairs after a Put: %d budgets pending, %d seek compactions, want none", i+1, reads, m.Tree.SeekPending, m.Tree.SeekCompactions)
+			}
+		}
+		if m := s.db.Metrics(); m.Tree.SeekRestarts == 0 {
+			t.Fatalf("%d reads in pairs after a Put restarted no budget", reads)
+		}
+		pending := int64(0)
+		for i := 0; i < reads; i++ {
+			read(i)
+			pending = max(pending, s.db.Metrics().Tree.SeekPending)
+		}
+		// The unit a budget makes may begin, and claim the budget, before
+		// the read that used it up looks.
+		if pending == 0 && s.seeks.Load() == 0 {
+			t.Fatalf("%d reads with no Put between them used up no budget", reads)
+		}
+		s.awaitSeekUnit()
+		s.settle()
+	}
+
+	const n = 4000
+	t.Run("flsm/seek", func(t *testing.T) {
+		s := openFragmented(t, n, 16, nil)
+		defer s.db.Close()
+		it, err := s.db.NewIter(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close() // before the store's Close, also when a check fails
+		run(t, s, 20*s.o.SeekCompactionThreshold, func(int) {
+			if it.SeekGE([]byte(seekKey(n / 2))); !it.Valid() {
+				t.Fatalf("SeekGE(%s) found nothing: %v", seekKey(n/2), it.Error())
+			}
+		})
+	})
+	t.Run("flsm/get", func(t *testing.T) {
+		s := openFragmented(t, n, 16, nil)
+		defer s.db.Close()
+		run(t, s, 20*s.o.SeekCompactionThreshold, func(i int) { s.get(seekKey(n/2 + i%8)) })
+	})
+	t.Run("leveled/get", func(t *testing.T) {
+		s := openMisses(t, n)
+		defer s.db.Close()
+		// A leveled table allows at least 100 seeks.
+		run(t, s, 400, func(i int) { s.get(seekKey(n/2 + 2*(i%4))) })
 	})
 }
 
@@ -233,7 +365,7 @@ func TestCloseRacesReadTriggeredCompaction(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		s := openSeekStore(t, PresetPebblesDB, func(o *Options) { o.NumLevels = 4 })
 		const n = 4000
-		s.loadFragmented(n, int64(round))
+		s.loadFragmented(n, int64(round), 16)
 		blocks := s.db.eng.BlockCache()
 		var readers sync.WaitGroup
 		for g := 0; g < 4; g++ {
