@@ -386,8 +386,9 @@ func TestColdBlockGetAllocs(t *testing.T) {
 
 // TestFreshIterScanAllocs pins what a scan costs in the shape the benchmark
 // of record runs it: a new iterator per scan, a seek, twenty steps, Close —
-// on a store left as the fill left it, several levels deep, whose block
-// cache holds nothing and whose tables' metadata is resident. The engine
+// on a store left as a load of memtable-sized flushes left it, several
+// levels deep, whose block cache holds nothing and whose tables' metadata
+// is resident. The engine
 // iterator, a level iterator per level with its merging heap and table
 // cursors, and every block the scan reads are borrowed and handed back, and
 // the public Iterator is the engine's pooled one. Nothing is left; before
@@ -411,17 +412,28 @@ func TestFreshIterScanAllocs(t *testing.T) {
 			harness.Scale(o, 16)
 			o.BlockCacheSize = 1 // holds no block
 			noSeekCompaction(o)
+			// A memtable no chunk of the load fills: the load flushes only
+			// when it asks, and lets compaction settle after each flush,
+			// so the shape it leaves does not depend on how flushes and
+			// workers interleave.
+			chunk := o.MemtableSize / 136
+			o.MemtableSize = 8 << 20
 			o.WithFS(vfs.NewMem())
 			db, err := pebblesdb.Open("freshiters", o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			if err := harness.FillRandom(db, n, n, 128, 1); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.WaitIdle(); err != nil {
-				t.Fatal(err)
+			for i := 0; i < n/chunk; i++ {
+				if err := harness.FillRandom(db, chunk, n, 128, int64(i+1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.WaitIdle(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			levels := 0
 			for _, tables := range db.Metrics().Tree.LevelFiles {

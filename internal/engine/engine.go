@@ -30,8 +30,9 @@ import (
 	"pebblesdb/internal/wal"
 )
 
-// ErrClosed is returned by operations on a closed store.
-var ErrClosed = errors.New("engine: store is closed")
+// ErrClosed is returned by operations on a closed store: the tree's own,
+// which a read that reaches the tree once Close has begun returns.
+var ErrClosed = treebase.ErrClosed
 
 // ErrReadOnly marks writes rejected while the store is degraded by a
 // background error. Match with errors.Is(err, ErrReadOnly); the original
@@ -135,17 +136,9 @@ type Engine struct {
 	snapMu sync.Mutex
 	snaps  map[base.SeqNum]int
 
-	// opLock guards physical file deletion against in-flight reads: reads
-	// hold it shared for their duration, the obsolete-file sweeper takes
-	// it exclusively (TryLock) and defers when readers are active.
-	opLock         sync.RWMutex
-	cleanupPending atomic.Bool
-
-	// obsolete queues table files that left the live version; the sweeper
-	// deletes them once no reads are in flight. Guarded by mu. Tables are
-	// never discovered by directory scanning at runtime (only at Open), so
-	// a file being created can never be mistaken for garbage.
-	obsolete []base.FileNum
+	// cleaning is set while a cleanup lists the directory; a cleanup that
+	// finds it set skips its own listing (see cleanup).
+	cleaning atomic.Bool
 
 	// rec is the always-on flight recorder: every lifecycle event is teed
 	// into it (alongside any user listener) so a degradation comes with
@@ -222,8 +215,6 @@ func Open(cfg *base.Config, fs vfs.FS, dir string, kind Kind) (*Engine, error) {
 		}
 	}
 
-	e.removeStaleTemp()
-	e.sweepOrphanTables()
 	e.cleanup()
 	e.ScheduleCompaction()
 	return e, nil
@@ -315,53 +306,24 @@ func (e *Engine) startNewWAL() error {
 	return nil
 }
 
-// removeStaleTemp clears temp files left by a crash mid-rename.
-func (e *Engine) removeStaleTemp() {
-	names, _ := e.fs.List(e.dir)
-	for _, name := range names {
-		if ft, _, ok := base.ParseFilename(name); ok && ft == base.FileTypeTemp {
-			e.fs.Remove(filepath.Join(e.dir, name))
-		}
-	}
-}
-
-// NoteObsoleteTables implements treebase.Host: trees report table files
-// that just left the live version; the sweeper deletes them when no reads
-// are in flight.
-func (e *Engine) NoteObsoleteTables(fns []base.FileNum) {
-	e.mu.Lock()
-	e.obsolete = append(e.obsolete, fns...)
-	e.mu.Unlock()
-}
-
-// cleanup physically deletes queued obsolete tables, stale WALs and
-// superseded manifests. It defers itself while reads are in flight (an
-// open iterator may still be reading tables that left the version).
+// cleanup deletes stale WALs and superseded manifests, found by listing
+// the directory. Tables are the tree's to delete (treebase.State). The
+// listings, one after each flush and unit, pace compaction by accident,
+// and they keep the pace they had when a lock every read held serialised
+// them: one runs at a time, and a cleanup that finds one running, or a
+// read in flight, skips; a later one lists.
 func (e *Engine) cleanup() {
-	if !e.opLock.TryLock() {
-		e.cleanupPending.Store(true)
+	if e.tree.Reading() || !e.cleaning.CompareAndSwap(false, true) {
 		return
 	}
-	defer e.opLock.Unlock()
-	e.cleanupPending.Store(false)
-
+	defer e.cleaning.Store(false)
 	e.mu.Lock()
 	if e.closed {
-		// The tree (and its caches) are gone or going; leftover obsolete
-		// files are swept by the next Open. Late releaseOp callers land
-		// here.
 		e.mu.Unlock()
 		return
 	}
-	obsolete := e.obsolete
-	e.obsolete = nil
 	curWAL := e.walNum
 	e.mu.Unlock()
-
-	for _, fn := range obsolete {
-		e.tree.EvictTable(fn)
-		e.fs.Remove(filepath.Join(e.dir, base.MakeFilename(base.FileTypeTable, fn)))
-	}
 
 	logNum := e.tree.LogNum()
 	manifestNum := e.tree.ManifestFileNum()
@@ -384,31 +346,6 @@ func (e *Engine) cleanup() {
 		if remove {
 			e.fs.Remove(filepath.Join(e.dir, name))
 		}
-	}
-}
-
-// sweepOrphanTables removes table files not referenced by the recovered
-// version. Only safe at Open, before any background work begins (at
-// runtime, in-flight compaction outputs would look like orphans).
-func (e *Engine) sweepOrphanTables() {
-	protected := e.tree.ProtectedFiles()
-	names, err := e.fs.List(e.dir)
-	if err != nil {
-		return
-	}
-	for _, name := range names {
-		ft, fn, ok := base.ParseFilename(name)
-		if ok && ft == base.FileTypeTable && !protected[fn] {
-			e.fs.Remove(filepath.Join(e.dir, name))
-		}
-	}
-}
-
-// releaseOp drops a read hold and runs a deferred sweep when possible.
-func (e *Engine) releaseOp() {
-	e.opLock.RUnlock()
-	if e.cleanupPending.Load() {
-		e.cleanup()
 	}
 }
 
@@ -705,10 +642,11 @@ func (e *Engine) BlockCache() *cache.Cache { return e.tree.BlockCache() }
 
 // Close flushes nothing (the WAL preserves the memtable), waits for
 // background work and in-flight reads, and releases resources. Gets and
-// iterators that raced past the closed check drain before the tree shuts
-// down: an open iterator therefore blocks Close until it is closed, which
-// is the contract a serving shutdown wants — drain connections (closing
-// their iterators), then close the store.
+// iterators that raced past the closed check hold the tree's state, and the
+// tree's Close waits for them: an open iterator therefore blocks Close until
+// it is closed, which is the contract a serving shutdown wants — drain
+// connections (closing their iterators), then close the store. A read that
+// reaches the tree once Close has begun returns ErrClosed.
 func (e *Engine) Close() error {
 	e.commitMu.Lock()
 	defer e.commitMu.Unlock()
@@ -727,13 +665,6 @@ func (e *Engine) Close() error {
 	}
 	e.closed = true
 	e.mu.Unlock()
-
-	// Reads hold opLock shared for their duration (iterators for their
-	// lifetime); taking it exclusively here is the barrier that lets them
-	// finish against a still-open tree. Readers arriving after the barrier
-	// observe closed and return ErrClosed without touching the tree.
-	e.opLock.Lock()
-	e.opLock.Unlock() //nolint:staticcheck // empty critical section is the drain
 
 	var first error
 	if e.walW != nil {

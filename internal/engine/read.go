@@ -20,9 +20,6 @@ import (
 // The caller owns the returned slice.
 func (e *Engine) Get(key []byte, snap *Snapshot, dst []byte) (value []byte, found bool, err error) {
 	atomic.AddInt64(&e.stats.Gets, 1)
-	e.opLock.RLock()
-	defer e.releaseOp()
-
 	seq := base.SeqNum(e.seq.Load())
 	if snap != nil {
 		seq = snap.seq
@@ -171,7 +168,9 @@ type Iter struct {
 	// memIters, by value) followed by the tree's iterators.
 	kids     []iterator.Iterator
 	memIters [2]memtable.Iter
-	stats    treebase.IterStats
+	// state keeps the tables of the tree's iterators on disk until Close.
+	state *treebase.State
+	stats treebase.IterStats
 	// dir is +1 while iterating forward (merged sits on the entry backing
 	// ukey/value) and -1 while iterating backward (merged sits just before
 	// the current user key's entries, mirroring LevelDB's DBIter).
@@ -185,19 +184,18 @@ var iterPool = sync.Pool{New: func() interface{} { return &Iter{} }}
 
 // NewIter returns an iterator over the store. Bounds (and the prefix, when
 // set) prune guards and sstables before any table IO. The iterator holds
-// resources; Close it promptly.
+// the tree's state, and with it every table that state lists, however many
+// compactions delete them meanwhile, and it blocks Close: Close it promptly.
 func (e *Engine) NewIter(opts *IterOptions) (*Iter, error) {
 	var o IterOptions
 	if opts != nil {
 		o = *opts
 	}
 	atomic.AddInt64(&e.stats.Iterators, 1)
-	e.opLock.RLock()
 
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
-		e.opLock.RUnlock()
 		return nil, ErrClosed
 	}
 	mem, imm := e.mem, e.imm
@@ -256,14 +254,13 @@ func (e *Engine) NewIter(opts *IterOptions) (*Iter, error) {
 		it.kids = append(it.kids, &it.memIters[1])
 	}
 	req := treebase.IterRequest{Bounds: it.bounds, Prefix: it.prefix, Stats: &it.stats}
-	kids, treeRds, err := e.tree.NewIters(req, it.kids)
+	state, kids, treeRds, err := e.tree.NewIters(req, it.kids)
 	if err != nil {
 		it.kids = it.kids[:0]
 		iterPool.Put(it)
-		e.opLock.RUnlock()
 		return nil, err
 	}
-	it.kids = kids
+	it.state, it.kids = state, kids
 
 	// Choose the read sequence only after every source is pinned (same
 	// collapse-safe ordering as Get): versions dropped by a concurrent
@@ -527,10 +524,10 @@ func (it *Iter) Value() []byte {
 // Error returns the first error the iterator encountered.
 func (it *Iter) Error() error { return it.err }
 
-// Close releases the iterator's resources, folds its scan counters into
-// the engine's metrics, and returns the iterator to the pool. It must be
-// called exactly once: a second Close could tear down the iterator's next
-// user.
+// Close releases the iterator's resources — the tree's state last, which
+// lets the tables only it kept go — folds its scan counters into the
+// engine's metrics, and returns the iterator to the pool. It must be called
+// exactly once: a second Close could tear down the iterator's next user.
 func (it *Iter) Close() error {
 	if it.closed {
 		return it.err
@@ -543,12 +540,12 @@ func (it *Iter) Close() error {
 		atomic.AddInt64(&it.e.stats.IterPrefixSkips, st.PrefixSkips)
 		atomic.AddInt64(&it.e.stats.IterSeekFanOuts, st.SeekFanOuts)
 	}
-	it.e.releaseOp()
+	it.state.Release()
 	if it.err == nil {
 		it.err = err
 	}
 	finalErr := it.err
-	it.e = nil
+	it.e, it.state = nil, nil
 	it.rangeDels = nil
 	it.value = nil
 	it.kids = it.kids[:0]

@@ -18,15 +18,11 @@ import (
 // fakeHost satisfies treebase.Host for white-box tree tests.
 type fakeHost struct {
 	smallest base.SeqNum
-	obsolete []base.FileNum
 }
 
 func (h *fakeHost) SmallestSnapshot() base.SeqNum { return h.smallest }
-func (h *fakeHost) NoteObsoleteTables(fns []base.FileNum) {
-	h.obsolete = append(h.obsolete, fns...)
-}
-func (h *fakeHost) CommittedSeq() base.SeqNum { return 0 }
-func (h *fakeHost) ScheduleCompaction()       {}
+func (h *fakeHost) CommittedSeq() base.SeqNum     { return 0 }
+func (h *fakeHost) ScheduleCompaction()           {}
 
 func testConfig() *base.Config {
 	cfg := &base.Config{
@@ -203,10 +199,11 @@ func TestIteratorSeesAllKeysInOrder(t *testing.T) {
 	}
 	tree.CompactAll()
 
-	iters, _, err := tree.NewIters(treebase.IterRequest{}, nil)
+	st, iters, _, err := tree.NewIters(treebase.IterRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Release()
 	m := iterator.NewMerging(base.InternalCompare, iters...)
 	defer m.Close()
 	var prev []byte
@@ -336,10 +333,11 @@ func TestGuardLevelIterSeek(t *testing.T) {
 	}
 	tree.CompactAll()
 
-	iters, _, err := tree.NewIters(treebase.IterRequest{}, nil)
+	st, iters, _, err := tree.NewIters(treebase.IterRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Release()
 	m := iterator.NewMerging(base.InternalCompare, iters...)
 	defer m.Close()
 	for trial := 0; trial < 100; trial++ {

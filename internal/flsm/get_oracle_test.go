@@ -92,9 +92,8 @@ func (h *snapshotHost) SmallestSnapshot() base.SeqNum {
 	time.Sleep(time.Duration(h.units.Add(1)%8) * 250 * time.Microsecond)
 	return base.SeqNum(h.smallest.Load())
 }
-func (h *snapshotHost) NoteObsoleteTables([]base.FileNum) {}
-func (h *snapshotHost) CommittedSeq() base.SeqNum         { return 0 }
-func (h *snapshotHost) ScheduleCompaction()               {}
+func (h *snapshotHost) CommittedSeq() base.SeqNum { return 0 }
+func (h *snapshotHost) ScheduleCompaction()       {}
 
 // TestGetAgainstEveryTable is the differential test of the Get descent:
 // rounds of flushes — sets, deletes, range deletes — beside four workers,

@@ -15,15 +15,11 @@ import (
 
 type fakeHost struct {
 	smallest base.SeqNum
-	obsolete []base.FileNum
 }
 
 func (h *fakeHost) SmallestSnapshot() base.SeqNum { return h.smallest }
-func (h *fakeHost) NoteObsoleteTables(fns []base.FileNum) {
-	h.obsolete = append(h.obsolete, fns...)
-}
-func (h *fakeHost) CommittedSeq() base.SeqNum { return 0 }
-func (h *fakeHost) ScheduleCompaction()       {}
+func (h *fakeHost) CommittedSeq() base.SeqNum     { return 0 }
+func (h *fakeHost) ScheduleCompaction()           {}
 
 func testConfig() *base.Config {
 	cfg := &base.Config{
@@ -183,10 +179,11 @@ func TestLevelIterConcatenates(t *testing.T) {
 	}
 	tree.CompactAll()
 
-	iters, _, err := tree.NewIters(treebase.IterRequest{}, nil)
+	st, iters, _, err := tree.NewIters(treebase.IterRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Release()
 	m := iterator.NewMerging(base.InternalCompare, iters...)
 	defer m.Close()
 	distinct := map[string]bool{}
@@ -234,8 +231,17 @@ func TestSeekCompactionTriggers(t *testing.T) {
 	t.Skip("seek budget not exhausted in this configuration")
 }
 
-func TestObsoleteFilesReported(t *testing.T) {
-	tree, host := openTestTree(t)
+// TestObsoleteFilesRemoved: once no read holds them, the tables the
+// compactions deleted are gone from the disk, and the tables left there are
+// the live ones.
+func TestObsoleteFilesRemoved(t *testing.T) {
+	cfg, fs := testConfig(), vfs.NewMem()
+	tree := &testTree{l: newLayout(cfg)}
+	var err error
+	tree.Core, err = treebase.Open(kind, cfg, fs, "db", &fakeHost{smallest: base.MaxSeqNum}, tree.l, tree.l.cur)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer tree.Close()
 	rng := rand.New(rand.NewSource(23))
 	seq := base.SeqNum(0)
@@ -246,12 +252,28 @@ func TestObsoleteFilesReported(t *testing.T) {
 		}
 		flushBatch(t, tree, kvs, &seq)
 	}
-	tree.CompactAll()
-	if tree.Metrics().Compactions == 0 {
-		t.Skip("no compactions ran")
+	if err := tree.CompactAll(); err != nil {
+		t.Fatal(err)
 	}
-	if len(host.obsolete) == 0 {
-		t.Fatal("compactions must report obsolete inputs")
+	m := tree.Metrics()
+	if m.Compactions == 0 {
+		t.Fatal("no compactions ran")
+	}
+	names, err := fs.List("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, live := 0, 0
+	for _, name := range names {
+		if ft, _, ok := base.ParseFilename(name); ok && ft == base.FileTypeTable {
+			onDisk++
+		}
+	}
+	for _, n := range m.LevelFiles {
+		live += n
+	}
+	if onDisk != live || m.ZombieTables != 0 {
+		t.Fatalf("%d tables on disk, %d live, %d zombies: want the live ones alone", onDisk, live, m.ZombieTables)
 	}
 }
 

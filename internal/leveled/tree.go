@@ -16,9 +16,9 @@ type layout struct {
 	// cur is the current immutable version, the view the core reads.
 	cur        *version
 	compactPtr [][]byte // per-level round-robin cursor (user key)
-	// seekBudgets holds the seek budget of every table charged so far;
-	// seekPending maps the tables whose budget ran out to their level.
-	seekBudgets map[base.FileNum]treebase.SeekBudget
+	// seeksLeft holds the remaining allowed seeks of every table charged so
+	// far; seekPending maps the tables whose budget ran out to their level.
+	seeksLeft   map[base.FileNum]int
 	seekPending map[base.FileNum]int
 }
 
@@ -35,7 +35,7 @@ func newLayout(cfg *base.Config) *layout {
 		cfg:         cfg,
 		cur:         newVersion(cfg.NumLevels),
 		compactPtr:  make([][]byte, cfg.NumLevels),
-		seekBudgets: make(map[base.FileNum]treebase.SeekBudget),
+		seeksLeft:   make(map[base.FileNum]int),
 		seekPending: make(map[base.FileNum]int),
 	}
 }
@@ -50,7 +50,7 @@ func (l *layout) Apply(edit *manifest.VersionEdit) (treebase.View, error) {
 	}
 	l.cur = nv
 	for _, d := range edit.DeletedFiles {
-		delete(l.seekBudgets, d.FileNum)
+		delete(l.seeksLeft, d.FileNum)
 		delete(l.seekPending, d.FileNum)
 	}
 	return nv, nil
@@ -63,22 +63,23 @@ func (l *layout) Ingest(ukey []byte)         {}
 
 // ChargeMiss charges a Get's first searched-and-missed table (LevelDB's
 // seek-triggered compaction, the baseline analogue of §4.2): a Get that
-// finds its key in the first table it searches charges nothing. Unlike
-// LevelDB's allowed seeks, the misses must be consecutive, as every budget
-// here counts (treebase.SeekBudget). Exhausting the table's budget
-// schedules it for compaction and reports spent, unless the table is
-// pending already. Iterator seeks are not budgeted (the layout is
-// no treebase.SeekCharger): they open one table per level whatever the
-// outcome.
-func (l *layout) ChargeMiss(level int, miss *base.FileMetadata, seq base.SeqNum) (spent, restarted bool) {
-	b := l.seekBudgets[miss.FileNum]
-	usedUp, restarted := b.Charge(allowedSeeks(miss.Size), seq)
-	l.seekBudgets[miss.FileNum] = b
-	if _, dup := l.seekPending[miss.FileNum]; !usedUp || dup {
-		return false, restarted
+// finds its key in the first table it searches charges nothing. As in
+// LevelDB, a table allows a number of seeks over its life, whatever commits
+// come between them; the charge that uses them up schedules the table for
+// compaction and reports spent, unless the table is pending already.
+// Iterator seeks are not budgeted (the layout is no treebase.SeekCharger):
+// they open one table per level whatever the outcome.
+func (l *layout) ChargeMiss(level int, miss *base.FileMetadata) bool {
+	left, ok := l.seeksLeft[miss.FileNum]
+	if !ok {
+		left = allowedSeeks(miss.Size)
+	}
+	l.seeksLeft[miss.FileNum] = left - 1
+	if _, dup := l.seekPending[miss.FileNum]; left > 1 || dup {
+		return false
 	}
 	l.seekPending[miss.FileNum] = level
-	return true, restarted
+	return true
 }
 
 // SeekPending counts the tables whose seek budget ran out and whose unit

@@ -171,6 +171,7 @@ func (c *Core) runCompaction(u *Unit) error {
 	c.units--
 	c.levelUnits[u.Level]--
 	c.mu.Unlock()
+	c.sweep()
 	return err
 }
 
@@ -184,8 +185,7 @@ func (c *Core) compactUnit(u *Unit) (unitResult, error) {
 	})
 	if u.Move {
 		// The LSM fast path for non-overlapping data that FLSM deliberately
-		// forgoes (§4.5: sequential workloads). The file stays live, so it
-		// is not reported obsolete.
+		// forgoes (§4.5: sequential workloads). The file stays live.
 		f := u.Merges[0].Files[0]
 		edit.NewFiles = []manifest.NewFileEntry{{Level: u.Merges[0].Dst, Meta: *f}}
 		if _, err := c.logAndInstall(edit); err != nil {
@@ -217,17 +217,9 @@ func (c *Core) compactUnit(u *Unit) (unitResult, error) {
 			res.inPlace++
 		}
 	}
-	// When the edit is installed but not persisted the inputs stay on disk
-	// too — the durable manifest still references them — so they are not
-	// reported obsolete.
 	if err := c.installOutputs(edit, builders...); err != nil {
 		return unitResult{}, err
 	}
-	dead := make([]base.FileNum, 0, len(edit.DeletedFiles))
-	for _, d := range edit.DeletedFiles {
-		dead = append(dead, d.FileNum)
-	}
-	c.host.NoteObsoleteTables(dead)
 	for _, ob := range builders {
 		metric.Merge(&res.compression, ob.CompressionStats())
 	}

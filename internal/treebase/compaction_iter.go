@@ -7,19 +7,14 @@ import (
 )
 
 // Host is the engine-side contract the trees depend on: snapshot
-// visibility for compaction GC, obsolete-file reporting, the committed
-// sequence number that tells consecutive reads apart, and the one
-// compaction trigger only a read can pull. Physical deletion is centralized
-// in the engine, which defers it while reads are in flight; trees never
-// unlink table files themselves.
+// visibility for compaction GC, the committed sequence number that tells
+// consecutive reads apart, and the one compaction trigger only a read can
+// pull. Table files are the core's own: it deletes them (State).
 type Host interface {
 	// SmallestSnapshot reports the oldest sequence number any live
 	// snapshot can observe; compactions must retain the newest version at
 	// or below it for every key.
 	SmallestSnapshot() base.SeqNum
-	// NoteObsoleteTables queues table files that just left the live
-	// version for physical deletion.
-	NoteObsoleteTables(fns []base.FileNum)
 	// CommittedSeq reports the last committed sequence number. The seek
 	// hooks read it when a read is charged: two charges that see the same
 	// number had no commit between them, and only such consecutive reads

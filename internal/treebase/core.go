@@ -9,8 +9,12 @@
 package treebase
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,16 +72,19 @@ type Layout interface {
 // The seek hooks (§4.2 seek-based compaction) are the reads that cost more
 // tables than a compacted level would. A layout implements the hook of each
 // read it budgets, and the core reports — and takes its lock for — only
-// those: a read no budget counts costs nothing beyond the pin. A budget
-// counts consecutive reads, ones with no commit between them: each charge
-// carries the committed sequence number (Host.CommittedSeq), and a charge
-// that sees another number than the budget's last one restarts the budget
-// before counting, so under writes, whose flushes would undo the unit, no
-// budget runs out. Exhausting a budget makes a unit claimable, and the
-// charge that does so returns spent: nothing but a read would ever schedule
-// that unit, so the core passes the news on to its Host
-// (Host.ScheduleCompaction) once it has let go of its lock. restarted
-// reports that the charge restarted a budget already partly spent.
+// those: a read no budget counts costs nothing beyond its state. Exhausting
+// a budget makes a unit claimable, and the charge that does so returns
+// spent: nothing but a read would ever schedule that unit, so the core
+// passes the news on to its Host (Host.ScheduleCompaction) once it has let
+// go of its lock.
+//
+// An FLSM guard's budget counts consecutive reads, ones with no commit
+// between them: each charge carries the committed sequence number
+// (Host.CommittedSeq), and a charge that sees another number than the
+// budget's last one restarts the budget before counting, so under writes,
+// whose flushes would undo the unit, no budget runs out. restarted reports
+// that the charge restarted a budget already partly spent. A leveled
+// table's budget is LevelDB's allowed seeks, which no commit restarts.
 
 // SeekBudgets is what both seek hooks report beside their charge.
 type SeekBudgets interface {
@@ -100,14 +107,14 @@ type SeekCharger interface {
 // MissCharger is a Layout that budgets the misses of point reads.
 type MissCharger interface {
 	SeekBudgets
-	// ChargeMiss reports, at committed sequence number seq, f, the first
-	// table a Get searched without finding its key. A table of level 0 or
-	// of the last level is never reported: the last level has nowhere to
-	// push a table, and level-0 tables overlap each other, so compacting one
-	// down alone could bury a key's newest version under an older one still
-	// in another level-0 table (the level-0 count trigger handles level 0).
-	// A table already pending is not made pending again.
-	ChargeMiss(level int, f *base.FileMetadata, seq base.SeqNum) (spent, restarted bool)
+	// ChargeMiss reports f, the first table a Get searched without finding
+	// its key. A table of level 0 or of the last level is never reported:
+	// the last level has nowhere to push a table, and level-0 tables overlap
+	// each other, so compacting one down alone could bury a key's newest
+	// version under an older one still in another level-0 table (the
+	// level-0 count trigger handles level 0). A table already pending is
+	// not made pending again.
+	ChargeMiss(level int, f *base.FileMetadata) (spent bool)
 }
 
 // SeekBudget is one seek budget, as a layout keeps it per guard or per
@@ -297,15 +304,31 @@ type Core struct {
 	budgets SeekBudgets
 
 	// mu guards the layout's state (guard candidates, seek budgets), the
-	// current view, the claims and the core's counters below.
+	// states and the table lifetimes below, the claims and the core's
+	// counters.
 	mu     sync.Mutex
-	view   View
 	claims Claims
-	// rangeDels lists the tables of view that carry range tombstones —
-	// almost always none — so an iterator collects tombstones without
-	// walking the version. Replaced with the view, never mutated.
-	rangeDels []*base.FileMetadata
-	metrics   Metrics
+	// cur is the current state; states are the held ones in install order,
+	// cur last until Close; installs numbers them.
+	cur      *State
+	states   []*State
+	installs uint64
+	// tables holds every table on disk the core knows of, outputs being
+	// written (born 0) included. dead are those a persisted edit deleted,
+	// removed once no held state lists them (the zombies); owed are those
+	// an installed edit deleted whose append failed: the next append that
+	// succeeds rotates the manifest to a snapshot without them.
+	tables     map[base.FileNum]tableLife
+	dead, owed []base.FileNum
+	// doomed are the dead no held state lists any more, which the next
+	// sweep removes.
+	doomed []base.FileNum
+	// closed turns reads away; Close waits on drained for the last held
+	// state and for removing, the doomed tables not yet removed, to reach 0.
+	closed   bool
+	drained  *sync.Cond
+	removing int
+	metrics  Metrics
 	// units / levelUnits count running units (total / per source level).
 	units      int
 	levelUnits []int
@@ -323,9 +346,6 @@ type Core struct {
 	logMu       sync.Mutex
 	logCond     *sync.Cond
 	installTurn uint64
-
-	pendingMu sync.Mutex
-	pending   map[base.FileNum]bool
 }
 
 // Kind names a tree kind and says whether its levels below 0 are
@@ -346,10 +366,13 @@ func Open(kind Kind, cfg *base.Config, fs vfs.FS, dir string, host Host, layout 
 		dir:        dir,
 		host:       host,
 		layout:     layout,
-		view:       empty,
 		levelUnits: make([]int, cfg.NumLevels),
-		pending:    make(map[base.FileNum]bool),
+		tables:     make(map[base.FileNum]tableLife),
 	}
+	c.cur = &State{c: c, view: empty}
+	c.cur.refs.Store(1)
+	c.states = []*State{c.cur}
+	c.drained = sync.NewCond(&c.mu)
 	c.seeks, _ = layout.(SeekCharger)
 	c.misses, _ = layout.(MissCharger)
 	c.budgets, _ = layout.(SeekBudgets)
@@ -367,6 +390,11 @@ func Open(kind Kind, cfg *base.Config, fs vfs.FS, dir string, host Host, layout 
 		if err := vs.StartAppending(c.snapshotEdit()); err != nil {
 			return nil, err
 		}
+		c.walk(c.cur.view, func(_ int, _ []byte, files []*base.FileMetadata) {
+			for _, f := range files {
+				c.tables[f.FileNum] = tableLife{born: c.cur.n, died: math.MaxUint64, size: f.Size}
+			}
+		})
 	} else {
 		vs, err := manifest.Create(fs, dir)
 		if err != nil {
@@ -375,6 +403,16 @@ func Open(kind Kind, cfg *base.Config, fs vfs.FS, dir string, host Host, layout 
 		c.vs = vs
 	}
 	c.vs.Listener = cfg.EventListener
+	// What a crash or a failed append left behind goes: temp files, and
+	// tables the recovered version does not list. A directory that cannot
+	// be listed keeps them for the next Open.
+	names, _ := fs.List(dir)
+	for _, name := range names {
+		ft, fn, ok := base.ParseFilename(name)
+		if _, known := c.tables[fn]; ok && (ft == base.FileTypeTemp || ft == base.FileTypeTable && !known) {
+			fs.Remove(filepath.Join(dir, name))
+		}
+	}
 	return c, nil
 }
 
@@ -390,9 +428,6 @@ func (c *Core) PersistedLastSeq() base.SeqNum { return c.vs.LastSeq() }
 
 // ManifestFileNum exposes the live manifest number for the sweeper.
 func (c *Core) ManifestFileNum() base.FileNum { return c.vs.ManifestFileNum() }
-
-// EvictTable drops a deleted table from the caches.
-func (c *Core) EvictTable(fn base.FileNum) { c.tc.Evict(fn) }
 
 // CacheMetrics reports table-cache statistics (Table 5.4).
 func (c *Core) CacheMetrics() tablecache.Metrics { return c.tc.Metrics() }
@@ -414,23 +449,151 @@ func (c *Core) Ingest(ukey []byte) {
 	c.mu.Unlock()
 }
 
-// pin returns the current view. Views are immutable, so everything read
-// from the result is consistent and needs no lock.
-func (c *Core) pin() View {
+// ErrClosed is returned by a read that reaches a closed tree.
+var ErrClosed = errors.New("store is closed")
+
+// State is one installed view as reads hold it. A reader of tables — a
+// Get, an iterator, CheckInvariants — holds the current state from before
+// its first table read to after its last, and a table is removed once the
+// edit deleting it is persisted and no held state lists it: LevelDB's
+// refcounted versions, with no directory listing. A unit's inputs need no
+// state: its claim keeps other units off them, and only its edit deletes
+// them.
+type State struct {
+	c    *Core
+	view View
+	// rangeDels lists the tables of view that carry range tombstones —
+	// almost always none — so an iterator collects tombstones without
+	// walking the version.
+	rangeDels []*base.FileMetadata
+	n         uint64 // install number
+	// refs counts the reads holding the state, plus one while it is
+	// current, so that a release reaches zero — and takes the core's lock
+	// — only on a state superseded, which no acquire can revive.
+	refs atomic.Int32
+}
+
+// tableLife says which states list a table: those installed from born on,
+// up to died once an edit deleting it is installed.
+type tableLife struct{ born, died, size uint64 }
+
+// view returns the current view, for readers of metadata alone: views are
+// immutable, so everything read from the result is consistent and needs no
+// lock, but a reader of its tables holds a State (acquire).
+func (c *Core) view() View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.view
+	return c.cur.view
+}
+
+// Reading reports whether a read holds a state; the engine's cleanup skips
+// its directory listing while one does.
+func (c *Core) Reading() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.states) > 1 || c.cur.refs.Load() > 1
+}
+
+// acquire returns the current state, held until its Release.
+func (c *Core) acquire() (*State, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, ErrClosed
+	}
+	c.cur.refs.Add(1)
+	return c.cur, nil
+}
+
+// Release lets go of a state acquired from the core. The last release of a
+// superseded state removes the tables that only it still listed.
+func (s *State) Release() {
+	if s.refs.Add(-1) > 0 {
+		return
+	}
+	c := s.c
+	c.mu.Lock()
+	c.dropLocked(s)
+	c.collectLocked()
+	c.mu.Unlock()
+	c.sweep()
+}
+
+// unrefLocked drops the reference s holds for being current.
+func (c *Core) unrefLocked(s *State) {
+	if s.refs.Add(-1) == 0 {
+		c.dropLocked(s)
+	}
+}
+
+// dropLocked takes s, which nothing holds any more, out of the held states.
+func (c *Core) dropLocked(s *State) {
+	i := slices.Index(c.states, s)
+	c.states = slices.Delete(c.states, i, i+1)
+	if len(c.states) == 0 {
+		c.drained.Broadcast() // only Close lets go of the current state
+	}
+}
+
+// collectLocked moves from dead to doomed the tables no held state lists.
+func (c *Core) collectLocked() {
+	kept := c.dead[:0]
+next:
+	for _, fn := range c.dead {
+		t := c.tables[fn]
+		for _, s := range c.states {
+			if t.born <= s.n && s.n < t.died {
+				kept = append(kept, fn)
+				continue next
+			}
+		}
+		c.doomed = append(c.doomed, fn)
+		c.removing++
+	}
+	c.dead = kept
+}
+
+// sweep removes the doomed tables, outside mu: from the table cache, from
+// the disk, and only then from tables, so that CheckInvariants never finds
+// a table on disk the core does not know. A unit sweeps once it has let go
+// of its claim, a flush once installed, a release when it freed tables.
+func (c *Core) sweep() {
+	c.mu.Lock()
+	doomed := c.doomed
+	c.doomed = nil
+	c.mu.Unlock()
+	if len(doomed) == 0 {
+		return
+	}
+	for _, fn := range doomed {
+		c.tc.Evict(fn)
+		// A table that cannot be removed is an orphan the next Open sweeps.
+		_ = c.fs.Remove(c.tablePath(fn))
+	}
+	c.mu.Lock()
+	for _, fn := range doomed {
+		delete(c.tables, fn)
+	}
+	if c.removing -= len(doomed); c.removing == 0 {
+		c.drained.Broadcast()
+	}
+	c.mu.Unlock()
 }
 
 // applyLocked makes the version that results from edit the current one.
 // The caller holds mu, or — during Open — the core is not yet shared.
 func (c *Core) applyLocked(edit *manifest.VersionEdit) error {
 	v, err := c.layout.Apply(edit)
-	if err == nil {
-		c.view = v
-		c.rangeDels = applyRangeDels(c.rangeDels, edit)
+	if err != nil {
+		return err
 	}
-	return err
+	c.installs++
+	prev := c.cur
+	c.cur = &State{c: c, view: v, rangeDels: applyRangeDels(prev.rangeDels, edit), n: c.installs}
+	c.cur.refs.Store(1)
+	c.states = append(c.states, c.cur)
+	c.unrefLocked(prev) // the tables it alone listed go once the edit is persisted
+	return nil
 }
 
 // applyRangeDels returns the tombstone-carrying tables of the version that
@@ -464,29 +627,34 @@ func applyRangeDels(cur []*base.FileMetadata, edit *manifest.VersionEdit) []*bas
 }
 
 // L0Count returns the number of level-0 files (write stalls).
-func (c *Core) L0Count() int { return len(c.pin().L0()) }
+func (c *Core) L0Count() int { return len(c.view().L0()) }
 
-// AddPending registers an in-flight output file (PendingRegistry).
-func (c *Core) AddPending(fn base.FileNum) {
-	c.pendingMu.Lock()
-	c.pending[fn] = true
-	c.pendingMu.Unlock()
+// keep records fn, an output about to be written, as a table on disk that
+// no view lists yet; forget drops one whose file is gone.
+func (c *Core) keep(fn base.FileNum) {
+	c.mu.Lock()
+	c.tables[fn] = tableLife{}
+	c.mu.Unlock()
 }
 
-// RemovePending unregisters an in-flight output file.
-func (c *Core) RemovePending(fn base.FileNum) {
-	c.pendingMu.Lock()
-	delete(c.pending, fn)
-	c.pendingMu.Unlock()
+func (c *Core) forget(fn base.FileNum) {
+	c.mu.Lock()
+	delete(c.tables, fn)
+	c.mu.Unlock()
+}
+
+// tablePath is where table fn lives.
+func (c *Core) tablePath(fn base.FileNum) string {
+	return filepath.Join(c.dir, base.MakeFilename(base.FileTypeTable, fn))
 }
 
 func (c *Core) newOutputBuilder() *OutputBuilder {
-	return NewOutputBuilder(c.fs, c.dir, sstable.WriterOptions{
+	return &OutputBuilder{c: c, wopts: sstable.WriterOptions{
 		BlockSize:         c.cfg.BlockSize,
 		BloomBitsPerKey:   c.cfg.BloomBitsPerKey,
 		PrefixBloomLength: c.cfg.PrefixBloomLength,
 		Compression:       c.cfg.Compression,
-	}, c.vs, c)
+	}}
 }
 
 // Flush writes one frozen memtable — point entries plus range tombstones —
@@ -530,6 +698,7 @@ func (c *Core) Flush(it iterator.Iterator, rangeDels []rangedel.Tombstone, logNu
 	c.metrics.BytesFlushed += flushed
 	metric.Merge(&c.metrics.Compression, ob.CompressionStats())
 	c.mu.Unlock()
+	c.sweep()
 	return nil
 }
 
@@ -543,9 +712,7 @@ func (c *Core) Flush(it iterator.Iterator, rangeDels []rangedel.Tombstone, logNu
 func (c *Core) installOutputs(edit *manifest.VersionEdit, builders ...*OutputBuilder) error {
 	installed, err := c.logAndInstall(edit)
 	for _, ob := range builders {
-		if installed {
-			ob.ReleasePending()
-		} else {
+		if !installed {
 			ob.Abandon()
 		}
 	}
@@ -563,11 +730,29 @@ func (c *Core) installOutputs(edit *manifest.VersionEdit, builders ...*OutputBui
 // critical section that switches the version) and waits its turn before
 // appending; the turn advances even when the append fails, so one degraded
 // unit cannot wedge its peers.
+//
+// The tables the edit deletes, but for one it moves, are deleted once the
+// edit is persisted and no held state lists them (see State).
 func (c *Core) logAndInstall(edit *manifest.VersionEdit) (installed bool, err error) {
 	c.mu.Lock()
 	if err := c.applyLocked(edit); err != nil {
 		c.mu.Unlock()
 		return false, err
+	}
+	n := c.cur.n
+	for _, d := range edit.DeletedFiles {
+		t := c.tables[d.FileNum]
+		t.died = n
+		c.tables[d.FileNum] = t
+	}
+	for i := range edit.NewFiles {
+		m := &edit.NewFiles[i].Meta
+		t := c.tables[m.FileNum]
+		if t.born == 0 { // an output, not a moved table
+			t = tableLife{born: n, size: m.Size}
+		}
+		t.died = math.MaxUint64
+		c.tables[m.FileNum] = t
 	}
 	ticket := c.installTicket
 	c.installTicket++
@@ -583,6 +768,21 @@ func (c *Core) logAndInstall(edit *manifest.VersionEdit) (installed bool, err er
 	c.installTurn++
 	c.logCond.Broadcast()
 	c.logMu.Unlock()
+
+	c.mu.Lock()
+	dead := &c.dead
+	if err != nil {
+		dead = &c.owed
+	} else {
+		c.dead, c.owed = append(c.dead, c.owed...), nil
+	}
+	for _, d := range edit.DeletedFiles {
+		if c.tables[d.FileNum].died == n {
+			*dead = append(*dead, d.FileNum)
+		}
+	}
+	c.collectLocked()
+	c.mu.Unlock()
 	return true, err
 }
 
@@ -605,7 +805,7 @@ func (c *Core) walk(v View, fn func(level int, guard []byte, files []*base.FileM
 // snapshotEdit describes the full current version as one edit.
 func (c *Core) snapshotEdit() *manifest.VersionEdit {
 	e := &manifest.VersionEdit{}
-	c.walk(c.pin(), func(level int, guard []byte, files []*base.FileMetadata) {
+	c.walk(c.view(), func(level int, guard []byte, files []*base.FileMetadata) {
 		if guard != nil {
 			e.NewGuards = append(e.NewGuards, manifest.GuardEntry{Level: level, Key: guard})
 		}
@@ -616,22 +816,16 @@ func (c *Core) snapshotEdit() *manifest.VersionEdit {
 	return e
 }
 
-// ProtectedFiles returns every table file the sweeper must keep: live plus
-// in-flight. The pending set is read before the version: files move
-// pending -> version, so this order guarantees a file cannot slip between
-// the two snapshots and be swept while live.
+// ProtectedFiles returns the tables the core keeps on disk — those a held
+// view lists, those whose deletion is owed, and outputs being written — for
+// tests and tools.
 func (c *Core) ProtectedFiles() map[base.FileNum]bool {
-	out := make(map[base.FileNum]bool)
-	c.pendingMu.Lock()
-	for fn := range c.pending {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[base.FileNum]bool, len(c.tables))
+	for fn := range c.tables {
 		out[fn] = true
 	}
-	c.pendingMu.Unlock()
-	c.walk(c.pin(), func(_ int, _ []byte, files []*base.FileMetadata) {
-		for _, f := range files {
-			out[f.FileNum] = true
-		}
-	})
 	return out
 }
 
@@ -644,7 +838,11 @@ func (c *Core) Metrics() Metrics {
 	if c.budgets != nil {
 		m.SeekPending = int64(c.budgets.SeekPending())
 	}
-	v := c.view
+	m.ZombieTables = int64(len(c.dead))
+	for _, fn := range c.dead {
+		m.ZombieBytes += int64(c.tables[fn].size)
+	}
+	v := c.cur.view
 	c.mu.Unlock()
 	m.LevelFiles = make([]int, c.cfg.NumLevels)
 	m.LevelBytes = make([]int64, c.cfg.NumLevels)
@@ -681,7 +879,7 @@ func (c *Core) Dump(w io.Writer) {
 		files, guards int
 		bytes         int64
 	}, c.cfg.NumLevels)
-	c.walk(c.pin(), func(level int, guard []byte, files []*base.FileMetadata) {
+	c.walk(c.view(), func(level int, guard []byte, files []*base.FileMetadata) {
 		if level == 0 && len(files) == 0 && !c.kind.Guarded {
 			return
 		}
@@ -724,8 +922,26 @@ func (c *Core) Dump(w io.Writer) {
 	}
 }
 
-// Close releases the resident table readers and the manifest.
+// Close turns new reads away, waits for every held state to be released —
+// an open iterator blocks it until closed — and for the tables the
+// releases removed, then releases the resident table readers and the
+// manifest.
 func (c *Core) Close() error {
+	c.mu.Lock()
+	if !c.closed {
+		c.closed = true
+		c.unrefLocked(c.cur)
+	}
+	for len(c.states) > 0 || c.removing > 0 {
+		if len(c.doomed) > 0 { // collected by a goroutine that has yet to sweep
+			c.mu.Unlock()
+			c.sweep()
+			c.mu.Lock()
+			continue
+		}
+		c.drained.Wait()
+	}
+	c.mu.Unlock()
 	c.tc.Close()
 	return c.vs.Close()
 }

@@ -23,7 +23,7 @@ import (
 
 // SeekPolicy says which reads the layout under test charges to a seek
 // budget (§4.2 seek-based compaction). The core reports them all to every
-// layout, and every budget counts only reads with no commit between them.
+// layout.
 type SeekPolicy struct {
 	// IterSeeks: an iterator seek that lands on a group of more than one
 	// table is charged to the group (FLSM).
@@ -32,7 +32,8 @@ type SeekPolicy struct {
 	// level 0 is charged to the group (FLSM).
 	GetGroups bool
 	// GetMisses: a Get is charged to the first table it searches without
-	// finding its key, at levels 1..last-1 (leveled, after LevelDB).
+	// finding its key, at levels 1..last-1, whatever commits come between
+	// the charges (leveled, after LevelDB).
 	GetMisses bool
 }
 
@@ -144,10 +145,11 @@ func (s *store) flushHistory(h *history, n int, tag string, rangeDel bool) {
 // binary search of the forward walk says.
 func (s *store) treeScan(req treebase.IterRequest, at base.SeqNum) []kv {
 	s.t.Helper()
-	iters, rds, err := s.c.NewIters(req, nil)
+	st, iters, rds, err := s.c.NewIters(req, nil)
 	if err != nil {
 		s.t.Fatal(err)
 	}
+	defer st.Release()
 	m := iterator.NewMerging(base.InternalCompare, iters...)
 	defer m.Close()
 	var keys, vals [][]byte
@@ -373,10 +375,11 @@ func seekReads(t *testing.T, s *store, op string, n int, between func(i int)) {
 		}
 		return
 	}
-	iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
+	st, iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Release()
 	m := iterator.NewMerging(base.InternalCompare, iters...)
 	target := base.MakeSearchKey(nil, []byte(key(1001)), base.MaxSeqNum)
 	for i := 0; i < n; i++ {
@@ -443,12 +446,14 @@ func testSeekPolicy(t *testing.T, open OpenFunc, policy SeekPolicy, op string) {
 	}
 }
 
-// testCommitRestarts: a budget counts reads with no commit between them.
-// Each read kind the layout charges runs 20 budgets' worth of reads in
-// pairs, with a commit before every pair, and no budget runs out: the
-// first read of a pair restarts the budget it charges, the second adds to
-// it, and the restarts are counted. The same reads with no commit between
-// them then use a budget up.
+// testCommitRestarts: an FLSM guard's budget counts reads with no commit
+// between them. Each read kind the layout charges runs 20 budgets' worth of
+// reads in pairs, with a commit before every pair, and no budget runs out:
+// the first read of a pair restarts the budget it charges, the second adds
+// to it, and the restarts are counted. The same reads with no commit
+// between them then use a budget up. A leveled table's budget is LevelDB's
+// allowed seeks, which commits do not restart: the reads in pairs use it
+// up, and restart nothing.
 func testCommitRestarts(t *testing.T, open OpenFunc, policy SeekPolicy) {
 	for _, op := range []string{"iter-seek", "get-miss"} {
 		if !policy.charges(op) {
@@ -467,6 +472,13 @@ func testCommitRestarts(t *testing.T, open OpenFunc, policy SeekPolicy) {
 				}
 			})
 			m := s.c.Metrics()
+			if op == "get-miss" && policy.GetMisses {
+				if !s.c.NeedsCompaction() || m.SeekPending == 0 || s.host.scheduled.Load() == 0 || m.SeekRestarts != 0 {
+					t.Fatalf("after %d reads with a commit before every pair: needs compaction %v, %d budgets pending, host told %d times, %d budgets restarted; want true, some, some and 0",
+						n, s.c.NeedsCompaction(), m.SeekPending, s.host.scheduled.Load(), m.SeekRestarts)
+				}
+				return
+			}
 			if s.c.NeedsCompaction() || m.SeekPending != 0 || s.host.scheduled.Load() != 0 || m.SeekRestarts == 0 {
 				t.Fatalf("after %d reads with a commit before every pair: needs compaction %v, %d budgets pending, host told %d times, %d budgets restarted; want false, 0, 0 and some",
 					n, s.c.NeedsCompaction(), m.SeekPending, s.host.scheduled.Load(), m.SeekRestarts)
@@ -493,10 +505,11 @@ func testWarmSeekAllocs(t *testing.T, open OpenFunc, policy SeekPolicy) {
 	t.Run("iter-seek", func(t *testing.T) {
 		s := seekStore(t, open)
 		defer s.c.Close()
-		iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
+		st, iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer st.Release()
 		m := iterator.NewMerging(base.InternalCompare, iters...)
 		defer m.Close()
 		target := base.MakeSearchKey(nil, []byte(key(1001)), base.MaxSeqNum)
@@ -864,7 +877,7 @@ func testIterErrors(t *testing.T, open OpenFunc, compacted bool) {
 		}
 	}
 
-	iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
+	st, iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -883,15 +896,15 @@ func testIterErrors(t *testing.T, open OpenFunc, compacted bool) {
 	if err := m.Close(); !errors.Is(err, vfs.ErrInjected) {
 		t.Fatalf("Close = %v, want the injected open failure", err)
 	}
+	st.Release()
 
 	if !compacted {
-		// Level 0 holds tables: with none of them cached, the second one
-		// NewIters opens fails.
-		for fn := range s.c.ProtectedFiles() {
-			s.c.EvictTable(fn)
-		}
+		// Level 0 holds tables: with none of them cached — the tree is
+		// reopened — the second one NewIters opens fails, and NewIters
+		// releases the state it took.
+		s.reopen(open)
 		efs.FailAt(efs.OpCount()+1, vfs.OpOpen, nil, false)
-		if iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil); !errors.Is(err, vfs.ErrInjected) || iters != nil {
+		if st, iters, _, err := s.c.NewIters(treebase.IterRequest{}, nil); !errors.Is(err, vfs.ErrInjected) || iters != nil || st != nil {
 			t.Fatalf("NewIters = %d iterators, %v, want the injected open failure", len(iters), err)
 		}
 	}

@@ -10,22 +10,60 @@ import (
 
 // CheckInvariants verifies what the read path and the scheduler take on
 // trust. From metadata alone: the structure of the current view
-// (checkStructure) and the claims on it (checkClaims). Against the tables
-// themselves: the age order of every group (checkGroupOrder), which reads
-// every table of every group of more than one — so the method belongs to
-// tests and tools, not to a serving path.
+// (checkStructure) and the claims on it (checkClaims). Against the
+// directory: the tables on disk (checkFiles), listed with the core's lock
+// held. Against the tables themselves: the age order of every group
+// (checkGroupOrder), which reads every table of every group of more than
+// one — so the method belongs to tests and tools, not to a serving path.
 func (c *Core) CheckInvariants() error {
-	c.mu.Lock()
-	v := c.view
-	err := c.checkStructure(v)
-	if err == nil {
-		err = c.checkClaims(v)
-	}
-	c.mu.Unlock()
+	st, err := c.acquire()
 	if err != nil {
 		return err
 	}
-	return c.checkGroupOrder(v)
+	c.mu.Lock()
+	v := c.cur.view
+	err = c.checkStructure(v)
+	if err == nil {
+		err = c.checkClaims(v)
+	}
+	if err == nil {
+		err = c.checkFiles()
+	}
+	c.mu.Unlock()
+	if err == nil {
+		err = c.checkGroupOrder(st.view)
+	}
+	st.Release()
+	return err
+}
+
+// checkFiles verifies the core's account of its tables against the
+// directory, under mu: every table a held view lists is on disk and known
+// to the core, and every table on disk is known to it.
+func (c *Core) checkFiles() error {
+	names, err := c.fs.List(c.dir)
+	if err != nil {
+		return err
+	}
+	onDisk := map[base.FileNum]bool{}
+	for _, name := range names {
+		if ft, fn, ok := base.ParseFilename(name); ok && ft == base.FileTypeTable {
+			if _, known := c.tables[fn]; !known {
+				return fmt.Errorf("files: table %d is on disk, but no held view lists it and no flush or unit writes it", fn)
+			}
+			onDisk[fn] = true
+		}
+	}
+	for _, s := range c.states {
+		c.walk(s.view, func(_ int, _ []byte, files []*base.FileMetadata) {
+			for _, f := range files {
+				if _, known := c.tables[f.FileNum]; (!known || !onDisk[f.FileNum]) && err == nil {
+					err = fmt.Errorf("files: table %d of a held view: known %v, on disk %v", f.FileNum, known, onDisk[f.FileNum])
+				}
+			}
+		})
+	}
+	return err
 }
 
 // checkStructure verifies what View promises of the levels below 0: the

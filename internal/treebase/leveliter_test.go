@@ -65,10 +65,9 @@ func (l *testLayout) SeekPending() int { return 0 }
 
 type testHost struct{}
 
-func (testHost) SmallestSnapshot() base.SeqNum     { return base.MaxSeqNum }
-func (testHost) NoteObsoleteTables([]base.FileNum) {}
-func (testHost) CommittedSeq() base.SeqNum         { return 0 }
-func (testHost) ScheduleCompaction()               {}
+func (testHost) SmallestSnapshot() base.SeqNum { return base.MaxSeqNum }
+func (testHost) CommittedSeq() base.SeqNum     { return 0 }
+func (testHost) ScheduleCompaction()           {}
 
 type testEntry struct {
 	ukey string

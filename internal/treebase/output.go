@@ -1,8 +1,6 @@
 package treebase
 
 import (
-	"path/filepath"
-
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/metric"
 	"pebblesdb/internal/rangedel"
@@ -10,27 +8,13 @@ import (
 	"pebblesdb/internal/vfs"
 )
 
-// FileNumAllocator hands out fresh file numbers (the version set).
-type FileNumAllocator interface {
-	NewFileNum() base.FileNum
-}
-
-// PendingRegistry tracks files being written so the obsolete-file sweeper
-// never deletes in-flight compaction outputs.
-type PendingRegistry interface {
-	AddPending(base.FileNum)
-	RemovePending(base.FileNum)
-}
-
 // OutputBuilder streams compaction or flush output into a sequence of
-// sstables. The caller decides when to cut a table (guard boundary for
-// FLSM, size threshold for leveled compaction).
+// sstables, each one the core keeps on disk from before its creation. The
+// caller decides when to cut a table (guard boundary for FLSM, size
+// threshold for leveled compaction).
 type OutputBuilder struct {
-	fs      vfs.FS
-	dir     string
-	wopts   sstable.WriterOptions
-	alloc   FileNumAllocator
-	pending PendingRegistry
+	c     *Core
+	wopts sstable.WriterOptions
 
 	// cur is the open table's writer, nil between tables; w is the one
 	// writer the builder makes, Reset from table to table so that its
@@ -43,11 +27,6 @@ type OutputBuilder struct {
 	metas []*base.FileMetadata
 	stats sstable.CompressionStats
 	err   error
-}
-
-// NewOutputBuilder returns a builder writing tables into dir.
-func NewOutputBuilder(fs vfs.FS, dir string, wopts sstable.WriterOptions, alloc FileNumAllocator, pending PendingRegistry) *OutputBuilder {
-	return &OutputBuilder{fs: fs, dir: dir, wopts: wopts, alloc: alloc, pending: pending}
 }
 
 // Add appends an entry to the current table, opening one if needed.
@@ -64,15 +43,11 @@ func (o *OutputBuilder) Add(ikey, value []byte) error {
 }
 
 func (o *OutputBuilder) open() error {
-	fn := o.alloc.NewFileNum()
-	if o.pending != nil {
-		o.pending.AddPending(fn)
-	}
-	f, err := o.fs.Create(filepath.Join(o.dir, base.MakeFilename(base.FileTypeTable, fn)))
+	fn := o.c.NewFileNum()
+	o.c.keep(fn)
+	f, err := o.c.fs.Create(o.c.tablePath(fn))
 	if err != nil {
-		if o.pending != nil {
-			o.pending.RemovePending(fn)
-		}
+		o.c.forget(fn)
 		return o.setErr(err)
 	}
 	if o.w == nil {
@@ -133,10 +108,8 @@ func (o *OutputBuilder) Cut() error {
 	if err != nil {
 		// The half-written table is garbage: remove it now rather than
 		// leaving an orphan for the next open's sweep to find.
-		o.fs.Remove(filepath.Join(o.dir, base.MakeFilename(base.FileTypeTable, o.curFn)))
-		if o.pending != nil {
-			o.pending.RemovePending(o.curFn)
-		}
+		o.c.fs.Remove(o.c.tablePath(o.curFn))
+		o.c.forget(o.curFn)
 		o.cur, o.curFile = nil, nil
 		return o.setErr(err)
 	}
@@ -159,8 +132,8 @@ func (o *OutputBuilder) Cut() error {
 func (o *OutputBuilder) CompressionStats() *sstable.CompressionStats { return &o.stats }
 
 // Finish cuts any open table and returns the metadata of all tables
-// written. The caller must call ReleasePending after installing (or
-// abandoning) the outputs.
+// written. An edit that installs them hands them to the views; Abandon
+// removes them instead.
 func (o *OutputBuilder) Finish() ([]*base.FileMetadata, error) {
 	if err := o.Cut(); err != nil {
 		return nil, err
@@ -168,35 +141,17 @@ func (o *OutputBuilder) Finish() ([]*base.FileMetadata, error) {
 	return o.metas, o.err
 }
 
-// ReleasePending unregisters every produced file from the pending set;
-// call after the version edit is durable (or after cleaning up a failure).
-func (o *OutputBuilder) ReleasePending() {
-	if o.pending == nil {
-		return
-	}
-	for _, m := range o.metas {
-		o.pending.RemovePending(m.FileNum)
-	}
-	if o.cur != nil {
-		o.pending.RemovePending(o.curFn)
-	}
-}
-
 // Abandon closes and removes any open table after a failure.
 func (o *OutputBuilder) Abandon() {
 	if o.cur != nil {
 		o.curFile.Close()
-		o.fs.Remove(filepath.Join(o.dir, base.MakeFilename(base.FileTypeTable, o.curFn)))
-		if o.pending != nil {
-			o.pending.RemovePending(o.curFn)
-		}
+		o.c.fs.Remove(o.c.tablePath(o.curFn))
+		o.c.forget(o.curFn)
 		o.cur = nil
 	}
 	for _, m := range o.metas {
-		o.fs.Remove(filepath.Join(o.dir, base.MakeFilename(base.FileTypeTable, m.FileNum)))
-		if o.pending != nil {
-			o.pending.RemovePending(m.FileNum)
-		}
+		o.c.fs.Remove(o.c.tablePath(m.FileNum))
+		o.c.forget(m.FileNum)
 	}
 	o.metas = nil
 }
@@ -236,6 +191,11 @@ type Metrics struct {
 	GuardsPerLevel []int `metric:"pebblesdb_level_guards" label:"level" help:"FLSM guards per level."`
 	// EmptyGuards counts committed guards with no files (FLSM only).
 	EmptyGuards int `metric:"pebblesdb_empty_guards" help:"FLSM guards holding no sstable."`
+	// ZombieTables / ZombieBytes count the tables deleted from the current
+	// view that stay on disk because an older view that lists them is held:
+	// an open iterator, a Get in flight. At rest both are 0.
+	ZombieTables int64 `metric:"pebblesdb_zombie_tables" help:"Sstables deleted from the current version, kept on disk for a held older one."`
+	ZombieBytes  int64 `metric:"pebblesdb_zombie_bytes" help:"Bytes of the sstables deleted from the current version, kept on disk for a held older one."`
 	// TableFileSizes lists the sizes of all live sstables (Table 5.1).
 	TableFileSizes []uint64 `metric:"-" merge:"concat" help:"one sample per live table is unbounded; level_tables and level_bytes carry the totals"`
 	// CompactionUnits counts units claimed by the parallel compaction

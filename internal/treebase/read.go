@@ -45,7 +45,11 @@ func (c *Core) Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstab
 			sstable.ReleaseGetScratch(s)
 		}()
 	}
-	v := c.pin()
+	st, err := c.acquire()
+	if err != nil {
+		return nil, false, err
+	}
+	v := st.view
 	if latest != nil {
 		seq = base.SeqNum(latest.Load())
 	}
@@ -54,6 +58,8 @@ func (c *Core) Get(ukey []byte, seq base.SeqNum, latest *atomic.Uint64, s *sstab
 
 	d := descent{c: c, ukey: ukey, seq: seq, s: s}
 	value, found, err = d.run(v)
+	// The value aliases the block s holds, not the table: the table may go.
+	st.Release()
 	switch {
 	case d.seekLevel > 0 && c.seeks != nil && c.cfg.SeekCompactionThreshold > 0:
 		guard, _ := v.Group(d.seekLevel, d.seekGroup)
@@ -184,18 +190,19 @@ func (c *Core) chargesMiss(level int) bool {
 }
 
 // charge counts a read against the budget its layout keeps for it: the
-// group guard of level (SeekCharger) or, when miss is non-nil, the table
-// miss (MissCharger), at the committed sequence number the host reports
-// now, so a budget runs out only after its threshold of charges with no
-// commit between any two. The charge that uses up a budget asks the host
+// group guard of level (SeekCharger), at the committed sequence number the
+// host reports now, so a guard's budget runs out only after its threshold
+// of charges with no commit between any two; or, when miss is non-nil, the
+// table miss (MissCharger). The charge that uses up a budget asks the host
 // to run the unit it made.
 func (c *Core) charge(level int, guard []byte, miss *base.FileMetadata) {
-	seq := c.host.CommittedSeq()
 	var spent, restarted bool
-	c.mu.Lock()
 	if miss != nil {
-		spent, restarted = c.misses.ChargeMiss(level, miss, seq)
+		c.mu.Lock()
+		spent = c.misses.ChargeMiss(level, miss)
 	} else {
+		seq := c.host.CommittedSeq()
+		c.mu.Lock()
 		spent, restarted = c.seeks.ChargeSeek(level, guard, seq)
 	}
 	if restarted {
@@ -207,9 +214,10 @@ func (c *Core) charge(level int, guard []byte, miss *base.FileMetadata) {
 	}
 }
 
-// NewIters returns the point iterators of the pinned view — one per level-0
-// table, one level iterator per populated level — appended to dst (which
-// pooled callers recycle), plus every range tombstone held by a table
+// NewIters returns the current state, held — the caller releases it once
+// it has closed the iterators — and the point iterators of its view — one
+// per level-0 table, one level iterator per populated level — appended to
+// dst (which pooled callers recycle), plus every range tombstone held by a table
 // overlapping the request's bounds; the engine merges those with the
 // memtables' into one visibility mask. Groups and tables outside the bounds
 // are pruned before any table is opened, and with a prefix so are tables
@@ -218,10 +226,12 @@ func (c *Core) charge(level int, guard []byte, miss *base.FileMetadata) {
 // bounds include tombstone spans, so bounds pruning cannot lose a tombstone
 // that could mask an in-bounds key. The tables that carry tombstones come
 // from the list kept beside the view, not from a walk of it.
-func (c *Core) NewIters(req IterRequest, dst []iterator.Iterator) ([]iterator.Iterator, []rangedel.Tombstone, error) {
-	c.mu.Lock()
-	v, rdTables := c.view, c.rangeDels
-	c.mu.Unlock()
+func (c *Core) NewIters(req IterRequest, dst []iterator.Iterator) (*State, []iterator.Iterator, []rangedel.Tombstone, error) {
+	st, err := c.acquire()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	v := st.view
 	iters := dst
 	for _, f := range v.L0() {
 		if !req.Bounds.Overlaps(f) {
@@ -229,7 +239,7 @@ func (c *Core) NewIters(req IterRequest, dst []iterator.Iterator) ([]iterator.It
 		}
 		it, err := c.openIter(&req, f)
 		if err != nil {
-			return closeIters(iters, err)
+			return closeIters(st, iters, err)
 		}
 		if it != nil {
 			iters = append(iters, it)
@@ -244,28 +254,29 @@ func (c *Core) NewIters(req IterRequest, dst []iterator.Iterator) ([]iterator.It
 		iters = append(iters, newLevelIter(c, v, lv, lo, hi, parallel, req))
 	}
 	var rds []rangedel.Tombstone
-	for _, f := range rdTables {
+	for _, f := range st.rangeDels {
 		if !req.Bounds.Overlaps(f) {
 			continue
 		}
 		// The resident list answers: no block IO here.
 		r, err := c.tc.Find(f.FileNum, f.Size)
 		if err != nil {
-			return closeIters(iters, err)
+			return closeIters(st, iters, err)
 		}
 		rds = append(rds, r.RangeDels().Raw()...)
 		r.Unref()
 	}
-	return iters, rds, nil
+	return st, iters, rds, nil
 }
 
 // closeIters is NewIters' error return: the iterators opened so far are
-// closed.
-func closeIters(iters []iterator.Iterator, err error) ([]iterator.Iterator, []rangedel.Tombstone, error) {
+// closed, then the state is released.
+func closeIters(st *State, iters []iterator.Iterator, err error) (*State, []iterator.Iterator, []rangedel.Tombstone, error) {
 	for _, it := range iters {
 		it.Close()
 	}
-	return nil, nil, err
+	st.Release()
+	return nil, nil, nil, err
 }
 
 // openIter opens a pooled iterator over f for req, or returns nil when f's

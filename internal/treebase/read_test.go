@@ -31,9 +31,9 @@ type missLayout struct {
 	missed []string
 }
 
-func (l *missLayout) ChargeMiss(level int, f *base.FileMetadata, _ base.SeqNum) (bool, bool) {
+func (l *missLayout) ChargeMiss(level int, f *base.FileMetadata) bool {
 	l.missed = append(l.missed, fmt.Sprintf("%d/%s", level, f.SmallestUserKey()))
-	return false, false
+	return false
 }
 
 // TestGetMissCharging pins which Get the core reports to a MissCharger: the
@@ -74,7 +74,7 @@ func TestGetMissCharging(t *testing.T) {
 				}
 				return metas
 			}
-			c.view = &stackView{levels: [][]*base.FileMetadata{
+			c.cur.view = &stackView{levels: [][]*base.FileMetadata{
 				table(4, "a", "e", "z"),
 				table(3, "b", "f", "z"),
 				table(2, "c", "g", "z"),
@@ -92,19 +92,19 @@ func TestGetMissCharging(t *testing.T) {
 			}
 			// Without level 0 the first miss moves down: level 1 and level
 			// 2 are reported, the last level is not.
-			c.view.(*stackView).levels[0] = nil
+			c.cur.view.(*stackView).levels[0] = nil
 			for _, k := range []string{"g", "b", "y"} { // level-1 miss, hit, miss everywhere
 				if _, _, err := c.Get([]byte(k), base.MaxSeqNum, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			c.view.(*stackView).levels[1] = nil
+			c.cur.view.(*stackView).levels[1] = nil
 			for _, k := range []string{"h", "c"} {
 				if _, _, err := c.Get([]byte(k), base.MaxSeqNum, nil, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
-			c.view.(*stackView).levels[2] = nil
+			c.cur.view.(*stackView).levels[2] = nil
 			if _, _, err := c.Get([]byte("y"), base.MaxSeqNum, nil, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestGetSeekCharging(t *testing.T) {
 				}
 				return metas[0]
 			}
-			c.view = &stackView{levels: [][]*base.FileMetadata{
+			c.cur.view = &stackView{levels: [][]*base.FileMetadata{
 				{table(10, "a", "p"), table(9, "a0", "p")},                                  // newest first
 				{table(5, "b", "m", "z"), table(6, "c", "n", "z"), table(7, "d", "o", "z")}, // oldest first
 				{table(2, "A", "A1", "w"), table(3, "A0", "q", "w")},
@@ -229,7 +229,7 @@ func TestGetStopsAtFirstHit(t *testing.T) {
 		}
 		return metas[0]
 	}
-	c.view = &stackView{levels: [][]*base.FileMetadata{
+	c.cur.view = &stackView{levels: [][]*base.FileMetadata{
 		nil,
 		{table(1, 2, "k", "only-old", "x"), table(3, 0, "k", "x"), table(5, 6, "k", "y")},
 		{table(0, 0, "below")},

@@ -8,7 +8,6 @@ import (
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/iterator"
-	"pebblesdb/internal/sstable"
 	"pebblesdb/internal/vfs"
 )
 
@@ -133,15 +132,22 @@ func TestCompactionIterTombstoneAboveSnapshotKept(t *testing.T) {
 	}
 }
 
-type testAlloc struct{ n uint64 }
-
-func (a *testAlloc) NewFileNum() base.FileNum { a.n++; return base.FileNum(a.n) }
+// outputCore opens an empty tree on fs whose output builders the tests
+// drive.
+func outputCore(t *testing.T, fs vfs.FS) *Core {
+	cfg := &base.Config{NumLevels: 3}
+	cfg.EnsureDefaults()
+	c, err := Open(Kind{Name: "test"}, cfg, fs, "db", testHost{}, &testLayout{}, &stackView{levels: make([][]*base.FileMetadata, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
 
 func TestOutputBuilderCutsAndFinishes(t *testing.T) {
 	fs := vfs.NewMem()
-	fs.MkdirAll("db")
-	alloc := &testAlloc{}
-	ob := NewOutputBuilder(fs, "db", sstable.WriterOptions{}, alloc, nil)
+	ob := outputCore(t, fs).newOutputBuilder()
 
 	add := func(k string, seq int) {
 		ik := base.MakeInternalKey(nil, []byte(k), base.SeqNum(seq), base.KindSet)
@@ -177,23 +183,26 @@ func TestOutputBuilderCutsAndFinishes(t *testing.T) {
 
 func TestOutputBuilderAbandonRemovesFiles(t *testing.T) {
 	fs := vfs.NewMem()
-	fs.MkdirAll("db")
-	alloc := &testAlloc{}
-	ob := NewOutputBuilder(fs, "db", sstable.WriterOptions{}, alloc, nil)
+	c := outputCore(t, fs)
+	ob := c.newOutputBuilder()
 	ik := base.MakeInternalKey(nil, []byte("a"), 1, base.KindSet)
 	ob.Add(ik, []byte("v"))
 	ob.Cut()
 	ob.Add(base.MakeInternalKey(nil, []byte("b"), 2, base.KindSet), []byte("v"))
 	ob.Abandon()
 	names, _ := fs.List("db")
-	if len(names) != 0 {
-		t.Fatalf("abandon left files: %v", names)
+	for _, name := range names {
+		if ft, _, _ := base.ParseFilename(name); ft == base.FileTypeTable {
+			t.Fatalf("abandon left files: %v", names)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestOutputBuilderEmptyFinish(t *testing.T) {
-	fs := vfs.NewMem()
-	ob := NewOutputBuilder(fs, "db", sstable.WriterOptions{}, &testAlloc{}, nil)
+	ob := outputCore(t, vfs.NewMem()).newOutputBuilder()
 	metas, err := ob.Finish()
 	if err != nil || len(metas) != 0 {
 		t.Fatalf("empty finish: %v %v", metas, err)

@@ -282,8 +282,9 @@ func TestGetTrafficRunsSeekCompaction(t *testing.T) {
 	t.Logf("tables per populated guard %.2f -> %.2f, %d seek compactions", tablesPerGuard(before), tablesPerGuard(after), after.Tree.SeekCompactions)
 }
 
-// TestCommitsRestartSeekBudgets: a seek budget counts consecutive reads —
-// §4.2's "consecutive seeks" — ones with no commit between them. Reads in
+// TestCommitsRestartSeekBudgets: an FLSM guard's seek budget counts
+// consecutive reads — §4.2's "consecutive seeks" — ones with no commit
+// between them. Reads in
 // pairs with a Put before every pair never use a budget up, however many
 // there are, so under writes, whose flushes would undo the unit, no read
 // starts one: each pair charges a budget, and the Put before the next pair
@@ -343,12 +344,32 @@ func TestCommitsRestartSeekBudgets(t *testing.T) {
 		defer s.db.Close()
 		run(t, s, 20*s.o.SeekCompactionThreshold, func(i int) { s.get(seekKey(n/2 + i%8)) })
 	})
-	t.Run("leveled/get", func(t *testing.T) {
-		s := openMisses(t, n)
-		defer s.db.Close()
-		// A leveled table allows at least 100 seeks.
-		run(t, s, 400, func(i int) { s.get(seekKey(n/2 + 2*(i%4))) })
-	})
+}
+
+// TestLeveledSeekBudgetSpansCommits: a leveled table's budget is LevelDB's
+// allowed seeks, which count a table's misses over its life: reads in pairs
+// with a Put before every pair use it up, restart nothing, and start a seek
+// unit.
+func TestLeveledSeekBudgetSpansCommits(t *testing.T) {
+	const n = 4000
+	s := openMisses(t, n)
+	defer s.db.Close()
+	// A leveled table allows at least 100 seeks.
+	for i := 0; i < 400; i++ {
+		if i > 0 && i%2 == 0 {
+			k, v := "put-between", fmt.Sprintf("put-%d", i)
+			if err := s.db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			s.want[k] = v
+		}
+		s.get(seekKey(n/2 + 2*(i%4)))
+	}
+	if m := s.db.Metrics(); m.Tree.SeekRestarts != 0 {
+		t.Fatalf("%d budgets restarted, want none", m.Tree.SeekRestarts)
+	}
+	s.awaitSeekUnit()
+	s.settle()
 }
 
 // TestCloseRacesReadTriggeredCompaction: four readers whose seeks into
