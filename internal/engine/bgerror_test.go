@@ -110,28 +110,22 @@ func TestFlushFailureDegradesAndResumes(t *testing.T) {
 }
 
 // assertNoOrphans checks the on-disk file set of a freshly reopened
-// engine: no temp files survive, and every table file is referenced by
-// the recovered version (orphans from failed flushes/compactions must
-// have been removed, either at failure time or by the open-time sweep).
+// engine: no temp files survive, and the tree knows every table file —
+// on reopen, those the recovered version lists (orphans from failed
+// flushes/compactions must have been removed, either at failure time or by
+// the open-time sweep).
 func assertNoOrphans(t *testing.T, e *Engine, fs vfs.FS) {
 	t.Helper()
-	protected := e.tree.ProtectedFiles()
+	if err := e.tree.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
 	names, err := fs.List("db")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range names {
-		ft, fn, ok := base.ParseFilename(name)
-		if !ok {
-			continue
-		}
-		switch ft {
-		case base.FileTypeTemp:
+		if ft, _, ok := base.ParseFilename(name); ok && ft == base.FileTypeTemp {
 			t.Errorf("orphan temp file %s", name)
-		case base.FileTypeTable:
-			if !protected[fn] {
-				t.Errorf("orphan table file %s not referenced by the recovered version", name)
-			}
 		}
 	}
 }

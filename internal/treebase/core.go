@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -486,12 +487,14 @@ func (c *Core) view() View {
 	return c.cur.view
 }
 
-// Reading reports whether a read holds a state; the engine's cleanup skips
-// its directory listing while one does.
+// Reading reports whether a read holds the current state; the engine's
+// cleanup skips its directory listing while one does. A state the next
+// install superseded does not count, so a held iterator delays the listing
+// by one install at most.
 func (c *Core) Reading() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.states) > 1 || c.cur.refs.Load() > 1
+	return c.cur.refs.Load() > 1
 }
 
 // acquire returns the current state, held until its Release.
@@ -555,8 +558,11 @@ next:
 
 // sweep removes the doomed tables, outside mu: from the table cache, from
 // the disk, and only then from tables, so that CheckInvariants never finds
-// a table on disk the core does not know. A unit sweeps once it has let go
-// of its claim, a flush once installed, a release when it freed tables.
+// a table on disk the core does not know. A table that cannot be removed
+// (one already gone counts as removed) stays dead: the next collect dooms
+// it again, and the next Open sweeps it if none does. A unit sweeps once it
+// has let go of its claim, a flush once installed, a release when it freed
+// tables.
 func (c *Core) sweep() {
 	c.mu.Lock()
 	doomed := c.doomed
@@ -565,15 +571,20 @@ func (c *Core) sweep() {
 	if len(doomed) == 0 {
 		return
 	}
+	var failed []base.FileNum
 	for _, fn := range doomed {
 		c.tc.Evict(fn)
-		// A table that cannot be removed is an orphan the next Open sweeps.
-		_ = c.fs.Remove(c.tablePath(fn))
+		if err := c.fs.Remove(c.tablePath(fn)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			failed = append(failed, fn)
+		}
 	}
 	c.mu.Lock()
 	for _, fn := range doomed {
-		delete(c.tables, fn)
+		if !slices.Contains(failed, fn) {
+			delete(c.tables, fn)
+		}
 	}
+	c.dead = append(c.dead, failed...)
 	if c.removing -= len(doomed); c.removing == 0 {
 		c.drained.Broadcast()
 	}
@@ -732,7 +743,11 @@ func (c *Core) installOutputs(edit *manifest.VersionEdit, builders ...*OutputBui
 // unit cannot wedge its peers.
 //
 // The tables the edit deletes, but for one it moves, are deleted once the
-// edit is persisted and no held state lists them (see State).
+// edit is persisted and no held state lists them (see State). The turn
+// advances only after that is recorded: a failed append owes its deletions
+// to the next append that succeeds, which rotates the manifest to a
+// snapshot without them, so the success must not settle the debts of an
+// append that comes after it.
 func (c *Core) logAndInstall(edit *manifest.VersionEdit) (installed bool, err error) {
 	c.mu.Lock()
 	if err := c.applyLocked(edit); err != nil {
@@ -764,10 +779,6 @@ func (c *Core) logAndInstall(edit *manifest.VersionEdit) (installed bool, err er
 	}
 	c.logMu.Unlock()
 	err = c.vs.LogAndApply(edit, c.snapshotEdit)
-	c.logMu.Lock()
-	c.installTurn++
-	c.logCond.Broadcast()
-	c.logMu.Unlock()
 
 	c.mu.Lock()
 	dead := &c.dead
@@ -783,6 +794,11 @@ func (c *Core) logAndInstall(edit *manifest.VersionEdit) (installed bool, err er
 	}
 	c.collectLocked()
 	c.mu.Unlock()
+
+	c.logMu.Lock()
+	c.installTurn++
+	c.logCond.Broadcast()
+	c.logMu.Unlock()
 	return true, err
 }
 
@@ -814,19 +830,6 @@ func (c *Core) snapshotEdit() *manifest.VersionEdit {
 		}
 	})
 	return e
-}
-
-// ProtectedFiles returns the tables the core keeps on disk — those a held
-// view lists, those whose deletion is owed, and outputs being written — for
-// tests and tools.
-func (c *Core) ProtectedFiles() map[base.FileNum]bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[base.FileNum]bool, len(c.tables))
-	for fn := range c.tables {
-		out[fn] = true
-	}
-	return out
 }
 
 // Metrics reports tree statistics, including guard occupancy.

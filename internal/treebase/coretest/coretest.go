@@ -2,17 +2,21 @@
 // and run against every layout: the flsm and leveled packages call Run from
 // their tests with their Open. It checks what the core promises whatever
 // the layout — the install-vs-persist rule, ticket-ordered manifest
-// appends, the allocation-free scheduling predicates, claim-stall
-// accounting, that a store reopens to the state it was closed in, and
+// appends and deletions, a table whose removal fails, the allocation-free
+// scheduling predicates, claim-stall accounting, that a store reopens to
+// the state it was closed in, and
 // (read.go) the one read path: Get and iteration against a model, the seek
 // hook, pin-then-load and the iterator error path.
 package coretest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,6 +43,8 @@ func Run(t *testing.T, open OpenFunc, policy SeekPolicy) {
 		}
 	})
 	t.Run("TicketOrder", func(t *testing.T) { testTicketOrder(t, open) })
+	t.Run("SettleInTurn", func(t *testing.T) { testSettleInTurn(t, open) })
+	t.Run("RemoveFails", func(t *testing.T) { testRemoveFails(t, open) })
 	t.Run("PredicatesDoNotAllocate", func(t *testing.T) { testPredicateAllocs(t, open) })
 	t.Run("ClaimStall", func(t *testing.T) { testClaimStall(t, open) })
 	t.Run("ParallelUnits", func(t *testing.T) { testParallelUnits(t, open) })
@@ -367,15 +373,9 @@ func testInstallVsPersist(t *testing.T, open OpenFunc, stepName, when string) {
 		t.Fatalf("%d faults injected, want 1", efs.Injected())
 	}
 
+	// The tree knows every table on disk, and every table it lists is there.
+	s.checkInvariants()
 	tablesAfter := s.tablesOnDisk()
-	var kept []base.FileNum
-	for fn := range s.c.ProtectedFiles() {
-		kept = append(kept, fn)
-	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i] < kept[j] })
-	if fmt.Sprint(kept) != fmt.Sprint(tablesAfter) {
-		t.Errorf("the tree keeps tables %v, the disk holds %v", kept, tablesAfter)
-	}
 	if when == "before-install" {
 		// Never installed: the outputs are gone and the store is as it was.
 		if fmt.Sprint(tablesAfter) != fmt.Sprint(tablesBefore) {
@@ -517,6 +517,186 @@ func testTicketOrder(t *testing.T, open OpenFunc) {
 			}
 		}
 	}
+}
+
+// testSettleInTurn runs two units whose manifest appends follow each
+// other, the second failing, and parks the first between its append and the
+// recording of its deletions: the first's manifest sync starts a
+// CheckInvariants whose directory listing holds the core's lock. The second
+// must not append until the first has recorded them — a success settles
+// the deletions owed by the failed appends before it, and one settled
+// after a later failure would hand that edit's inputs, which the durable
+// manifest still lists, to the sweep. After a reopen every table the
+// manifest lists is on disk and the data is whole.
+func testSettleInTurn(t *testing.T, open OpenFunc) {
+	fs := &appendFS{FS: vfs.NewMem()}
+	s := openStore(t, open, fs)
+	s.overfillLevelOne()
+	release, errs := s.parkUnits(2)
+	defer release()
+	inputs := map[*treebase.Unit][]base.FileNum{}
+	for fn, u := range s.c.Claimed() {
+		inputs[u] = append(inputs[u], fn)
+	}
+	// installed reports whether both units have switched the view: each
+	// has taken at least one of the tables it holds out of it.
+	installed := func() bool {
+		d := s.dump()
+		for _, fns := range inputs {
+			gone := false
+			for _, fn := range fns {
+				gone = gone || !strings.Contains(d, fmt.Sprintf(" %06d:", fn))
+			}
+			if !gone {
+				return false
+			}
+		}
+		return true
+	}
+
+	held, hold := make(chan struct{}), make(chan struct{})
+	appended := make(chan struct{}, 1)
+	checked := make(chan error, 1)
+	fs.set(&fs.onSync, func() error {
+		for deadline := time.Now().Add(5 * time.Second); !installed() && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if !installed() {
+			t.Error("the second unit did not install while the first appended")
+		}
+		fs.set(&fs.onWrite, func() error {
+			appended <- struct{}{}
+			return vfs.ErrInjected
+		})
+		fs.set(&fs.onList, func() error {
+			close(held)
+			<-hold
+			return nil
+		})
+		go func() { checked <- s.c.CheckInvariants() }()
+		<-held
+		return nil
+	})
+	release()
+	<-held
+	select {
+	case <-appended:
+		t.Error("the second unit appended while the first had yet to record its deletions")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(hold)
+	if err := <-checked; err != nil {
+		t.Errorf("invariants with the first append parked: %v", err)
+	}
+	failed := 0
+	for i := 0; i < 2; i++ {
+		if err := <-errs; errors.Is(err, vfs.ErrInjected) {
+			failed++
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d units failed, want the second", failed)
+	}
+	s.reopen(open)
+	defer s.c.Close()
+	s.verify()
+}
+
+// testRemoveFails fails the removal of the first table a unit deletes: the
+// tree still knows the table, which stays a zombie until a later sweep
+// removes it.
+func testRemoveFails(t *testing.T, open OpenFunc) {
+	efs := vfs.NewErr(vfs.NewMem())
+	s := openStore(t, open, efs)
+	defer s.c.Close()
+	s.load()
+	compact := func(tag string) {
+		for i := 0; i < s.cfg.L0CompactionTrigger; i++ {
+			s.mustFlush(100, fmt.Sprintf("%s-%d", tag, i), false)
+		}
+		if err := s.c.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	efs.FailAt(efs.OpCount(), vfs.OpRemove, nil, false)
+	compact("kept")
+	if efs.Injected() != 1 {
+		t.Fatal("no unit removed a table")
+	}
+	// A later unit of the same run may already have removed it.
+	s.checkInvariants()
+	if z, disk := s.c.Metrics().ZombieTables, s.tablesOnDisk(); z > 1 || len(disk) != s.liveTables()+int(z) {
+		t.Errorf("%d zombie tables, %d tables on disk for %d live after a removal failed", z, len(disk), s.liveTables())
+	}
+	compact("swept")
+	if z, disk := s.c.Metrics().ZombieTables, s.tablesOnDisk(); z != 0 || len(disk) != s.liveTables() {
+		t.Errorf("%d zombie tables, %d tables on disk for %d live after the next sweep", z, len(disk), s.liveTables())
+	}
+	s.verify()
+}
+
+// appendFS runs a hook, once, ahead of the next manifest write, the next
+// manifest sync and the next directory listing; a hook's error fails the
+// operation.
+type appendFS struct {
+	vfs.FS
+	mu                      sync.Mutex
+	onWrite, onSync, onList func() error
+}
+
+// set arms hook with h.
+func (fs *appendFS) set(hook *func() error, h func() error) {
+	fs.mu.Lock()
+	*hook = h
+	fs.mu.Unlock()
+}
+
+// run disarms hook and runs what it held.
+func (fs *appendFS) run(hook *func() error) error {
+	fs.mu.Lock()
+	h := *hook
+	*hook = nil
+	fs.mu.Unlock()
+	if h == nil {
+		return nil
+	}
+	return h()
+}
+
+func (fs *appendFS) Create(name string) (vfs.File, error) {
+	f, err := fs.FS.Create(name)
+	if ft, _, ok := base.ParseFilename(filepath.Base(name)); err != nil || !ok || ft != base.FileTypeManifest {
+		return f, err
+	}
+	return &manifestFile{File: f, fs: fs}, nil
+}
+
+func (fs *appendFS) List(dir string) ([]string, error) {
+	if err := fs.run(&fs.onList); err != nil {
+		return nil, err
+	}
+	return fs.FS.List(dir)
+}
+
+type manifestFile struct {
+	vfs.File
+	fs *appendFS
+}
+
+func (f *manifestFile) Write(p []byte) (int, error) {
+	if err := f.fs.run(&f.fs.onWrite); err != nil {
+		return 0, err
+	}
+	return f.File.Write(p)
+}
+
+func (f *manifestFile) Sync() error {
+	if err := f.fs.run(&f.fs.onSync); err != nil {
+		return err
+	}
+	return f.File.Sync()
 }
 
 // testPredicateAllocs pins the scheduling predicates at zero allocations

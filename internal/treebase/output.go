@@ -192,8 +192,9 @@ type Metrics struct {
 	// EmptyGuards counts committed guards with no files (FLSM only).
 	EmptyGuards int `metric:"pebblesdb_empty_guards" help:"FLSM guards holding no sstable."`
 	// ZombieTables / ZombieBytes count the tables deleted from the current
-	// view that stay on disk because an older view that lists them is held:
-	// an open iterator, a Get in flight. At rest both are 0.
+	// view that stay on disk because an older view that lists them is held
+	// (an open iterator, a Get in flight) or because their removal failed
+	// and waits for the next sweep. At rest both are 0.
 	ZombieTables int64 `metric:"pebblesdb_zombie_tables" help:"Sstables deleted from the current version, kept on disk for a held older one."`
 	ZombieBytes  int64 `metric:"pebblesdb_zombie_bytes" help:"Bytes of the sstables deleted from the current version, kept on disk for a held older one."`
 	// TableFileSizes lists the sizes of all live sstables (Table 5.1).
