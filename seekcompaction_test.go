@@ -383,7 +383,9 @@ func TestCloseRacesReadTriggeredCompaction(t *testing.T) {
 		rounds = 10
 	}
 	var seekUnits int64
-	for round := 0; round < rounds; round++ {
+	// A slow run may close every store before a read starts a unit; it
+	// goes on until one has, up to the full count.
+	for round := 0; round < rounds || seekUnits == 0 && round < 50; round++ {
 		s := openSeekStore(t, PresetPebblesDB, func(o *Options) { o.NumLevels = 4 })
 		const n = 4000
 		s.loadFragmented(n, int64(round), 16)
@@ -437,7 +439,7 @@ func TestCloseRacesReadTriggeredCompaction(t *testing.T) {
 		seekUnits += s.seeks.Load()
 	}
 	if seekUnits == 0 {
-		t.Fatalf("no read started a seek-triggered unit in %d rounds: the race was not run", rounds)
+		t.Fatal("no read started a seek-triggered unit in 50 rounds: the race was not run")
 	}
-	t.Logf("%d seek-triggered units over %d rounds", seekUnits, rounds)
+	t.Logf("%d seek-triggered units over %d rounds or more", seekUnits, rounds)
 }
