@@ -491,12 +491,13 @@ func TestFreshIterScanAllocs(t *testing.T) {
 }
 
 // TestPutAllocs pins the write path's budget on an idle store, per layout:
-// DB.Put and DB.Delete borrow their one-op batch from a pool and the
-// memtable composes the entry in its arena, so what a commit still
-// allocates is one object, the one-byte slice the WAL checksums its record
-// type from (wal.Writer.emit; left in place on purpose, see EXPERIMENTS.md
-// "A put stops allocating per key"), whether it is a Put, a Delete or an
-// Apply of a Batch the caller reuses. Before, a Put cost nine. The arena's
+// DB.Put and DB.Delete borrow their one-op batch from a pool, the lone
+// writer leads a group of one out of the commit queue's recycled array and
+// a pooled request, and the memtable composes the entry in its arena, so
+// what a commit still allocates is one object, the one-byte slice the WAL
+// checksums its record type from (wal.Writer.emit; left in place on
+// purpose, see EXPERIMENTS.md "A put stops allocating per key"), whether
+// it is a Put, a Delete or an Apply of a Batch the caller reuses. Before, a Put cost nine. The arena's
 // next chunk and a pool the collector emptied are amortised over thousands
 // of puts and round to none. The memtable is large enough that nothing
 // flushes under the measurement.

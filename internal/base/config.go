@@ -110,11 +110,6 @@ type Config struct {
 	// setting it very large. Default 4.
 	CompactionUnitGuards int
 
-	// WALSync makes every commit durable before it returns, as if each
-	// carried WriteOptions{Sync: true}; concurrent commits still share
-	// amortized fsyncs.
-	WALSync bool
-
 	// MaxBgRetries is how many times a failed background flush or
 	// compaction is retried (with capped exponential backoff) before the
 	// store degrades to read-only. Corruption is never retried. 0 selects

@@ -17,7 +17,7 @@
 //
 // A payload lives in a reference-counted Buf (buf.go). The cache holds one
 // reference per entry and hands one to every Acquire; a move between queues
-// keeps it, and eviction, DeleteFile and replacement drop only the cache's
+// keeps it, and eviction, DeleteFiles and replacement drop only the cache's
 // own, so a reader keeps its block for as long as it holds it and the memory
 // is reused once nobody does.
 package cache
@@ -263,13 +263,18 @@ func (c *Cache) Set(k Key, value []byte, charge int64) {
 	b.Release()
 }
 
-// DeleteFile removes every entry whose Key.File matches fn.
-func (c *Cache) DeleteFile(fn uint64) {
+// DeleteFiles removes every entry whose Key.File is one of fns, in one
+// pass over each shard however many files go.
+func (c *Cache) DeleteFiles(fns ...uint64) {
+	doomed := make(map[uint64]struct{}, len(fns))
+	for _, fn := range fns {
+		doomed[fn] = struct{}{}
+	}
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k, e := range s.items {
-			if k.File == fn {
+			if _, ok := doomed[k.File]; ok {
 				e.q.remove(e)
 				s.drop(e)
 			}

@@ -62,19 +62,21 @@ func TestDeleteFile(t *testing.T) {
 	c.Set(Key{File: 1, Off: 0}, []byte("a"), 1)
 	c.Set(Key{File: 1, Off: 100}, []byte("b"), 1)
 	c.Set(Key{File: 2, Off: 0}, []byte("c"), 1)
+	c.Set(Key{File: 3, Off: 0}, []byte("d"), 1)
+	c.Set(Key{File: 3, Off: 100}, []byte("e"), 1)
 
-	c.DeleteFile(1)
-	if _, ok := c.Get(Key{File: 1, Off: 0}); ok {
-		t.Fatal("DeleteFile left entries")
-	}
-	if _, ok := c.Get(Key{File: 1, Off: 100}); ok {
-		t.Fatal("DeleteFile left entries")
+	// One call drops two files and keeps the third's blocks.
+	c.DeleteFiles(1, 3)
+	for _, k := range []Key{{File: 1, Off: 0}, {File: 1, Off: 100}, {File: 3, Off: 0}, {File: 3, Off: 100}} {
+		if _, ok := c.Get(k); ok {
+			t.Fatalf("DeleteFiles left %+v", k)
+		}
 	}
 	if _, ok := c.Get(Key{File: 2, Off: 0}); !ok {
-		t.Fatal("DeleteFile removed another file's entry")
+		t.Fatal("DeleteFiles removed another file's entry")
 	}
 	if st := c.Stats(); st.Entries != 1 || st.UsedBytes != 1 {
-		t.Fatalf("stats after DeleteFile: %+v", st)
+		t.Fatalf("stats after DeleteFiles: %+v", st)
 	}
 }
 
@@ -248,7 +250,7 @@ func TestHolderOutlivesItsEntry(t *testing.T) {
 			}
 		},
 		"replaced": func() { put(c, k, size, 0x22) },
-		"deleted":  func() { c.DeleteFile(k.File) },
+		"deleted":  func() { c.DeleteFiles(k.File) },
 	}
 	for name, dropEntry := range drop {
 		put(c, k, size, 0x11)
@@ -571,7 +573,7 @@ func TestLastReleaseRecyclesOrPoisons(t *testing.T) {
 	if !holds(stale, 0x44) {
 		t.Fatal("the cache's reference did not keep the block")
 	}
-	c.DeleteFile(1)
+	c.DeleteFiles(1)
 	if race.Enabled {
 		if !holds(stale, 0xCC) {
 			t.Fatal("a block nobody holds was not poisoned")

@@ -1,7 +1,8 @@
-// Commit pipeline: a LevelDB/Pebble-style group commit replacing the old
-// fully-serialized write path. A leader drains the queue of concurrently
-// arriving batches, assigns them a contiguous sequence range, appends them
-// to the WAL as one record group and hands each batch back to its owning
+// Commit pipeline: a LevelDB/Pebble-style group commit, the store's one
+// write path. Whichever writer wins the commit lock leads: it drains the
+// queue of concurrently arriving batches (a lone writer leads a group of
+// one, its own), assigns them a contiguous sequence range, appends them to
+// the WAL as one record group and hands each batch back to its owning
 // goroutine, which applies it to the (concurrent) memtable in parallel
 // with the other committers. Visibility is published strictly in sequence
 // order through a pending-commit queue that ratchets the visible sequence
@@ -20,6 +21,7 @@ import (
 	"pebblesdb/internal/batch"
 	"pebblesdb/internal/memtable"
 	"pebblesdb/internal/metric"
+	"pebblesdb/internal/obs"
 	"pebblesdb/internal/wal"
 )
 
@@ -80,27 +82,30 @@ func (q *commitQueue) enqueue(r *commitRequest) {
 	q.mu.Unlock()
 }
 
-// drain is only called with commitMu held.
-func (q *commitQueue) drain() []*commitRequest {
+// drain takes the queued requests, with own appended when it is not nil
+// (the lock winner leads its own batch too). Called only with commitMu
+// held. The returned array, grown by that append if need be, becomes the
+// spare, so a lone writer's group of one reuses it instead of allocating.
+func (q *commitQueue) drain(own *commitRequest) []*commitRequest {
 	q.mu.Lock()
 	reqs := q.reqs
 	q.reqs = q.spare[:0]
 	q.mu.Unlock()
+	if own != nil {
+		reqs = append(reqs, own)
+	}
 	q.spare = reqs
 	return reqs
 }
 
 // Apply commits a batch atomically: one WAL record, consecutive sequence
-// numbers, and memtable application. Concurrent callers are group-
-// committed: whichever writer wins the commit lock schedules every queued
-// batch (its own included), all of them apply to the memtable in parallel,
-// and sync waiters share one fsync.
+// numbers, and memtable application. Every commit takes the one pipeline:
+// whichever writer wins the commit lock schedules every queued batch and
+// its own (a lone writer leads a group of one), all of them apply to the
+// memtable in parallel, and sync waiters share fsyncs.
 func (e *Engine) Apply(b *batch.Batch, sync bool) error {
 	if b.Empty() {
 		return nil
-	}
-	if e.cfg.WALSync {
-		sync = true
 	}
 	// Reject malformed batches before they are sequenced: once scheduled,
 	// a batch that failed to decode midway through application would
@@ -109,34 +114,18 @@ func (e *Engine) Apply(b *batch.Batch, sync bool) error {
 	if err := b.Validate(); err != nil {
 		return err
 	}
-	start := time.Now()
+	// The commit timer reads the monotonic clock alone: time.Now would
+	// read the wall clock too, nearly doubling its cost, for nothing.
+	start := obs.Monotonic()
 	if sync {
 		atomic.AddInt64(&e.stats.SyncCommits, 1)
 	}
 
-	var req *commitRequest
+	req := newCommitRequest(b, sync)
 	var ledGroup *commitGroup
 	var ledWal *wal.Writer
 	if e.commitMu.TryLock() {
-		group := e.cq.drain()
-		if len(group) == 0 && e.pendCount.Load() == 0 {
-			// Serial fast path: no leader was active, nothing is queued
-			// and nothing is in flight, so there is no concurrency to
-			// pipeline — commit inline under the lock, exactly like the
-			// classic serial write path, with zero pipeline bookkeeping.
-			var st commitStages
-			err := e.commitSerialLocked(b, sync, &st)
-			e.commitMu.Unlock()
-			total := time.Since(start)
-			e.observeCommitWait(total)
-			e.maybeLogSlowOp(total, st, int(b.Count()), sync)
-			return err
-		}
-		// Writers are queued or still applying: lead them together with
-		// our own batch through the pipeline.
-		req = newCommitRequest(b, sync)
-		group = append(group, req)
-		ledGroup, ledWal = e.leadCommitLocked(group)
+		ledGroup, ledWal = e.leadCommitLocked(e.cq.drain(req))
 		e.commitMu.Unlock()
 	} else {
 		// A leader is active; queue up so it (or the next leader) groups
@@ -147,7 +136,6 @@ func (e *Engine) Apply(b *batch.Batch, sync bool) error {
 		// would deadlock the engine. So poll with TryLock, yielding (and
 		// eventually sleeping, for write stalls that hold commitMu for
 		// seconds) until either scheduled or able to lead.
-		req = newCommitRequest(b, sync)
 		e.cq.enqueue(req)
 		led := false
 		for spins := 0; !req.scheduled.Load(); spins++ {
@@ -159,7 +147,7 @@ func (e *Engine) Apply(b *batch.Batch, sync bool) error {
 					e.commitMu.Unlock()
 					break
 				}
-				if group := e.cq.drain(); len(group) > 0 {
+				if group := e.cq.drain(nil); len(group) > 0 {
 					// Our own request is either in this group (we
 					// enqueued before draining) or was already taken by
 					// another leader; either way it gets scheduled. Lead
@@ -252,7 +240,7 @@ func (e *Engine) Apply(b *batch.Batch, sync bool) error {
 	if req.err == nil {
 		atomic.AddInt64(&e.stats.Writes, int64(b.Count()))
 	}
-	total := time.Since(start)
+	total := time.Duration(obs.Monotonic() - start)
 	e.observeCommitWait(total)
 	if slow {
 		st.stall = time.Duration(req.stallNanos)
@@ -299,73 +287,8 @@ var commitRequestPool = sync.Pool{New: func() any { return &commitRequest{} }}
 
 func newCommitRequest(b *batch.Batch, sync bool) *commitRequest {
 	req := commitRequestPool.Get().(*commitRequest)
-	req.b, req.sync = b, sync
-	req.err, req.mem, req.endSeq, req.group = nil, nil, 0, nil
-	req.stallNanos = 0
-	req.scheduled.Store(false)
-	req.applied.Store(false)
-	req.published = false
+	*req = commitRequest{b: b, sync: sync}
 	return req
-}
-
-// commitSerialLocked is the zero-concurrency commit: commitMu is held, the
-// queue is empty and no scheduled commit is unpublished, so room check,
-// sequencing, WAL append, memtable application with its guard ingestion,
-// publication and (for sync) the fsync all run serially — the pre-pipeline
-// write path, kept byte-for-byte in behavior for single-writer workloads.
-// Rotation needs commitMu, so the memtable and WAL cannot change under us,
-// and publishing is a plain store: with the pipeline empty, the visible
-// sequence number equals the allocated one.
-func (e *Engine) commitSerialLocked(b *batch.Batch, sync bool, st *commitStages) error {
-	slow := e.cfg.SlowOpThreshold > 0
-	var t0 time.Time
-	if slow {
-		t0 = time.Now()
-	}
-	if err := e.makeRoomForWrite(b.ApproxSize()); err != nil {
-		return err
-	}
-	if slow {
-		st.stall = time.Since(t0)
-	}
-	b.SetSeqNum(base.SeqNum(e.logSeq + 1))
-	e.logSeq += uint64(b.Count())
-	repr := b.Repr()
-	if err := e.walW.AddRecord(repr); err != nil {
-		e.setBgErr(err)
-		return err
-	}
-	atomic.AddInt64(&e.stats.WALBytes, int64(len(repr)))
-	if slow {
-		t0 = time.Now()
-	}
-	if err := e.applyBatch(b, e.mem); err != nil {
-		e.setBgErr(err)
-		return err
-	}
-	if slow {
-		st.apply = time.Since(t0)
-	}
-	// Publish visibility only after the memtable holds every entry.
-	e.seq.Store(e.logSeq)
-	atomic.AddInt64(&e.stats.CommitGroups, 1)
-	atomic.AddInt64(&e.stats.CommitBatches, 1)
-	if sync {
-		// Holding commitMu through the fsync mirrors the serial path;
-		// writers arriving meanwhile queue up and enter the pipeline.
-		if slow {
-			t0 = time.Now()
-		}
-		if err := e.walW.SyncWait(); err != nil {
-			e.setBgErr(err)
-			return err
-		}
-		if slow {
-			st.walSync = time.Since(t0)
-		}
-	}
-	atomic.AddInt64(&e.stats.Writes, int64(b.Count()))
-	return nil
 }
 
 // leadCommitLocked schedules a group: room check, contiguous sequence
@@ -388,9 +311,13 @@ func (e *Engine) leadCommitLocked(group []*commitRequest) (*commitGroup, *wal.Wr
 		g = &commitGroup{needSync: true, syncDone: make(chan struct{})}
 	}
 
-	// One clock pair per group (not per commit) prices the slow-op log's
-	// stall stage; leaders amortize it over every batch they schedule.
-	roomStart := time.Now()
+	// The slow-op log's stall stage costs one clock pair per group, and
+	// only when the log is on.
+	slow := e.cfg.SlowOpThreshold > 0
+	var roomStart time.Time
+	if slow {
+		roomStart = time.Now()
+	}
 	if err := e.makeRoomForWrite(total); err != nil {
 		// Fail the whole group before any of it was scheduled.
 		if g != nil {
@@ -404,7 +331,10 @@ func (e *Engine) leadCommitLocked(group []*commitRequest) (*commitGroup, *wal.Wr
 		}
 		return nil, nil
 	}
-	stallNanos := int64(time.Since(roomStart))
+	var stallNanos int64
+	if slow {
+		stallNanos = int64(time.Since(roomStart))
+	}
 
 	// Pin the memtable and WAL for the group. Rotation only happens under
 	// commitMu, so these stay valid until every reservation drains.
@@ -427,7 +357,6 @@ func (e *Engine) leadCommitLocked(group []*commitRequest) (*commitGroup, *wal.Wr
 	e.pendMu.Lock()
 	e.pend = append(e.pend, group...)
 	e.pendMu.Unlock()
-	e.pendCount.Add(int64(len(group)))
 
 	// One record per batch, appended back-to-back as a record group; the
 	// single fsync that follows (if requested) covers all of them.
@@ -459,10 +388,10 @@ func (e *Engine) leadCommitLocked(group []*commitRequest) (*commitGroup, *wal.Wr
 }
 
 // applyBatch inserts b into mem and ingests its guard candidates inline.
-// It is the one memtable-apply loop, shared by the serial path and every
-// pipelined committer, so when Apply returns each guard candidate of the
-// batch is in the tree: guards exist before a flush or compaction can
-// consume the data they came from, with nothing to drain at rotation.
+// It is the one memtable-apply loop, run by every committer, so when Apply
+// returns each guard candidate of the batch is in the tree: guards exist
+// before a flush or compaction can consume the data they came from, with
+// nothing to drain at rotation.
 // Almost every key stops at WantGuard, a pure hash test. An applier holding
 // a memtable writer reservation may take Core.mu, because the core never
 // calls back into the engine under it.
@@ -521,7 +450,6 @@ func (e *Engine) publishLocked() {
 		e.pendHead = 0
 	}
 	if n > 0 {
-		e.pendCount.Add(int64(-n))
 		e.pubCond.Broadcast()
 	}
 }

@@ -248,6 +248,42 @@ func TestSyncAmortization(t *testing.T) {
 		m.SyncsPerCommit(), m.WALSyncs, m.SyncCommits, m.CommitGroupSize())
 }
 
+// TestLoneWriterLeadsGroupsOfOne pins what a single writer gets from the
+// pipeline: every commit leads a group of one, every sync commit gets its
+// own fsync (there is nobody to share it with), and a key is visible the
+// moment Apply returns. The memtable is small, so commits also cross
+// rotations.
+func TestLoneWriterLeadsGroupsOfOne(t *testing.T) {
+	bothKinds(t, func(t *testing.T, kind Kind) {
+		e := openEngine(t, vfs.NewMem(), kind)
+		defer e.Close()
+
+		const commits = 1000
+		for i := 0; i < commits; i++ {
+			key := []byte(fmt.Sprintf("lone%05d", i))
+			b := batch.New()
+			b.Set(key, make([]byte, 100))
+			if err := e.Apply(b, i%2 == 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, found, err := e.Get(key, nil, nil); err != nil || !found {
+				t.Fatalf("commit %d invisible after Apply returned: found=%v err=%v", i, found, err)
+			}
+		}
+
+		m := e.Metrics()
+		if m.CommitGroups != commits || m.CommitBatches != commits {
+			t.Fatalf("groups=%d batches=%d, want %d each", m.CommitGroups, m.CommitBatches, commits)
+		}
+		if m.SyncCommits != commits/2 || m.WALSyncs != m.SyncCommits {
+			t.Fatalf("fsyncs=%d sync commits=%d, want %d each", m.WALSyncs, m.SyncCommits, commits/2)
+		}
+		if m.Flushes == 0 {
+			t.Fatal("no memtable rotated under the commits")
+		}
+	})
+}
+
 // TestCommitGroupingUnderContention checks that concurrent async writers
 // actually form multi-batch groups.
 func TestCommitGroupingUnderContention(t *testing.T) {
@@ -338,8 +374,9 @@ func TestCommitPipelineTinyMemtable(t *testing.T) {
 func TestGroupCommitSyncFailure(t *testing.T) {
 	bothKinds(t, func(t *testing.T, kind Kind) {
 		mem := vfs.NewMem()
-		// The sync delay piles concurrent committers into shared groups so
-		// the failure exercises the group path, not just serial commits.
+		// The sync delay piles concurrent committers up behind one fsync,
+		// so the failure also reaches waiters whose fsync another
+		// committer started.
 		efs := vfs.NewErr(slowSyncFS{FS: mem, delay: 200 * time.Microsecond})
 		cfg := testConfig()
 		cfg.MaxBgRetries = -1 // fail fast; this test drives Resume itself

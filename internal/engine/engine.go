@@ -91,9 +91,6 @@ type Engine struct {
 	pend     []*commitRequest
 	pendHead int
 	pubCond  *sync.Cond
-	// pendCount mirrors len(pend[pendHead:]) so the serial fast path can
-	// check "pipeline empty" without taking pendMu.
-	pendCount atomic.Int64
 
 	// logSeq is the last *allocated* sequence number (guarded by
 	// commitMu); seq below trails it until commits publish.

@@ -247,9 +247,7 @@ func TestRecoveryFromWALOnly(t *testing.T) {
 func TestCrashRecoveryDurability(t *testing.T) {
 	bothKinds(t, func(t *testing.T, kind Kind) {
 		fs := vfs.NewCrash()
-		cfg := testConfig()
-		cfg.WALSync = false
-		e, err := Open(cfg, fs, "db", kind)
+		e, err := Open(testConfig(), fs, "db", kind)
 		if err != nil {
 			t.Fatal(err)
 		}

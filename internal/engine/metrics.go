@@ -62,7 +62,7 @@ type Counters struct {
 	// commit whose record reached the log before it.
 	WALSyncs int64 `metric:"pebblesdb_wal_syncs_total" help:"Physical WAL fsyncs."`
 	// SyncCommits counts commits that requested durability (WriteOptions
-	// Sync or Options.WALSync).
+	// Sync).
 	SyncCommits int64 `metric:"pebblesdb_sync_commits_total" help:"Commits that requested durability."`
 	// CommitGroups counts commit groups formed by leaders; CommitBatches
 	// counts the batches scheduled across them, so CommitBatches /

@@ -61,23 +61,23 @@ func (c Config) out() io.Writer {
 // Registry maps experiment ids (figure/table numbers) to runners, for
 // cmd/experiments.
 var Registry = map[string]func(Config) error{
-	"fig1.1":  Fig1WriteAmplification,
-	"tab5.1":  Table51SSTableSizes,
-	"tab5.2":  Table52UpdateThroughput,
-	"fig5.1b": Fig51bMicrobenchmarks,
-	"fig5.1c": Fig51cMultithreaded,
-	"fig5.1d": Fig51dCached,
-	"fig5.1e": Fig51eSmallValues,
-	"fig5.2a": Fig52aAging,
-	"fig5.2b": Fig52bLowMemory,
-	"fig5.3":  Fig53SpaceAmplification,
-	"fig5.4":  Fig54EmptyGuards,
-	"fig5.5":  Fig55YCSB,
-	"fig5.6a": Fig56aHyperDex,
-	"fig5.6b": Fig56bMongoDB,
-	"tab5.4":  Table54Memory,
+	"fig1.1":   Fig1WriteAmplification,
+	"tab5.1":   Table51SSTableSizes,
+	"tab5.2":   Table52UpdateThroughput,
+	"fig5.1b":  Fig51bMicrobenchmarks,
+	"fig5.1c":  Fig51cMultithreaded,
+	"fig5.1d":  Fig51dCached,
+	"fig5.1e":  Fig51eSmallValues,
+	"fig5.2a":  Fig52aAging,
+	"fig5.2b":  Fig52bLowMemory,
+	"fig5.3":   Fig53SpaceAmplification,
+	"fig5.4":   Fig54EmptyGuards,
+	"fig5.5":   Fig55YCSB,
+	"fig5.6a":  Fig56aHyperDex,
+	"fig5.6b":  Fig56bMongoDB,
+	"tab5.4":   Table54Memory,
 	"ablation": Ablations,
-	"btree":   BTreeWriteAmplification,
+	"btree":    BTreeWriteAmplification,
 }
 
 // Names returns the registry keys in a stable order.

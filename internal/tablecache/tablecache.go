@@ -86,15 +86,19 @@ func (tc *TableCache) Find(fn base.FileNum, size uint64) (*sstable.Reader, error
 	}
 }
 
-// Evict drops file fn's Reader and its cached blocks. Called when a
-// compaction deletes the file; the Reader's memory and file handle go with
-// the last reference still in flight.
-func (tc *TableCache) Evict(fn base.FileNum) {
-	if v, ok := tc.readers.LoadAndDelete(fn); ok {
-		v.(*sstable.Reader).Unref()
+// Evict drops the Readers of files fns and their cached blocks, in one
+// pass over the block cache. Called when the files are deleted; a Reader's
+// memory and file handle go with the last reference still in flight.
+func (tc *TableCache) Evict(fns ...base.FileNum) {
+	blocks := make([]uint64, len(fns))
+	for i, fn := range fns {
+		if v, ok := tc.readers.LoadAndDelete(fn); ok {
+			v.(*sstable.Reader).Unref()
+		}
+		blocks[i] = uint64(fn)
 	}
 	if tc.blockCache != nil {
-		tc.blockCache.DeleteFile(uint64(fn))
+		tc.blockCache.DeleteFiles(blocks...)
 	}
 }
 

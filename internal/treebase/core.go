@@ -571,9 +571,9 @@ func (c *Core) sweep() {
 	if len(doomed) == 0 {
 		return
 	}
+	c.tc.Evict(doomed...)
 	var failed []base.FileNum
 	for _, fn := range doomed {
-		c.tc.Evict(fn)
 		if err := c.fs.Remove(c.tablePath(fn)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			failed = append(failed, fn)
 		}

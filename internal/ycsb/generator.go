@@ -32,10 +32,10 @@ const zipfConst = 0.99
 // Zipfian implements the Gray et al. incremental zipfian generator used by
 // YCSB: item 0 is the most popular.
 type Zipfian struct {
-	items          uint64
-	theta          float64
-	zetaN, zeta2   float64
-	alpha, eta     float64
+	items        uint64
+	theta        float64
+	zetaN, zeta2 float64
+	alpha, eta   float64
 }
 
 // NewZipfian returns a zipfian generator over [0, items).
@@ -95,9 +95,9 @@ func (s *ScrambledZipfian) Next(rng *rand.Rand) uint64 {
 type Latest struct {
 	counter *atomic.Uint64
 
-	mu    sync.Mutex
-	z     *Zipfian
-	zFor  uint64
+	mu   sync.Mutex
+	z    *Zipfian
+	zFor uint64
 }
 
 // NewLatest returns a latest-distribution generator following counter.

@@ -105,8 +105,7 @@ type ReadOptions struct {
 
 // WriteOptions configures a single commit. A nil *WriteOptions uses the
 // defaults: the commit is written to the WAL but not fsynced (it survives
-// process crashes, not machine crashes), unless Options.WALSync forces
-// syncs globally.
+// process crashes, not machine crashes).
 type WriteOptions struct {
 	// Sync fsyncs the WAL before the commit returns, making it durable
 	// against machine crashes (per-commit durability; the paper's
