@@ -1,130 +1,20 @@
-// Benchmarks regenerating the paper's tables and figures (one benchmark
-// per table/figure; see DESIGN.md's experiment index). Each iteration runs
-// the full scaled experiment, so interpret ns/op as total experiment time.
-// cmd/experiments runs the same code at larger scales with readable
-// reports; EXPERIMENTS.md records paper-vs-measured values.
+// Per-operation benchmarks of the library: put, durable apply, get, seek
+// and the two range-scan shapes, each on its own in-memory FLSM store. The
+// paper's figures and tables are regenerated by cmd/experiments; the gated
+// end-to-end numbers come from bench/.
 //
-// Run with: go test -bench=. -benchmem
+// Run with: go test -run '^$' -bench . -benchmem
 package pebblesdb_test
 
 import (
-	"fmt"
-	"io"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"pebblesdb"
-	"pebblesdb/internal/experiments"
 	"pebblesdb/internal/harness"
 	"pebblesdb/internal/vfs"
 )
-
-// benchCfg is deliberately tiny so `go test -bench=.` finishes quickly;
-// the recorded EXPERIMENTS.md numbers come from cmd/experiments at larger
-// scale.
-func benchCfg() experiments.Config {
-	return experiments.Config{Out: io.Discard, Scale: 100_000, StoreScale: 512, Threads: 2}
-}
-
-func runExperiment(b *testing.B, fn func(experiments.Config) error) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := fn(benchCfg()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig1WriteAmplification regenerates Figure 1.1 / Figure 5.1a.
-func BenchmarkFig1WriteAmplification(b *testing.B) {
-	runExperiment(b, experiments.Fig1WriteAmplification)
-}
-
-// BenchmarkTable51SSTableSizes regenerates Table 5.1.
-func BenchmarkTable51SSTableSizes(b *testing.B) {
-	runExperiment(b, experiments.Table51SSTableSizes)
-}
-
-// BenchmarkTable52UpdateThroughput regenerates Table 5.2.
-func BenchmarkTable52UpdateThroughput(b *testing.B) {
-	runExperiment(b, experiments.Table52UpdateThroughput)
-}
-
-// BenchmarkFig51bMicro regenerates Figure 5.1b.
-func BenchmarkFig51bMicro(b *testing.B) {
-	runExperiment(b, experiments.Fig51bMicrobenchmarks)
-}
-
-// BenchmarkFig51cMultithreaded regenerates Figure 5.1c.
-func BenchmarkFig51cMultithreaded(b *testing.B) {
-	runExperiment(b, experiments.Fig51cMultithreaded)
-}
-
-// BenchmarkFig51dCached regenerates Figure 5.1d.
-func BenchmarkFig51dCached(b *testing.B) {
-	runExperiment(b, experiments.Fig51dCached)
-}
-
-// BenchmarkFig51eSmallValues regenerates Figure 5.1e.
-func BenchmarkFig51eSmallValues(b *testing.B) {
-	runExperiment(b, experiments.Fig51eSmallValues)
-}
-
-// BenchmarkFig52aAging regenerates Figure 5.2a (key-value-store aging; the
-// paper's file-system aging is substituted per DESIGN.md).
-func BenchmarkFig52aAging(b *testing.B) {
-	runExperiment(b, experiments.Fig52aAging)
-}
-
-// BenchmarkFig52bLowMemory regenerates Figure 5.2b.
-func BenchmarkFig52bLowMemory(b *testing.B) {
-	runExperiment(b, experiments.Fig52bLowMemory)
-}
-
-// BenchmarkFig53SpaceAmplification regenerates Figure 5.3.
-func BenchmarkFig53SpaceAmplification(b *testing.B) {
-	runExperiment(b, experiments.Fig53SpaceAmplification)
-}
-
-// BenchmarkFig54EmptyGuards regenerates Figure 5.4.
-func BenchmarkFig54EmptyGuards(b *testing.B) {
-	runExperiment(b, experiments.Fig54EmptyGuards)
-}
-
-// BenchmarkFig55YCSB regenerates Figure 5.5.
-func BenchmarkFig55YCSB(b *testing.B) {
-	runExperiment(b, experiments.Fig55YCSB)
-}
-
-// BenchmarkFig56aHyperDex regenerates Figure 5.6a.
-func BenchmarkFig56aHyperDex(b *testing.B) {
-	runExperiment(b, experiments.Fig56aHyperDex)
-}
-
-// BenchmarkFig56bMongoDB regenerates Figure 5.6b.
-func BenchmarkFig56bMongoDB(b *testing.B) {
-	runExperiment(b, experiments.Fig56bMongoDB)
-}
-
-// BenchmarkTable54Memory regenerates Table 5.4.
-func BenchmarkTable54Memory(b *testing.B) {
-	runExperiment(b, experiments.Table54Memory)
-}
-
-// BenchmarkAblations regenerates the §5.2 optimization-impact paragraph
-// (parallel seeks, seek compaction, sstable bloom filters).
-func BenchmarkAblations(b *testing.B) {
-	runExperiment(b, experiments.Ablations)
-}
-
-// BenchmarkBTreeWriteAmplification regenerates the §2.2 KyotoCabinet
-// write-amplification claim on the B+-tree substrate.
-func BenchmarkBTreeWriteAmplification(b *testing.B) {
-	runExperiment(b, experiments.BTreeWriteAmplification)
-}
-
-// --- per-operation library benchmarks ---
 
 func openBenchDB(b *testing.B, p pebblesdb.Preset) *pebblesdb.DB {
 	b.Helper()
@@ -342,5 +232,3 @@ func BenchmarkBoundedScan(b *testing.B) {
 		it.Close()
 	}
 }
-
-var _ = fmt.Sprintf

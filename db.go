@@ -132,8 +132,8 @@ func (d *DB) Get(key []byte, opts *ReadOptions) (value []byte, found bool, err e
 
 // GetTo is Get with an explicit destination buffer: the value is appended
 // to dst[:0] and returned (dst may be nil). Reusing a buffer with enough
-// capacity across calls makes point reads allocation-free — the dbbench
-// readrandom loop and other hot read paths use this.
+// capacity across calls makes point reads allocation-free — the harness's
+// ReadRandom loop and other hot read paths use this.
 func (d *DB) GetTo(key, dst []byte, opts *ReadOptions) (value []byte, found bool, err error) {
 	if d.closed.Load() {
 		return nil, false, ErrClosed

@@ -27,16 +27,13 @@ type Config struct {
 
 	// NumLevels is the total number of levels including L0.
 	NumLevels int
-	// LevelBaseBytes is the target size of level 1 and LevelMultiplier the
-	// size ratio between successive levels.
-	LevelBaseBytes  int64
-	LevelMultiplier int
+	// LevelBaseBytes is the target size of level 1; each deeper level's is
+	// LevelMultiplier times its parent's.
+	LevelBaseBytes int64
 
 	// TargetFileSize bounds output sstables during leveled compaction.
 	TargetFileSize int64
 
-	// BlockSize is the uncompressed size target for sstable data blocks.
-	BlockSize int
 	// Compression selects the sstable data-block codec; the zero value
 	// (compress.Default) is Snappy. Blocks that compress by less than 12.5%
 	// are stored raw regardless.
@@ -152,9 +149,7 @@ func (c *Config) EnsureDefaults() {
 	def(&c.L0StopTrigger, 12)
 	def(&c.NumLevels, 7)
 	def(&c.LevelBaseBytes, 10<<20)
-	def(&c.LevelMultiplier, 10)
 	def(&c.TargetFileSize, 2<<20)
-	def(&c.BlockSize, 4<<10)
 	def(&c.BloomBitsPerKey, 10)
 	def(&c.BlockCacheSize, 8<<20)
 	def(&c.TableCacheSize, 1000)
@@ -179,6 +174,10 @@ func def[T comparable](p *T, v T) {
 		*p = v
 	}
 }
+
+// LevelMultiplier is the size ratio between successive levels: LevelDB's
+// 10, which every preset shares.
+const LevelMultiplier = 10
 
 // MaxMemtableSize bounds MemtableSize: a memtable's arena addresses 4 GiB
 // with its 32-bit links, which leaves room for what a full memtable of this
@@ -221,7 +220,7 @@ func (c *Config) Validate() error {
 func (c *Config) MaxBytesForLevel(level int) int64 {
 	b := c.LevelBaseBytes
 	for l := 1; l < level; l++ {
-		b *= int64(c.LevelMultiplier)
+		b *= LevelMultiplier
 	}
 	return b
 }

@@ -70,7 +70,7 @@ func TestMaxBytesForLevel(t *testing.T) {
 	if c.MaxBytesForLevel(1) != c.LevelBaseBytes {
 		t.Fatal("level 1 should be base size")
 	}
-	if c.MaxBytesForLevel(3) != c.LevelBaseBytes*int64(c.LevelMultiplier)*int64(c.LevelMultiplier) {
+	if c.MaxBytesForLevel(3) != c.LevelBaseBytes*LevelMultiplier*LevelMultiplier {
 		t.Fatal("level sizing should multiply per level")
 	}
 }

@@ -65,7 +65,7 @@ func Fig52aAging(cfg Config) error {
 		}
 		results = append(results, res)
 	}
-	harness.Table(w, results, "HyperLevelDB", true)
+	harness.Table(w, results, "HyperLevelDB")
 	return nil
 }
 
@@ -129,7 +129,7 @@ func Fig52bLowMemory(cfg Config) error {
 		}
 		results = append(results, res)
 	}
-	harness.Table(w, results, "HyperLevelDB", true)
+	harness.Table(w, results, "HyperLevelDB")
 	return nil
 }
 
@@ -171,7 +171,7 @@ func Fig53SpaceAmplification(cfg Config) error {
 
 	userBytes := int64(n) * (16 + 1024)
 	if err := report("unique keys", func(db *pebblesdb.DB) error {
-		return harness.FillSeqUnique(db, n, 1024, 1)
+		return harness.FillSeq(db, n, 1024, 1)
 	}, userBytes); err != nil {
 		return err
 	}

@@ -2,8 +2,7 @@
 // evaluation (chapter 5, plus Figure 1.1 and the §2.2 B+-tree claim). Each
 // experiment is a function over a Config whose Scale divides the paper's
 // key counts; EXPERIMENTS.md records the scale used for the published
-// numbers in this repository. The functions are shared by bench_test.go
-// and cmd/experiments.
+// numbers in this repository. cmd/experiments runs them.
 package experiments
 
 import (

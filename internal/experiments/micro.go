@@ -92,7 +92,7 @@ func Fig51bMicrobenchmarks(cfg Config) error {
 		}
 		results = append(results, res)
 	}
-	harness.Table(w, results, "HyperLevelDB", true)
+	harness.Table(w, results, "HyperLevelDB")
 	return nil
 }
 
@@ -164,7 +164,7 @@ func Fig51cMultithreaded(cfg Config) error {
 		}
 		results = append(results, res)
 	}
-	harness.Table(w, results, "HyperLevelDB", true)
+	harness.Table(w, results, "HyperLevelDB")
 	return nil
 }
 
@@ -222,7 +222,7 @@ func Fig51dCached(cfg Config) error {
 		}
 		results = append(results, res)
 	}
-	harness.Table(w, results, "HyperLevelDB", true)
+	harness.Table(w, results, "HyperLevelDB")
 	return nil
 }
 
@@ -262,6 +262,6 @@ func Fig51eSmallValues(cfg Config) error {
 		}
 		results = append(results, res)
 	}
-	harness.Table(w, results, "HyperLevelDB", true)
+	harness.Table(w, results, "HyperLevelDB")
 	return nil
 }

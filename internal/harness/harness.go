@@ -2,7 +2,8 @@
 // micro-workloads (§5.2), store presets with per-run in-memory filesystems,
 // IO/write-amplification accounting, and paper-style relative reporting.
 // Every table and figure in EXPERIMENTS.md is regenerated through this
-// package, either from the root bench_test.go or cmd/experiments.
+// package by cmd/experiments; the command-line tools and the root package's
+// benchmarks share its presets, keys and values.
 package harness
 
 import (
@@ -133,14 +134,11 @@ func Open(spec Spec) (*pebblesdb.DB, error) {
 type Result struct {
 	Store    string
 	Workload string
-	Ops      int64
-	Duration time.Duration
 	// KOpsPerSec is throughput in thousands of operations per second (the
 	// unit the paper reports).
 	KOpsPerSec float64
-	// WriteGB / ReadGB are storage IO in gigabytes.
+	// WriteGB is storage write IO in gigabytes.
 	WriteGB float64
-	ReadGB  float64
 	// WriteAmp is write IO over user bytes (Fig 1.1).
 	WriteAmp float64
 }
@@ -157,11 +155,8 @@ func Measure(db *pebblesdb.DB, store, workload string, ops int64, fn func() erro
 	res := Result{
 		Store:      store,
 		Workload:   workload,
-		Ops:        ops,
-		Duration:   dur,
 		KOpsPerSec: float64(ops) / dur.Seconds() / 1000,
 		WriteGB:    float64(io.TotalWritten()) / (1 << 30),
-		ReadGB:     float64(io.TotalRead()) / (1 << 30),
 	}
 	if ub := after.UserBytesWritten - before.UserBytesWritten; ub > 0 {
 		res.WriteAmp = float64(io.TotalWritten()) / float64(ub)
@@ -244,14 +239,13 @@ func (v *ValueSource) Next() []byte {
 	return b
 }
 
-// FillSeq inserts n keys in ascending order.
-func FillSeq(db *pebblesdb.DB, n int, valueSize int, seed int64, recs ...*LatencyRecorder) error {
+// FillSeq inserts exactly the keys [0, n), each once, in ascending order.
+func FillSeq(db *pebblesdb.DB, n int, valueSize int, seed int64) error {
 	vals := NewValueSource(valueSize, CompressibleFraction, seed)
-	rec := recOf(recs)
 	key := make([]byte, 0, 16)
 	for i := 0; i < n; i++ {
 		key = KeyAt(key, uint64(i))
-		if err := timedPut(db, key, vals.Next(), rec); err != nil {
+		if err := db.Put(key, vals.Next()); err != nil {
 			return err
 		}
 	}
@@ -259,54 +253,17 @@ func FillSeq(db *pebblesdb.DB, n int, valueSize int, seed int64, recs ...*Latenc
 }
 
 // FillRandom inserts n keys drawn uniformly from keySpace.
-func FillRandom(db *pebblesdb.DB, n, keySpace, valueSize int, seed int64, recs ...*LatencyRecorder) error {
+func FillRandom(db *pebblesdb.DB, n, keySpace, valueSize int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	vals := NewValueSource(valueSize, CompressibleFraction, seed)
-	rec := recOf(recs)
 	key := make([]byte, 0, 16)
 	for i := 0; i < n; i++ {
 		key = KeyAt(key, uint64(rng.Intn(keySpace)))
-		if err := timedPut(db, key, vals.Next(), rec); err != nil {
+		if err := db.Put(key, vals.Next()); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// timedPut is Put with optional (nil-safe) per-op latency recording.
-func timedPut(db *pebblesdb.DB, key, value []byte, rec *LatencyRecorder) error {
-	start := rec.Start()
-	err := db.Put(key, value)
-	rec.Done(start)
-	return err
-}
-
-// FillSync inserts n keys drawn uniformly from keySpace, each as its own
-// durable (Sync) commit — the workload where the commit pipeline's fsync
-// amortization shows up directly.
-func FillSync(db *pebblesdb.DB, n, keySpace, valueSize int, seed int64, recs ...*LatencyRecorder) error {
-	rng := rand.New(rand.NewSource(seed))
-	vals := NewValueSource(valueSize, CompressibleFraction, seed)
-	rec := recOf(recs)
-	key := make([]byte, 0, 16)
-	b := db.NewBatch()
-	for i := 0; i < n; i++ {
-		b.Reset()
-		key = KeyAt(key, uint64(rng.Intn(keySpace)))
-		b.Set(key, vals.Next())
-		start := rec.Start()
-		if err := db.Apply(b, pebblesdb.Sync); err != nil {
-			return err
-		}
-		rec.Done(start)
-	}
-	return nil
-}
-
-// FillSeqUnique inserts exactly the keys [0, n), each once, in order
-// (space-amplification experiments need unique keys).
-func FillSeqUnique(db *pebblesdb.DB, n, valueSize int, seed int64) error {
-	return FillSeq(db, n, valueSize, seed)
 }
 
 // FillRange inserts every key in [lo, hi) once.
@@ -348,74 +305,16 @@ func DeleteRange(db *pebblesdb.DB, lo, hi uint64) error {
 	return db.DeleteRange(KeyAt(nil, lo), KeyAt(nil, hi))
 }
 
-// DeleteKeys deletes every key in [lo, hi) one point tombstone at a time —
-// the pre-range-deletion way to drop a window, kept as the baseline the
-// retention workload is measured against.
-func DeleteKeys(db *pebblesdb.DB, lo, hi uint64) error {
-	key := make([]byte, 0, 16)
-	for i := lo; i < hi; i++ {
-		key = KeyAt(key, i)
-		if err := db.Delete(key); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Retention is the rolling time-window workload (time-series retention,
-// dropping a tenant, truncating a queue): fill sequential windows of
-// windowSize keys each, and once retain windows are live, drop the oldest
-// whole window — with a single DeleteRange, or with per-key tombstones
-// when perKey is set (the baseline this PR's range deletions replace). n
-// counts puts; deletes ride on top. Returns the number of windows dropped.
-func Retention(db *pebblesdb.DB, n, windowSize, retain, valueSize int, seed int64, perKey bool, recs ...*LatencyRecorder) (deletedWindows int, err error) {
-	if windowSize < 1 {
-		windowSize = 1
-	}
-	if retain < 1 {
-		retain = 1
-	}
-	rec := recOf(recs)
-	vals := NewValueSource(valueSize, CompressibleFraction, seed)
-	key := make([]byte, 0, 16)
-	for i := 0; i < n; i++ {
-		key = KeyAt(key, uint64(i))
-		if err := timedPut(db, key, vals.Next(), rec); err != nil {
-			return deletedWindows, err
-		}
-		if (i+1)%windowSize == 0 {
-			window := (i + 1) / windowSize
-			if window > retain {
-				lo := uint64((window - retain - 1) * windowSize)
-				hi := lo + uint64(windowSize)
-				if perKey {
-					err = DeleteKeys(db, lo, hi)
-				} else {
-					err = DeleteRange(db, lo, hi)
-				}
-				if err != nil {
-					return deletedWindows, err
-				}
-				deletedWindows++
-			}
-		}
-	}
-	return deletedWindows, nil
-}
-
 // ReadRandom performs n gets over keySpace; returns the hit count. The
 // loop reuses one destination buffer through DB.GetTo, so on a warm cache
 // it runs allocation-free end to end.
-func ReadRandom(db *pebblesdb.DB, n, keySpace int, seed int64, recs ...*LatencyRecorder) (hits int, err error) {
+func ReadRandom(db *pebblesdb.DB, n, keySpace int, seed int64) (hits int, err error) {
 	rng := rand.New(rand.NewSource(seed))
-	rec := recOf(recs)
 	key := make([]byte, 0, 16)
 	buf := make([]byte, 0, 4096)
 	for i := 0; i < n; i++ {
 		key = KeyAt(key, uint64(rng.Intn(keySpace)))
-		start := rec.Start()
 		v, ok, gerr := db.GetTo(key, buf, nil)
-		rec.Done(start)
 		if gerr != nil {
 			return hits, gerr
 		}
@@ -433,9 +332,8 @@ func ReadRandom(db *pebblesdb.DB, n, keySpace int, seed int64, recs ...*LatencyR
 // buffers make the steady-state SeekGE+Next loop allocation-free. The view
 // is pinned at iterator creation, which is what a repeated-range-query
 // benchmark wants anyway.
-func SeekRandom(db *pebblesdb.DB, n, keySpace, nexts int, seed int64, recs ...*LatencyRecorder) error {
+func SeekRandom(db *pebblesdb.DB, n, keySpace, nexts int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	rec := recOf(recs)
 	key := make([]byte, 0, 16)
 	it, err := db.NewIter(nil)
 	if err != nil {
@@ -443,12 +341,10 @@ func SeekRandom(db *pebblesdb.DB, n, keySpace, nexts int, seed int64, recs ...*L
 	}
 	for i := 0; i < n; i++ {
 		key = KeyAt(key, uint64(rng.Intn(keySpace)))
-		start := rec.Start()
 		it.SeekGE(key)
 		for j := 0; j < nexts && it.Valid(); j++ {
 			it.Next()
 		}
-		rec.Done(start)
 		if err := it.Error(); err != nil {
 			it.Close()
 			return err
@@ -457,105 +353,15 @@ func SeekRandom(db *pebblesdb.DB, n, keySpace, nexts int, seed int64, recs ...*L
 	return it.Close()
 }
 
-// ScanShort performs n short prefix scans: each picks a random key, keeps
-// its first prefixLen bytes, and iterates every key sharing that prefix
-// via IterOptions.Prefix. When prefixLen matches the store's
-// PrefixBloomLength, sstables whose prefix filter rules the prefix out are
-// skipped before any block IO (Metrics.IterTableSkipRatio reports the
-// skip fraction). Returns the number of entries read.
-func ScanShort(db *pebblesdb.DB, n, keySpace, prefixLen int, seed int64, recs ...*LatencyRecorder) (read int, err error) {
-	rng := rand.New(rand.NewSource(seed))
-	rec := recOf(recs)
-	key := make([]byte, 0, 16)
-	prefix := make([]byte, 0, 16)
-	for i := 0; i < n; i++ {
-		key = KeyAt(key, uint64(rng.Intn(keySpace)))
-		p := prefixLen
-		if p > len(key) {
-			p = len(key)
-		}
-		prefix = append(prefix[:0], key[:p]...)
-		start := rec.Start()
-		it, err := db.NewIter(&pebblesdb.IterOptions{Prefix: prefix})
-		if err != nil {
-			return read, err
-		}
-		for it.First(); it.Valid(); it.Next() {
-			read++
-		}
-		if err := it.Close(); err != nil {
-			return read, err
-		}
-		rec.Done(start)
-	}
-	return read, nil
-}
-
-// SeekRandomReverse performs n reverse range queries: SeekLT to a random
-// key, then prevs Prev calls (the v2 API's mirror of SeekRandom).
-func SeekRandomReverse(db *pebblesdb.DB, n, keySpace, prevs int, seed int64, recs ...*LatencyRecorder) error {
-	rng := rand.New(rand.NewSource(seed))
-	rec := recOf(recs)
-	key := make([]byte, 0, 16)
-	for i := 0; i < n; i++ {
-		key = KeyAt(key, uint64(rng.Intn(keySpace)))
-		start := rec.Start()
-		it, err := db.NewIter(nil)
-		if err != nil {
-			return err
-		}
-		it.SeekLT(key)
-		for j := 0; j < prevs && it.Valid(); j++ {
-			it.Prev()
-		}
-		if err := it.Close(); err != nil {
-			return err
-		}
-		rec.Done(start)
-	}
-	return nil
-}
-
-// ScanBounded performs n bounded range queries of span keys each: the end
-// key is pushed into the iterator as an upper bound so the store prunes
-// sstables past it before IO.
-func ScanBounded(db *pebblesdb.DB, n, keySpace, span int, seed int64, recs ...*LatencyRecorder) (read int, err error) {
-	rng := rand.New(rand.NewSource(seed))
-	rec := recOf(recs)
-	lo := make([]byte, 0, 16)
-	hi := make([]byte, 0, 16)
-	for i := 0; i < n; i++ {
-		first := uint64(rng.Intn(keySpace))
-		lo = KeyAt(lo, first)
-		hi = KeyAt(hi, first+uint64(span))
-		start := rec.Start()
-		it, err := db.NewIter(&pebblesdb.IterOptions{LowerBound: lo, UpperBound: hi})
-		if err != nil {
-			return read, err
-		}
-		for it.First(); it.Valid(); it.Next() {
-			read++
-		}
-		if err := it.Close(); err != nil {
-			return read, err
-		}
-		rec.Done(start)
-	}
-	return read, nil
-}
-
 // DeleteRandom deletes n keys drawn uniformly from keySpace.
-func DeleteRandom(db *pebblesdb.DB, n, keySpace int, seed int64, recs ...*LatencyRecorder) error {
+func DeleteRandom(db *pebblesdb.DB, n, keySpace int, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
-	rec := recOf(recs)
 	key := make([]byte, 0, 16)
 	for i := 0; i < n; i++ {
 		key = KeyAt(key, uint64(rng.Intn(keySpace)))
-		start := rec.Start()
 		if err := db.Delete(key); err != nil {
 			return err
 		}
-		rec.Done(start)
 	}
 	return nil
 }
@@ -643,7 +449,7 @@ func SSTableSizes(db *pebblesdb.DB) SizeDistribution {
 // Table renders results grouped by workload with values relative to a
 // baseline store, matching the paper's figure style ("values are shown
 // relative to HyperLevelDB").
-func Table(w io.Writer, results []Result, baseline string, higherIsBetter bool) {
+func Table(w io.Writer, results []Result, baseline string) {
 	byWorkload := map[string][]Result{}
 	var order []string
 	for _, r := range results {

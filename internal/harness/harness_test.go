@@ -114,7 +114,7 @@ func TestTableRendersRelative(t *testing.T) {
 		{Store: "HyperLevelDB", Workload: "writes", KOpsPerSec: 100},
 	}
 	var buf bytes.Buffer
-	Table(&buf, results, "HyperLevelDB", true)
+	Table(&buf, results, "HyperLevelDB")
 	out := buf.String()
 	if !strings.Contains(out, "2.70x") {
 		t.Fatalf("relative value missing:\n%s", out)

@@ -10,8 +10,8 @@ import (
 // ~19% resolution over the full nanosecond range with a fixed footprint.
 const latencyBuckets = 64 * 4
 
-// LatencyRecorder is a concurrency-safe log-scale latency histogram.
-// Workloads record per-operation durations into it; percentiles come out
+// LatencyRecorder is a concurrency-safe log-scale latency histogram. A load
+// generator records per-operation durations into it; percentiles come out
 // with bucket-level (~19%) resolution, which is plenty for p50/p99-style
 // reporting without per-op allocation or locking.
 type LatencyRecorder struct {
@@ -46,27 +46,6 @@ func bucketUpper(i int) int64 {
 	return int64((4+sub+1)<<(exp-2)) - 1
 }
 
-// Start begins timing one operation; it is nil-safe (a nil recorder costs
-// nothing). Pair with Done:
-//
-//	start := rec.Start()
-//	... the operation ...
-//	rec.Done(start)
-func (r *LatencyRecorder) Start() time.Time {
-	if r == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// Done records the duration since start; nil-safe like Start.
-func (r *LatencyRecorder) Done(start time.Time) {
-	if r == nil {
-		return
-	}
-	r.Record(time.Since(start))
-}
-
 // Record adds one operation's duration.
 func (r *LatencyRecorder) Record(d time.Duration) {
 	if d < 0 {
@@ -86,8 +65,8 @@ func (r *LatencyRecorder) Record(d time.Duration) {
 // Count returns the number of recorded operations.
 func (r *LatencyRecorder) Count() int64 { return r.count.Load() }
 
-// Mean returns the mean recorded latency.
-func (r *LatencyRecorder) Mean() time.Duration {
+// mean returns the mean recorded latency.
+func (r *LatencyRecorder) mean() time.Duration {
 	n := r.count.Load()
 	if n == 0 {
 		return 0
@@ -95,13 +74,13 @@ func (r *LatencyRecorder) Mean() time.Duration {
 	return time.Duration(r.sum.Load() / n)
 }
 
-// Max returns the largest recorded latency.
-func (r *LatencyRecorder) Max() time.Duration { return time.Duration(r.max.Load()) }
+// maxLatency returns the largest recorded latency.
+func (r *LatencyRecorder) maxLatency() time.Duration { return time.Duration(r.max.Load()) }
 
-// Percentile returns the latency at quantile p in [0, 1], to bucket
+// percentile returns the latency at quantile p in [0, 1], to bucket
 // resolution. Concurrent Records skew the result slightly; snapshot after
 // the workload for exact numbers.
-func (r *LatencyRecorder) Percentile(p float64) time.Duration {
+func (r *LatencyRecorder) percentile(p float64) time.Duration {
 	total := r.count.Load()
 	if total == 0 {
 		return 0
@@ -117,21 +96,11 @@ func (r *LatencyRecorder) Percentile(p float64) time.Duration {
 			return time.Duration(bucketUpper(i))
 		}
 	}
-	return r.Max()
-}
-
-// rec returns the optional recorder from a variadic tail (the workload
-// functions take `recs ...*LatencyRecorder` so existing call sites stay
-// source-compatible); nil means don't record.
-func recOf(recs []*LatencyRecorder) *LatencyRecorder {
-	if len(recs) > 0 {
-		return recs[0]
-	}
-	return nil
+	return r.maxLatency()
 }
 
 // LatencyJSON is one recorder's summary in microseconds, the "latency"
-// object of the JSON that dbbench and dbloadgen write.
+// object of the JSON that dbloadgen writes.
 type LatencyJSON struct {
 	Ops        int64   `json:"ops"`
 	MeanMicros float64 `json:"mean_us"`
@@ -150,11 +119,11 @@ func (r *LatencyRecorder) JSON() *LatencyJSON {
 	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	return &LatencyJSON{
 		Ops:        r.Count(),
-		MeanMicros: us(r.Mean()),
-		P50Micros:  us(r.Percentile(0.50)),
-		P90Micros:  us(r.Percentile(0.90)),
-		P99Micros:  us(r.Percentile(0.99)),
-		P999Micros: us(r.Percentile(0.999)),
-		MaxMicros:  us(r.Max()),
+		MeanMicros: us(r.mean()),
+		P50Micros:  us(r.percentile(0.50)),
+		P90Micros:  us(r.percentile(0.90)),
+		P99Micros:  us(r.percentile(0.99)),
+		P999Micros: us(r.percentile(0.999)),
+		MaxMicros:  us(r.maxLatency()),
 	}
 }

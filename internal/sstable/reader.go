@@ -8,7 +8,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/block"
@@ -17,6 +16,7 @@ import (
 	"pebblesdb/internal/compress"
 	"pebblesdb/internal/crc"
 	"pebblesdb/internal/iterator"
+	"pebblesdb/internal/obs"
 	"pebblesdb/internal/rangedel"
 )
 
@@ -271,7 +271,7 @@ func (r *Reader) inflate(dst, stored []byte, typ byte, h blockHandle) ([]byte, e
 	case blockTypeNone:
 		return append(dst, stored...), nil
 	case blockTypeSnappy:
-		start := time.Now()
+		start := obs.Monotonic()
 		decoded, err := compress.Decode(dst, stored)
 		if err != nil {
 			return nil, fmt.Errorf("%w: snappy block at offset %d: %v", ErrCorrupt, h.offset, err)
@@ -279,7 +279,7 @@ func (r *Reader) inflate(dst, stored []byte, typ byte, h blockHandle) ([]byte, e
 		if r.codec != nil {
 			r.codec.BlocksDecompressed.Add(1)
 			r.codec.BytesDecompressed.Add(int64(len(decoded)))
-			r.codec.DecompressNanos.Add(time.Since(start).Nanoseconds())
+			r.codec.DecompressNanos.Add(obs.Monotonic() - start)
 		}
 		return decoded, nil
 	default:

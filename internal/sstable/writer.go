@@ -61,6 +61,8 @@ type blockHandle struct {
 
 // WriterOptions configures table construction.
 type WriterOptions struct {
+	// BlockSize is the uncompressed size target for data blocks; 0 selects
+	// 4 KiB, the size every store writes.
 	BlockSize int
 	// BloomBitsPerKey sizes the table-level bloom filter; 0 disables it.
 	BloomBitsPerKey int

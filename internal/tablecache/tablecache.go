@@ -14,10 +14,10 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pebblesdb/internal/base"
 	"pebblesdb/internal/cache"
+	"pebblesdb/internal/obs"
 	"pebblesdb/internal/sstable"
 	"pebblesdb/internal/vfs"
 )
@@ -217,13 +217,13 @@ type tableFile struct {
 // ReadAt reads from the table's file, opening it if no handle is lent to
 // this table. An open failure is the read's error.
 func (t *tableFile) ReadAt(p []byte, off int64) (int, error) {
-	start := time.Now()
+	start := obs.Monotonic()
 	f, err := t.acquire()
 	if err != nil {
 		return 0, err
 	}
 	n, err := f.ReadAt(p, off)
-	took := time.Since(start).Nanoseconds()
+	took := obs.Monotonic() - start
 	h := &t.tc.handles
 	h.mu.Lock()
 	avg := h.readNanos.Load()

@@ -92,7 +92,10 @@ func (c *Core) CompactOnce() (bool, error) {
 // CompactAll drives compaction until no trigger fires and then, like
 // LevelDB's manual CompactRange, keeps pushing data down until everything
 // sits in the last level: a fully compacted store serves a seek from one
-// sorted run (one guard group) instead of one per populated level.
+// sorted run (one guard group) instead of one per populated level. A unit
+// that a background worker is running holds tables the push needs, so
+// CompactAll waits for it to end instead of stopping short of the last
+// level.
 func (c *Core) CompactAll() error {
 	for {
 		did, err := c.CompactOnce()
@@ -104,6 +107,11 @@ func (c *Core) CompactAll() error {
 		}
 		c.mu.Lock()
 		u := c.pickLocked(true)
+		if u == nil && c.units > 0 {
+			c.drained.Wait() // a unit ended: its output may trigger, so triggers first
+			c.mu.Unlock()
+			continue
+		}
 		c.mu.Unlock()
 		if u == nil {
 			return nil
@@ -170,6 +178,7 @@ func (c *Core) runCompaction(u *Unit) error {
 	c.claims.Unmark(u)
 	c.units--
 	c.levelUnits[u.Level]--
+	c.drained.Broadcast() // for CompactAll, waiting out this unit's claims
 	c.mu.Unlock()
 	c.sweep()
 	return err

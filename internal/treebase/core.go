@@ -326,6 +326,7 @@ type Core struct {
 	doomed []base.FileNum
 	// closed turns reads away; Close waits on drained for the last held
 	// state and for removing, the doomed tables not yet removed, to reach 0.
+	// CompactAll waits on it for a running unit to end.
 	closed   bool
 	drained  *sync.Cond
 	removing int
@@ -661,7 +662,6 @@ func (c *Core) tablePath(fn base.FileNum) string {
 
 func (c *Core) newOutputBuilder() *OutputBuilder {
 	return &OutputBuilder{c: c, wopts: sstable.WriterOptions{
-		BlockSize:         c.cfg.BlockSize,
 		BloomBitsPerKey:   c.cfg.BloomBitsPerKey,
 		PrefixBloomLength: c.cfg.PrefixBloomLength,
 		Compression:       c.cfg.Compression,

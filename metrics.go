@@ -45,8 +45,7 @@ func (m Metrics) WriteAmplification() float64 {
 // String renders the metrics as a human-readable report: a per-level
 // table (files, bytes, guards) followed by the compaction, stall, commit
 // pipeline, compression, read/scan path and commit-latency summaries.
-// dbbench prints it after each run and the debug endpoint serves it at
-// /debug/metrics?format=text.
+// The debug endpoint serves it at /debug/metrics?format=text.
 func (m Metrics) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%7s %8s %12s %8s\n", "level", "tables", "bytes", "guards")
